@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .numerics import Grid, NumericsError, wavenumbers
 from .geometry import MetricBundle
-from .operators import flat_laplacian, transformed_laplacian_expanded
+from .operators import flat_laplacian, gauge_deviation
 
 
 class EllipticSolveError(NumericsError):
@@ -164,12 +164,14 @@ def solve_transformed_poisson(
     resid_tol = max(tol, 1e-8) * scale
     delta = np.inf
     for it in range(1, max_iter + 1):
-        full = transformed_laplacian_expanded(grid, bundle, u)
+        deviation = gauge_deviation(grid, bundle, u)
+        if deviation is None:
+            deviation = 0.0
+        full = flat_laplacian(grid, u) + deviation
         resid = float(np.max(np.abs((full - rhs)[:, 1:-1])))
         if resid <= resid_tol or delta <= 1e-15 * scale:
             return u, resid, it - 1
-        correction = full - flat_laplacian(grid, u)
-        u_new = solver.solve(correction - rhs, bottom_values, top_values)
+        u_new = solver.solve(deviation - rhs, bottom_values, top_values)
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
     raise EllipticSolveError(

@@ -4,12 +4,13 @@ The interface is the graph ``y = h(x)`` over the lower edge of the
 reference strip.  The strip is mapped onto the physical liquid domain by
 the harmonic extension of the boundary data ``(x, h(x))`` with the top
 edge pinned to the identity.  Everything downstream (Jacobian, inverse
-gradient, edge metric, normals, conormal weight) derives from that map.
+gradient, edge metric, normals) derives from that map.
 
-Index convention: for the map gradient M[r, c] = d(psi^r)/d(x^c) the
-stored inverse ``ainv`` is the literal matrix inverse, ainv[r, c] =
-(M^-1)[r, c].  The pulled-back gradient of a scalar q is then
-``(ainv^T grad q)_i = sum_k ainv[k, i] q_{,k}``.
+Graph gauge: the map is ``Id + (0, phi)`` because the horizontal edge
+data are the identity, so its gradient is ``[[1, 0], [phi_x, J]]`` with
+``J = 1 + phi_y`` and its inverse is ``[[1, 0], [a, c]]`` with
+``a = -phi_x / J`` and ``c = 1 / J``.  The pulled-back gradient of a
+scalar q is ``(q_x + a q_y, c q_y)``.
 """
 
 from __future__ import annotations
@@ -53,19 +54,6 @@ def check_graph_condition(h: np.ndarray, bound: float = GRAPH_BOUND) -> None:
         )
 
 
-@dataclass(frozen=True)
-class HeightState:
-    """A height function plus, optionally, its double-smoothed companion."""
-
-    h: np.ndarray
-    h_smooth: np.ndarray | None = None
-
-    def validate(self, bound: float = GRAPH_BOUND) -> None:
-        check_graph_condition(self.h, bound)
-        if self.h_smooth is not None:
-            check_graph_condition(self.h_smooth, bound)
-
-
 def harmonic_extend(grid: Grid, h: np.ndarray, graph_bound: float = GRAPH_BOUND) -> np.ndarray:
     """Offset field of the harmonic extension of the edge data (x, h(x)).
 
@@ -100,11 +88,9 @@ def harmonic_extend(grid: Grid, h: np.ndarray, graph_bound: float = GRAPH_BOUND)
 class MetricBundle:
     """Gauge map and every derived geometric quantity.
 
-    Interior fields: ``phi`` (map offset, (2, nx, ny)), ``grad`` (map
-    gradient, (2, 2, nx, ny)), ``jac`` (Jacobian determinant), ``ainv``
-    (inverse gradient matrix), ``conormal`` (the rescaled interface
-    normal jac^-1 * (dh, -1) extended into the strip as
-    jac^-1 * (d_x psi^2, -d_x psi^1)).
+    Interior fields: ``phi`` (map offset, (2, nx, ny)), ``jac`` (Jacobian
+    J = 1 + phi_y), and the two nonconstant inverse-gradient entries
+    ``a = -phi_x / J`` and ``c = 1 / J``.
 
     Edge fields on the interface row: ``height``, ``dheight``, ``line_el``
     (sqrt(1 + h'^2)), unit ``normal`` and ``tangent``, ``jac_edge``.
@@ -112,10 +98,9 @@ class MetricBundle:
 
     grid: Grid
     phi: np.ndarray
-    grad: np.ndarray
     jac: np.ndarray
-    ainv: np.ndarray
-    conormal: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
     height: np.ndarray
     dheight: np.ndarray
     line_el: np.ndarray
@@ -124,41 +109,14 @@ class MetricBundle:
     jac_edge: np.ndarray
     is_flat: bool = False
 
-    def identity_defect(self) -> float:
-        """sup |ainv . grad - I|, a pointwise inversion check."""
-        prod = np.einsum("rkxy,kcxy->rcxy", self.ainv, self.grad)
-        prod[0, 0] -= 1.0
-        prod[1, 1] -= 1.0
-        return float(np.max(np.abs(prod)))
-
-    def conormal_defect(self) -> float:
-        """sup over the edge of | |conormal| - jac^-1 * line_el |."""
-        mag = np.hypot(self.conormal[0, :, 0], self.conormal[1, :, 0])
-        return float(np.max(np.abs(mag - self.line_el / self.jac_edge)))
-
 
 def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:
     """Build the full geometric bundle from a map offset field."""
-    hy = grid.hy
-    grad = np.empty((2, 2, grid.nx, grid.ny))
-    grad[:, 0] = tangential_derivative(phi)
-    grad[:, 1] = vertical_derivative(phi, hy, 1)
-    grad[0, 0] += 1.0
-    grad[1, 1] += 1.0
-    is_flat = not np.any(phi[1]) and not np.any(phi[0])
-
-    jac = grad[0, 0] * grad[1, 1] - grad[0, 1] * grad[1, 0]
+    jac = 1.0 + vertical_derivative(phi[1], grid.hy, 1)
     if np.min(jac) <= 0.0:
         raise DegenerateMapError(
             f"Jacobian must stay positive, min = {np.min(jac):.3g}"
         )
-    ainv = np.empty_like(grad)
-    ainv[0, 0] = grad[1, 1] / jac
-    ainv[0, 1] = -grad[0, 1] / jac
-    ainv[1, 0] = -grad[1, 0] / jac
-    ainv[1, 1] = grad[0, 0] / jac
-
-    conormal = np.stack((grad[1, 0] / jac, -grad[0, 0] / jac))
 
     height = phi[1, :, 0].copy()
     dheight = tangential_derivative(height)
@@ -169,17 +127,16 @@ def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:
     return MetricBundle(
         grid=grid,
         phi=phi,
-        grad=grad,
         jac=jac,
-        ainv=ainv,
-        conormal=conormal,
+        a=-tangential_derivative(phi[1]) / jac,
+        c=1.0 / jac,
         height=height,
         dheight=dheight,
         line_el=line_el,
         normal=normal,
         tangent=tangent,
         jac_edge=jac[:, 0].copy(),
-        is_flat=is_flat,
+        is_flat=not np.any(phi[1]),
     )
 
 

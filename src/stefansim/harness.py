@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .numerics import ConfigurationError, Grid
 from .geometry import DegenerateMapError, InvalidGeometryError
+from .elliptic import EllipticSolveError
 from .initdata import DataSpec, build_sigma_data, compat_residuals
 from .stepper import (
     CLASSICAL,
@@ -46,6 +47,7 @@ from . import _svg
 
 STATUS_COMPLETED = "completed"
 STATUS_TAYLOR = "taylor-flag"
+STATUS_ABORTED = "aborted"
 EXIT_CODES = {STATUS_COMPLETED: 0, STATUS_TAYLOR: 2}
 
 
@@ -173,6 +175,7 @@ class RunManifest:
     reason: str = ""
     wall_time: float = 0.0
     compat: dict = field(default_factory=dict)
+    flags: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
 
     @property
@@ -270,7 +273,7 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
             else:
                 flagged_at = None
     except (DegenerateMapError, InvalidGeometryError, StepDivergedError) as exc:
-        status = "aborted"
+        status = STATUS_ABORTED
         reason = f"{type(exc).__name__}: {exc}"
     return Trajectory(
         config=config,
@@ -348,6 +351,8 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     The compatibility of the configured data is checked first; failures
     stop the run with a config error unless the override flag is set
     (curved initial interfaces have no exactly compatible explicit datum).
+    A numerical failure before the first step (geometry, elliptic solve)
+    writes an aborted manifest and is re-raised.
     """
     settings = settings or {}
     require = settings.get("compat.require", True)
@@ -362,23 +367,34 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
         grid=(config.nx, config.ny),
     )
     grid = config.grid
-    if q0 is None and config.mode in (CLASSICAL, SURFACE_TENSION):
-        probe_q, probe_h = _configured_data(config)
-        report = compat_residuals(grid, probe_q, probe_h, sigma=config.sigma)
-        manifest.compat = {
-            "r_dirichlet": report.r_dirichlet,
-            "r_second": report.r_second,
-            "taylor_margin": report.taylor_margin,
-            "neumann_top": report.neumann_top,
-            "passed": report.passed,
-        }
-        if require and not report.passed and not override:
-            raise ConfigurationError(
-                "initial data fails compatibility checks; set compat.override "
-                "to run anyway: " + report.summary()
-            )
-    traj = simulate(config, q0=q0, h0=h0)
+    try:
+        if q0 is None and config.mode in (CLASSICAL, SURFACE_TENSION):
+            probe_q, probe_h = _configured_data(config)
+            report = compat_residuals(grid, probe_q, probe_h, sigma=config.sigma)
+            manifest.compat = {
+                "r_dirichlet": report.r_dirichlet,
+                "r_second": report.r_second,
+                "taylor_margin": report.taylor_margin,
+                "neumann_top": report.neumann_top,
+                "passed": report.passed,
+            }
+            if require and not report.passed and not override:
+                raise ConfigurationError(
+                    "initial data fails compatibility checks; set "
+                    "compat.override to run anyway: " + report.summary()
+                )
+        traj = simulate(config, q0=q0, h0=h0)
+    except (DegenerateMapError, InvalidGeometryError, EllipticSolveError) as exc:
+        manifest.status = STATUS_ABORTED
+        manifest.reason = f"{type(exc).__name__}: {exc}"
+        manifest.wall_time = time.time() - t0
+        if outdir is not None:
+            outdir = Path(outdir)
+            outdir.mkdir(parents=True, exist_ok=True)
+            manifest.write(outdir)
+        raise
     manifest.status = traj.status
+    manifest.flags = list(traj.flags)
     if traj.status not in EXIT_CODES:
         manifest.reason = traj.flags[-1] if traj.flags else "aborted"
     reports = energy_table(traj)
@@ -616,7 +632,7 @@ class ManufacturedCase:
         v = compute_velocity(fine, bundle, q)
         w = _extend_edge_scalar(fine, self.height_rate_exact(fine, t))
         lap = transformed_laplacian_expanded(fine, bundle, q)
-        src = qt - lap + (v[0] * w[0] + v[1] * w[1])
+        src = qt - lap + v[1] * w[1]
         return self._restrict(src)
 
     def source_h(self, t: float):

@@ -207,50 +207,33 @@ class CompatReport:
         )
 
 
-def _edge_traces(grid: Grid, bundle: MetricBundle, q: np.ndarray):
-    """Interface traces of q derivatives and of the inverse-gradient matrix.
+def _edge_traces(grid: Grid, q: np.ndarray):
+    """Interface traces q, q_x, q_y, q_xx, q_xy, q_yy of a field.
 
-    First/second y-derivatives use the high-order edge stencils; x-traces
-    are spectral on the edge rows.  Returns a dict of (nx,) arrays.
+    y-derivatives use the high-order edge stencils; x-derivatives are
+    spectral on the edge rows.
     """
     hy = grid.hy
-    t = {}
-    t["q"] = q[:, 0].copy()
-    t["q1"] = tangential_derivative(t["q"])
-    t["q11"] = tangential_derivative(t["q"], 2)
-    t["q2"] = edge_derivative(q, hy, 1)
-    t["q22"] = edge_derivative(q, hy, 2)
-    t["q12"] = tangential_derivative(t["q2"])
-    t["ainv"] = bundle.ainv[:, :, :, 0].copy()
-    t["ainv_d1"] = np.stack(
-        [[tangential_derivative(bundle.ainv[r, c, :, 0]) for c in range(2)]
-         for r in range(2)])
-    t["ainv_d2"] = np.stack(
-        [[edge_derivative(bundle.ainv[r, c], hy, 1) for c in range(2)]
-         for r in range(2)])
-    return t
+    q_e = q[:, 0]
+    q2 = edge_derivative(q, hy, 1)
+    return (q_e, tangential_derivative(q_e), q2,
+            tangential_derivative(q_e, 2), tangential_derivative(q2),
+            edge_derivative(q, hy, 2))
 
 
 def transformed_laplacian_edge(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
     """Interface trace of the gauge-transformed Laplacian.
 
-    Expanded (not divergence) form, with direct high-order edge stencils
-    for the second vertical derivative, so the flat-geometry value is
-    exact on the cubic data families.
+    Expanded (not divergence) form, q_xx + 2a q_xy + (a^2 + c^2) q_yy +
+    (a_x + a a_y + c c_y) q_y, with direct high-order edge stencils for
+    the vertical derivatives, so the flat-geometry value is exact on the
+    cubic data families.
     """
-    t = _edge_traces(grid, bundle, q)
-    A = t["ainv"]
-    dq = {(1, 1): t["q11"], (1, 2): t["q12"], (2, 1): t["q12"], (2, 2): t["q22"]}
-    grad_q = {1: t["q1"], 2: t["q2"]}
-    dA = {1: t["ainv_d1"], 2: t["ainv_d2"]}
-    lap = np.zeros(grid.nx)
-    for i in (1, 2):
-        for jj in (1, 2):
-            for kk in (1, 2):
-                # A_i^j A_i^k q_{,kj}: A_i^k = ainv[k-1, i-1]
-                lap += A[jj - 1, i - 1] * A[kk - 1, i - 1] * dq[(kk, jj)]
-                lap += A[jj - 1, i - 1] * dA[jj][kk - 1, i - 1] * grad_q[kk]
-    return lap
+    _, _, q2, q11, q12, q22 = _edge_traces(grid, q)
+    a, c = bundle.a[:, 0], bundle.c[:, 0]
+    drift = (tangential_derivative(a) + a * edge_derivative(bundle.a, grid.hy, 1)
+             + c * edge_derivative(bundle.c, grid.hy, 1))
+    return q11 + 2.0 * a * q12 + (a * a + c * c) * q22 + drift * q2
 
 
 def _compat_rhs_sigma(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
@@ -260,22 +243,18 @@ def _compat_rhs_sigma(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.nda
     q_{,211}; in general it collects the tangential derivatives of the
     interface heat flux and of the curvature against the inverse map.
     """
-    t = _edge_traces(grid, bundle, q)
-    A = t["ainv"]
+    q_e, q1, q2, _, _, _ = _edge_traces(grid, q)
+    a, c = bundle.a[:, 0], bundle.c[:, 0]
     g = bundle.line_el
     n = bundle.normal
-    # gauge gradient trace: (ainv^T grad q)_i
-    F1 = A[0, 0] * t["q1"] + A[1, 0] * t["q2"]
-    F2 = A[0, 1] * t["q1"] + A[1, 1] * t["q2"]
-    flux = g * (F1 * n[0] + F2 * n[1])
+    # pulled-back gradient trace (q_x + a q_y, c q_y) against the normal
+    flux = g * ((q1 + a * q2) * n[0] + c * q2 * n[1])
     curv = mean_curvature(bundle.height)
     dcurv = tangential_derivative(curv)
     dh = bundle.dheight
     term1 = -(g**-3) * tangential_derivative(flux, 2)
-    term2 = -3.0 * t["q"] * g**-2 * tangential_derivative(flux) * dh
-    # A_2^1 = ainv[0, 1] and (A_.^1).n uses the first matrix row.
-    a_col1_n = A[0, 0] * n[0] + A[0, 1] * n[1]
-    term3 = -dcurv * (flux * A[0, 1] + g * a_col1_n * A[1, 1] * t["q2"])
+    term2 = -3.0 * q_e * g**-2 * tangential_derivative(flux) * dh
+    term3 = -dcurv * (g * n[0] * c * q2)
     return term1 + term2 + term3
 
 

@@ -84,9 +84,6 @@ class Grid:
         """Grid with both spacings halved; coarse nodes are a subset."""
         return Grid(2 * self.nx, 2 * self.ny - 1)
 
-    def shape_ok(self, f: np.ndarray) -> bool:
-        return f.shape[-2:] == (self.nx, self.ny) or f.shape[-1:] == (self.nx,)
-
 
 def wavenumbers(nx: int) -> np.ndarray:
     """Integer wavenumbers 0..nx/2 matching numpy's rfft layout."""

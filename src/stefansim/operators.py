@@ -1,21 +1,18 @@
 """Gauge-transformed differential operators on the strip.
 
 These are the building blocks shared by the elliptic solves, the time
-stepper, and the diagnostics: the pulled-back gradient and velocity, the
-transformed Laplacian in divergence form, and the flat Laplacian used as
-the implicit part of the splitting.
+stepper, and the diagnostics: the velocity, the gauge deviation, the
+transformed Laplacian in divergence and expanded form, the flat Laplacian
+used as the implicit part of the splitting, and the gauge curl.  All of
+them use the graph-gauge inverse-gradient entries ``a`` and ``c`` of the
+metric bundle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import (
-    Grid,
-    tangential_derivative,
-    tangential_derivatives_upto,
-    vertical_derivative,
-)
+from .numerics import Grid, tangential_derivative, vertical_derivative
 from .geometry import MetricBundle
 
 
@@ -26,96 +23,56 @@ def gradient(grid: Grid, q: np.ndarray) -> np.ndarray:
     )
 
 
-def _pullback(ainv: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """(ainv^T dq)_i = sum_k ainv[k, i] dq_k, written out for speed."""
-    return np.stack((
-        ainv[0, 0] * dq[0] + ainv[1, 0] * dq[1],
-        ainv[0, 1] * dq[0] + ainv[1, 1] * dq[1],
-    ))
-
-
-def gauge_gradient(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
-    """Pulled-back gradient (ainv^T grad q)_i = sum_k ainv[k, i] q_{,k}."""
-    return _pullback(bundle.ainv, gradient(grid, q))
-
-
 def compute_velocity(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
-    """Extended velocity v = -(ainv^T grad q), the pullback of -grad p."""
-    return -gauge_gradient(grid, bundle, q)
+    """Extended velocity v = -(q_x + a q_y, c q_y), the pullback of -grad p."""
+    qy = vertical_derivative(q, grid.hy, 1)
+    return -np.stack((tangential_derivative(q) + bundle.a * qy, bundle.c * qy))
 
 
 def transformed_laplacian(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
     """Divergence-form transformed Laplacian.
 
-    The flux (ainv^T grad q)_i is formed first, then contracted against
-    the same matrix under the outer derivatives.
+    The pulled-back flux F = (q_x + a q_y, c q_y) is formed first, then
+    differentiated the same way: F0_x + a F0_y + c F1_y.
     """
-    flux = gauge_gradient(grid, bundle, q)
-    dflux_x = tangential_derivative(flux)
+    flux = -compute_velocity(grid, bundle, q)
     dflux_y = vertical_derivative(flux, grid.hy, 1)
-    A = bundle.ainv
-    return (A[0, 0] * dflux_x[0] + A[1, 0] * dflux_y[0]
-            + A[0, 1] * dflux_x[1] + A[1, 1] * dflux_y[1])
+    return (tangential_derivative(flux[0]) + bundle.a * dflux_y[0]
+            + bundle.c * dflux_y[1])
 
 
 def transformed_laplacian_expanded(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
     """Transformed Laplacian in expanded (non-divergence) form.
 
-    Uses genuine second-derivative stencils, so at identity geometry it
-    coincides exactly with the flat Laplacian row by row.  The elliptic
+    The flat Laplacian plus the gauge deviation, so at identity geometry
+    it coincides exactly with the flat Laplacian row by row.  The elliptic
     solves and the stepper interior use this form; the divergence form
     above is the diagnostic realization.
     """
-    hy = grid.hy
-    A = bundle.ainv
-    q1, q11 = tangential_derivatives_upto(q, (1, 2))
-    q2 = vertical_derivative(q, hy, 1)
-    q22 = vertical_derivative(q, hy, 2)
-    q12 = tangential_derivative(q2)
-    # W_jk = sum_i A_i^j A_i^k with A_i^k = ainv[k, i]
-    w11 = A[0, 0] ** 2 + A[0, 1] ** 2
-    w22 = A[1, 0] ** 2 + A[1, 1] ** 2
-    w12 = A[0, 0] * A[1, 0] + A[0, 1] * A[1, 1]
-    out = w11 * q11 + 2.0 * w12 * q12 + w22 * q22
-    if bundle.is_flat:
-        return out
-    dAx = tangential_derivative(A)
-    dAy = vertical_derivative(A, hy, 1)
-    # drift_k = sum_{i,j} ainv[j, i] d_j ainv[k, i]
-    drift1 = (A[0, 0] * dAx[0, 0] + A[0, 1] * dAx[0, 1]
-              + A[1, 0] * dAy[0, 0] + A[1, 1] * dAy[0, 1])
-    drift2 = (A[0, 0] * dAx[1, 0] + A[0, 1] * dAx[1, 1]
-              + A[1, 0] * dAy[1, 0] + A[1, 1] * dAy[1, 1])
-    return out + drift1 * q1 + drift2 * q2
+    out = flat_laplacian(grid, q)
+    deviation = gauge_deviation(grid, bundle, q)
+    return out if deviation is None else out + deviation
 
 
 def gauge_deviation(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray | None:
     """Expanded-form transformed Laplacian minus the flat Laplacian.
 
-    This is the explicit remainder of the IMEX splitting; it uses the same
-    stencils as both sides, so the difference is formed coefficient-wise
-    without cancellation.  Returns None on flat geometry (it vanishes
-    identically there).
+    This is the explicit remainder of the IMEX splitting,
+    2a q_xy + (a^2 + c^2 - 1) q_yy + (a_x + a a_y + c c_y) q_y; the q_x and
+    q_xx terms cancel exactly in the graph gauge.  Returns None on flat
+    geometry (it vanishes identically there).
     """
     if bundle.is_flat:
         return None
     hy = grid.hy
-    A = bundle.ainv
-    q1, q11 = tangential_derivatives_upto(q, (1, 2))
+    a, c = bundle.a, bundle.c
     q2 = vertical_derivative(q, hy, 1)
     q22 = vertical_derivative(q, hy, 2)
     q12 = tangential_derivative(q2)
-    w11 = A[0, 0] ** 2 + A[0, 1] ** 2 - 1.0
-    w22 = A[1, 0] ** 2 + A[1, 1] ** 2 - 1.0
-    w12 = A[0, 0] * A[1, 0] + A[0, 1] * A[1, 1]
-    out = w11 * q11 + 2.0 * w12 * q12 + w22 * q22
-    dAx = tangential_derivative(A)
-    dAy = vertical_derivative(A, hy, 1)
-    drift1 = (A[0, 0] * dAx[0, 0] + A[0, 1] * dAx[0, 1]
-              + A[1, 0] * dAy[0, 0] + A[1, 1] * dAy[0, 1])
-    drift2 = (A[0, 0] * dAx[1, 0] + A[0, 1] * dAx[1, 1]
-              + A[1, 0] * dAy[1, 0] + A[1, 1] * dAy[1, 1])
-    return out + drift1 * q1 + drift2 * q2
+    out = 2.0 * a * q12 + (a * a + c * c - 1.0) * q22
+    drift = (tangential_derivative(a) + a * vertical_derivative(a, hy, 1)
+             + c * vertical_derivative(c, hy, 1))
+    return out + drift * q2
 
 
 def flat_laplacian(grid: Grid, q: np.ndarray) -> np.ndarray:
@@ -130,16 +87,12 @@ def flat_laplacian(grid: Grid, q: np.ndarray) -> np.ndarray:
 
 
 def curl_residual(grid: Grid, bundle: MetricBundle, v: np.ndarray) -> float:
-    """sup | eps_ji ainv[s, j] d_s v^i |, the gauge curl of the velocity.
+    """sup | c v0_y - v1_x - a v1_y |, the gauge curl of the velocity.
 
     Vanishes for the continuum solution (the velocity is a pulled-back
     gradient); the discrete value measures commutation error of the
     stencils and decays at the discretization order.
     """
-    dv0 = gradient(grid, v[0])
-    dv1 = gradient(grid, v[1])
-    curl = (
-        bundle.ainv[0, 1] * dv0[0] + bundle.ainv[1, 1] * dv0[1]
-        - bundle.ainv[0, 0] * dv1[0] - bundle.ainv[1, 0] * dv1[1]
-    )
+    dv_y = vertical_derivative(v, grid.hy, 1)
+    curl = bundle.c * dv_y[0] - tangential_derivative(v[1]) - bundle.a * dv_y[1]
     return float(np.max(np.abs(curl)))

@@ -23,6 +23,7 @@ from .numerics import (
     History,
     NumericsError,
     tangential_derivative,
+    vertical_derivative,
 )
 from .geometry import (
     GRAPH_BOUND,
@@ -223,7 +224,8 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     deviation = gauge_deviation(grid, bundle_new, state.q)
     if deviation is not None:
         rhs = rhs + deviation
-    rhs = rhs - (state.v[0] * w_new[0] + state.v[1] * w_new[1])
+    # the map moves only vertically (w[0] = 0), so v . w = v1 w1
+    rhs = rhs - state.v[1] * w_new[1]
     if state.alpha is not None:
         rhs = rhs + state.alpha
     if config.source_q is not None:
@@ -348,18 +350,15 @@ def _alpha_forcing(grid, config, q0, h0, h_eff):
     """Time-independent interior forcing restoring the flux compatibility.
 
     The difference of the squared-flux weights between the raw and the
-    smoothed interface geometry, with the edge metric extended into the
-    strip through the map's tangential stretch.
+    smoothed interface geometry; the weight a^2 + c^2 = (1 + phi_x^2)/J^2
+    extends the edge metric g^2/J^2 into the strip.
     """
-    from .numerics import vertical_derivative
-
     bundle0 = metric_bundle(grid, harmonic_extend(grid, h0, config.graph_bound))
     bundle_k = metric_bundle(grid, harmonic_extend(grid, h_eff, config.graph_bound))
     q2 = vertical_derivative(q0, grid.hy, 1)
 
     def weight(b):
-        g2 = 1.0 + b.grad[1, 0] ** 2
-        return g2 / b.jac**2
+        return b.a**2 + b.c**2
 
     return (weight(bundle0) - weight(bundle_k)) * q2 * q2
 
@@ -424,7 +423,7 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     b = state.bundle
     q, v, w = state.q, state.v, state.w
 
-    q_t = transformed_laplacian_expanded(grid, b, q) - (v[0] * w[0] + v[1] * w[1])
+    q_t = transformed_laplacian_expanded(grid, b, q) - v[1] * w[1]
     if state.alpha is not None:
         q_t = q_t + state.alpha
     if config.source_q is not None:
@@ -434,12 +433,19 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     if config.source_h is not None:
         h_t = h_t + config.source_h(0.0)
 
-    grad_w = np.stack([gradient(grid, w[r]) for r in range(2)])
-    ainv_t = -np.einsum("rsxy,smxy,mcxy->rcxy", b.ainv, grad_w, b.ainv)
-    grad_q = gradient(grid, q)
-    grad_qt = gradient(grid, q_t)
-    v_t = -(np.einsum("kixy,kxy->ixy", ainv_t, grad_q)
-            + np.einsum("kixy,kxy->ixy", b.ainv, grad_qt))
+    # rates of the inverse-gradient entries: the inverse M^-1 of the map
+    # gradient moves as -M^-1 (grad w) M^-1, and w = (0, w1) keeps its
+    # first row (1, 0) fixed
+    a, c = b.a, b.c
+    w1_x, w1_y = gradient(grid, w[1])
+    a_t = -c * (w1_x + a * w1_y)
+    c_t = -c * c * w1_y
+    q_x, q_y = gradient(grid, q)
+    qt_x, qt_y = gradient(grid, q_t)
+    # pulled-back flux F = -v and its rate F_t = -v_t
+    flux = np.stack((q_x + a * q_y, c * q_y))
+    flux_t = np.stack((qt_x + a * qt_y + a_t * q_y, c * qt_y + c_t * q_y))
+    v_t = -flux_t
 
     # interface speed rate: differentiate g (v . n) on the edge
     rate_eff = smooth_double(h_t, config.kappa) if config.mode == KAPPA else h_t
@@ -459,14 +465,12 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     )
 
     # q_tt = d/dt [TransformedLaplacian(q)] - v_t . w - v . w_t
-    flux = np.einsum("kixy,kxy->ixy", b.ainv, grad_q)
-    flux_t = (np.einsum("kixy,kxy->ixy", ainv_t, grad_q)
-              + np.einsum("kixy,kxy->ixy", b.ainv, grad_qt))
-    lap_t = np.zeros_like(q)
-    for i in range(2):
-        lap_t += np.einsum("kxy,kxy->xy", ainv_t[:, i], gradient(grid, flux[i]))
-        lap_t += np.einsum("kxy,kxy->xy", b.ainv[:, i], gradient(grid, flux_t[i]))
-    q_tt = lap_t - (v_t[0] * w[0] + v_t[1] * w[1]) - (v[0] * w_t[0] + v[1] * w_t[1])
+    dflux_y = vertical_derivative(flux, grid.hy, 1)
+    dflux_t_y = vertical_derivative(flux_t, grid.hy, 1)
+    lap_t = (a_t * dflux_y[0] + c_t * dflux_y[1]
+             + tangential_derivative(flux_t[0]) + a * dflux_t_y[0]
+             + c * dflux_t_y[1])
+    q_tt = lap_t - v_t[1] * w[1] - v[1] * w_t[1]
 
     return {
         "q_t": q_t, "q_tt": q_tt, "h_t": h_t, "h_tt": h_tt,
@@ -504,18 +508,15 @@ def weak_residual(state: SolverState, config: SolverConfig, n_test: int = 12) ->
         beta = np.zeros(grid.nx)
     alpha = state.alpha if state.alpha is not None else 0.0
 
-    flux = np.einsum("kixy,kxy->ixy", b.ainv, gradient(grid, q))
+    flux = -compute_velocity(grid, b, q)
     worst = 0.0
-    for phi_fn, dphi_fn in _test_functions(grid, n_test):
-        phi = phi_fn
-        dphi = dphi_fn
+    for phi, dphi in _test_functions(grid, n_test):
         lhs = integrate_interior(q_t * b.jac * phi, grid)
         lhs += integrate_interior(
-            (flux[0] * (b.ainv[0, 0] * dphi[0] + b.ainv[1, 0] * dphi[1])
-             + flux[1] * (b.ainv[0, 1] * dphi[0] + b.ainv[1, 1] * dphi[1]))
+            (flux[0] * (dphi[0] + b.a * dphi[1]) + flux[1] * b.c * dphi[1])
             * b.jac, grid)
         lhs += integrate_boundary(q[:, 0] * phi[:, 0], grid) / kappa2
-        rhs = integrate_interior(-(v[0] * w[0] + v[1] * w[1]) * b.jac * phi, grid)
+        rhs = integrate_interior(-v[1] * w[1] * b.jac * phi, grid)
         rhs += integrate_interior(alpha * b.jac * phi, grid)
         rhs += integrate_boundary(beta * phi[:, 0], grid)
         defect = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))

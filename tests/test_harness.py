@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from stefansim.numerics import ConfigurationError, Grid
+from stefansim.elliptic import EllipticSolveError
+from stefansim.initdata import DataSpec
+from stefansim.stepper import SolverConfig
 from stefansim.harness import (
     ManufacturedCase,
     apply_overrides,
@@ -138,6 +141,39 @@ def test_cli_run_and_exit_codes(tmp_path):
     code = cli_main(["run", "--config", str(cfg), "--override", "dt=1.0"])
     assert code == 4
 
+
+def test_cli_init_abort_writes_manifest(tmp_path):
+    # a height that breaks the graph condition fails before the first step
+    out = tmp_path / "d"
+    code = cli_main(["run", "--out", str(out),
+                     "--override", "data.h0_amplitude=1.0",
+                     "--override", "compat.override=true"])
+    assert code == 3
+    payload = json.loads((out / "manifest.json").read_text())
+    assert payload["status"] == "aborted"
+    assert payload["exit_code"] == 3
+    assert payload["reason"].startswith("InvalidGeometryError")
+
+
+def test_kappa_init_abort_writes_manifest(tmp_path):
+    # one fixed-point iteration cannot solve for the regularized datum
+    config = SolverConfig(mode="kappa", kappa=0.1, t_end=1e-3,
+                          snapshot_every=10, elliptic_max_iter=1,
+                          data=DataSpec(h0_amplitude=0.05))
+    with pytest.raises(EllipticSolveError):
+        run_simulation(config, outdir=tmp_path)
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert payload["status"] == "aborted"
+    assert payload["reason"].startswith("EllipticSolveError")
+
+def test_manifest_records_flags(tmp_path):
+    settings = _fast_settings(**{"data.h0_amplitude": 0.3,
+                                 "compat.override": True, "t_end": 5e-3})
+    traj, manifest = run_simulation(build_config(settings), outdir=tmp_path,
+                                    settings=settings)
+    assert traj.flags == ("smallness",)
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert payload["flags"] == ["smallness"]
 
 def test_cli_check_data(tmp_path):
     assert cli_main(["check-data"]) == 0

@@ -11,7 +11,7 @@ and sweep harnesses live alongside the solver.
 
 __version__ = "0.1.0"
 
-from .numerics import Grid, History, boundary_norm, interior_norm
+from .numerics import Grid, boundary_norm, interior_norm
 from .geometry import harmonic_extend, mean_curvature, metric_bundle
 from .mollifier import smooth_2d, smooth_horizontal
 from .initdata import (
@@ -45,7 +45,7 @@ from .harness import (
 )
 
 __all__ = [
-    "Grid", "History", "boundary_norm", "interior_norm",
+    "Grid", "boundary_norm", "interior_norm",
     "harmonic_extend", "mean_curvature", "metric_bundle",
     "smooth_2d", "smooth_horizontal",
     "CompatReport", "DataSpec", "build_classical_data",

@@ -7,11 +7,12 @@ maxima (the C^0-in-time terms) and trapezoid accumulators (the
 L^2-in-time terms), and each snapshot emits one report row.
 
 Time derivatives at the initial instant come from equation substitution;
-at later snapshots from second-order finite differences over the snapshot
-ring.  The interface speed is differentiated as its own stored series, so
-no stored field needs more than two time derivatives.  Interior Sobolev
-norms above third order in y compose first/second difference stencils,
-and rows embedding them carry a lower-confidence flag.
+at later snapshots from second-order finite differences over the stored
+snapshots.  The interface speed is differentiated as its own stored
+series, so no stored field needs more than two time derivatives.
+Interior Sobolev norms above third order in y compose first/second
+difference stencils, and rows embedding them carry a lower-confidence
+flag.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class Trajectory:
         The initial instant uses the equation-substituted value; later
         instants difference the stored heights, so synthetic frozen
         trajectories carry an identically zero series.  Entries are None
-        where the snapshot ring cannot support the stencil.
+        where the stored snapshots cannot support the stencil.
         """
         if self._rates is None:
             h_series = [s["h"] for s in self.snaps]
@@ -145,7 +146,7 @@ class _DerivativeProvider:
         return out
 
     def try_call(self, name: str, b: int):
-        """Like __call__ but None when the ring cannot support the stencil."""
+        """Like __call__ but None where the stencil is unsupported."""
         try:
             return self(name, b)
         except NeedsMoreStepsError:
@@ -414,17 +415,17 @@ def _dx(f: np.ndarray, a: int) -> np.ndarray:
 
 
 def _map_derivative(get, a, b, x, y):
-    """d^a_x d^b_t of the gauge map; the identity part is handled exactly."""
+    """(horizontal, vertical) parts of d^a_x d^b_t of the map Id + (0, phi).
+
+    The horizontal part is the identity's alone: x, 1 or 0 for a = 0, 1 or
+    more at b = 0, and 0 for every time derivative.
+    """
     if b == 0:
-        phi = get("phi")
-        pa = _dx(phi, a)
+        pa = _dx(get("phi"), a)
         if a == 0:
-            return np.stack((x + pa[0], y + pa[1]))
-        if a == 1:
-            pa = pa.copy()
-            pa[0] += 1.0
-        return pa
-    return _dx(get("phi", b), a)
+            return x, y + pa
+        return (1.0 if a == 1 else 0.0), pa
+    return 0.0, _dx(get("phi", b), a)
 
 
 def energy_table(traj: Trajectory) -> list:

@@ -55,17 +55,17 @@ def check_graph_condition(h: np.ndarray, bound: float = GRAPH_BOUND) -> None:
 
 
 def harmonic_extend(grid: Grid, h: np.ndarray, graph_bound: float = GRAPH_BOUND) -> np.ndarray:
-    """Offset field of the harmonic extension of the edge data (x, h(x)).
+    """Vertical offset of the harmonic extension of the edge data (x, h(x)).
 
-    Returns ``phi`` of shape (2, nx, ny) with the map being Id + phi; the
-    first component is identically zero (it extends zero edge data).  Per
+    Returns ``phi`` of shape (nx, ny) with the map being Id + (0, phi);
+    the horizontal component extends zero edge data and is not stored.  Per
     Fourier mode the vertical profile solves  p'' - k^2 p = 0 with p(0)=1,
     p(1)=0, i.e. the exact sinh/linear profile, so the extension is
     harmonic to machine precision on band-limited data and matches the
     edge rows exactly at the grid nodes.
     """
     check_graph_condition(h, graph_bound)
-    nx, ny = grid.nx, grid.ny
+    nx = grid.nx
     y = grid.ys[None, :]
     k = wavenumbers(nx)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -77,10 +77,9 @@ def harmonic_extend(grid: Grid, h: np.ndarray, graph_bound: float = GRAPH_BOUND)
             1.0 - y,
         )
     coef = np.fft.rfft(h)[:, None] * prof
-    phi = np.zeros((2, nx, ny))
-    phi[1] = np.fft.irfft(coef, n=nx, axis=0)
-    phi[1, :, 0] = h
-    phi[1, :, -1] = 0.0
+    phi = np.fft.irfft(coef, n=nx, axis=0)
+    phi[:, 0] = h
+    phi[:, -1] = 0.0
     return phi
 
 
@@ -88,7 +87,7 @@ def harmonic_extend(grid: Grid, h: np.ndarray, graph_bound: float = GRAPH_BOUND)
 class MetricBundle:
     """Gauge map and every derived geometric quantity.
 
-    Interior fields: ``phi`` (map offset, (2, nx, ny)), ``jac`` (Jacobian
+    Interior fields: ``phi`` (vertical map offset, (nx, ny)), ``jac`` (Jacobian
     J = 1 + phi_y), and the two nonconstant inverse-gradient entries
     ``a = -phi_x / J`` and ``c = 1 / J``.
 
@@ -111,14 +110,14 @@ class MetricBundle:
 
 
 def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:
-    """Build the full geometric bundle from a map offset field."""
-    jac = 1.0 + vertical_derivative(phi[1], grid.hy, 1)
+    """Build the full geometric bundle from the vertical map offset."""
+    jac = 1.0 + vertical_derivative(phi, grid.hy, 1)
     if np.min(jac) <= 0.0:
         raise DegenerateMapError(
             f"Jacobian must stay positive, min = {np.min(jac):.3g}"
         )
 
-    height = phi[1, :, 0].copy()
+    height = phi[:, 0].copy()
     dheight = tangential_derivative(height)
     line_el = np.sqrt(1.0 + dheight * dheight)
     normal = np.stack((dheight, -np.ones_like(dheight))) / line_el
@@ -128,7 +127,7 @@ def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:
         grid=grid,
         phi=phi,
         jac=jac,
-        a=-tangential_derivative(phi[1]) / jac,
+        a=-tangential_derivative(phi) / jac,
         c=1.0 / jac,
         height=height,
         dheight=dheight,
@@ -136,13 +135,13 @@ def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:
         normal=normal,
         tangent=tangent,
         jac_edge=jac[:, 0].copy(),
-        is_flat=not np.any(phi[1]),
+        is_flat=not np.any(phi),
     )
 
 
 def identity_bundle(grid: Grid) -> MetricBundle:
     """Bundle of the identity map (flat interface)."""
-    return metric_bundle(grid, np.zeros((2, grid.nx, grid.ny)))
+    return metric_bundle(grid, np.zeros((grid.nx, grid.ny)))
 
 
 def mean_curvature(h: np.ndarray) -> np.ndarray:

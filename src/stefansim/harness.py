@@ -57,6 +57,8 @@ STATUS_COMPLETED = "completed"
 STATUS_TAYLOR = "taylor-flag"
 STATUS_ABORTED = "aborted"
 EXIT_CODES = {STATUS_COMPLETED: 0, STATUS_TAYLOR: 2}
+#: steps a run may continue with a nonpositive stability margin
+TAYLOR_GRACE_STEPS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +134,15 @@ def apply_overrides(settings: dict, overrides) -> dict:
 
 
 def build_config(settings: dict) -> SolverConfig:
-    """Turn flat settings into a validated solver configuration."""
+    """Turn flat settings into a validated solver configuration.
+
+    Every key must be one of ``default_config()``; a misspelt key would
+    otherwise leave its default in force without notice.
+    """
     merged = default_config()
+    unknown = sorted(set(settings) - set(merged))
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     merged.update(settings)
     data = DataSpec(
         alpha=float(merged["data.alpha"]),
@@ -242,16 +251,16 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
 
     Snapshots are recorded every ``snapshot_every`` steps (including the
     initial and final instants).  A nonpositive stability margin flags the
-    run and stops it after the configured grace steps; geometry loss or a
+    run and stops it after ``TAYLOR_GRACE_STEPS`` steps; geometry loss or a
     diverged update aborts it.
     """
-    state = init_state(config, q0=q0, h0=h0)
     cadence = config.snapshot_every
     n_steps = config.n_steps
     if n_steps % cadence != 0:
         raise ConfigurationError(
             f"snapshot_every={cadence} must divide the {n_steps} steps"
         )
+    state = init_state(config, q0=q0, h0=h0)
     times = [0.0]
     snaps = [state.snapshot()]
     margins = [state.margin]
@@ -273,7 +282,7 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
                 status = STATUS_TAYLOR
                 if flagged_at is None:
                     flagged_at = n
-                elif n - flagged_at >= config.taylor_grace_steps:
+                elif n - flagged_at >= TAYLOR_GRACE_STEPS:
                     reason = (
                         f"stability margin nonpositive since step {flagged_at}"
                     )
@@ -658,14 +667,14 @@ class ManufacturedCase:
         h = self.height(fine, t)
         check_graph_condition(h)
         phi = self._hfac(t) * ext
-        phi[1, :, 0] = h
+        phi[:, 0] = h
         bundle = metric_bundle(fine, phi)
         scale = self.amp * self._tfac(t)
         v = scale * compute_velocity(fine, bundle, prof)
         deviation = gauge_deviation(fine, bundle, prof)
         lap = scale * (lap_flat if deviation is None else lap_flat + deviation)
-        w1 = self._dhfac(t) * ext[1]
-        src_q = self.amp * self._dtfac(t) * prof - lap + v[1] * w1
+        w = self._dhfac(t) * ext
+        src_q = self.amp * self._dtfac(t) * prof - lap + v[1] * w
         src_h = self.height_rate_exact(fine, t) - height_rate(bundle, v)
         self._level = (t, self._restrict(src_q), src_h[::2].copy())
         return self._level[1:]

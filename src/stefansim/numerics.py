@@ -2,7 +2,8 @@
 
 Grids on T^1 x [0, 1], spectral differentiation in the periodic direction,
 second-order finite differences in the wall-normal direction, quadrature,
-Sobolev norms, and time-derivative estimation from stored snapshot rings.
+Sobolev norms, and time-derivative estimation from uniformly spaced
+snapshots.
 
 Conventions
 -----------
@@ -17,7 +18,7 @@ so the H^0 boundary norm differs from the plain L^2 integral by 1/sqrt(2pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +37,7 @@ class ConfigurationError(NumericsError):
 
 
 class NeedsMoreStepsError(NumericsError):
-    """A time-derivative estimate was requested from too short a history."""
+    """A time-derivative estimate was requested from too few snapshots."""
 
 
 TWO_PI = 2.0 * np.pi
@@ -249,42 +250,6 @@ def interior_norm(f: np.ndarray, grid: Grid, s: int) -> float:
     return float(np.sqrt(total))
 
 
-@dataclass
-class History:
-    """Ring buffer of uniformly spaced field snapshots.
-
-    Snapshots are dicts mapping field names to arrays; times must advance
-    with uniform spacing (relative tolerance 1e-12).
-    """
-
-    depth: int = 5
-    times: list = field(default_factory=list)
-    snaps: list = field(default_factory=list)
-
-    def push(self, t: float, snap: dict) -> None:
-        if self.times:
-            if t <= self.times[-1]:
-                raise ValueError("history times must be strictly increasing")
-            if len(self.times) >= 2:
-                dt0 = self.times[1] - self.times[0]
-                if abs((t - self.times[-1]) - dt0) > 1e-12 * max(abs(dt0), 1.0):
-                    raise ValueError("history spacing must be uniform")
-        self.times.append(t)
-        self.snaps.append(snap)
-        if len(self.times) > self.depth:
-            del self.times[0]
-            del self.snaps[0]
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def spacing(self) -> float:
-        if len(self.times) < 2:
-            raise NeedsMoreStepsError("history has fewer than two snapshots")
-        return self.times[1] - self.times[0]
-
-
 def time_derivative(times, values, order: int, index: int = -1) -> np.ndarray:
     """Second-order FD estimate of d^order/dt^order at a snapshot.
 
@@ -316,9 +281,3 @@ def time_derivative(times, values, order: int, index: int = -1) -> np.ndarray:
     if index == 0:
         return (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dt**2
     return (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / dt**2
-
-
-def history_derivative(history: History, name: str, order: int, index: int = -1) -> np.ndarray:
-    """Time derivative of a named field stored in a History ring."""
-    values = [s[name] for s in history.snaps]
-    return time_derivative(history.times, values, order, index)

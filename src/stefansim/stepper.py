@@ -14,19 +14,18 @@ mode).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .numerics import (
     ConfigurationError,
     Grid,
-    History,
     NumericsError,
     tangential_derivative,
     vertical_derivative,
 )
 from .geometry import (
-    GRAPH_BOUND,
     MetricBundle,
     check_graph_condition,
     harmonic_extend,
@@ -54,6 +53,11 @@ SURFACE_TENSION = "surface_tension"
 KAPPA = "kappa"
 MODES = (CLASSICAL, SURFACE_TENSION, KAPPA)
 
+#: dt may be at most this multiple of min(hx, hy)^2
+CFL_SAFETY = 0.5
+#: bound on sup|h| + sup|h'| above which a state is flagged "smallness"
+SMALLNESS = 0.3
+
 
 class StepDivergedError(NumericsError):
     """The heat update produced non-finite values."""
@@ -70,14 +74,7 @@ class SolverConfig:
     ny: int = 129
     dt: float = 2.5e-5
     t_end: float = 0.05
-    cfl_safety: float = 0.5
     snapshot_every: int = 40
-    history_depth: int = 5
-    elliptic_tol: float = 1e-10
-    elliptic_max_iter: int = 200
-    taylor_grace_steps: int = 10
-    graph_bound: float = GRAPH_BOUND
-    smallness: float = 0.3
     data: DataSpec = field(default_factory=DataSpec)
     #: manufactured-solution hooks; each maps t -> field / edge array
     source_q: object = None
@@ -93,9 +90,11 @@ class SolverConfig:
             raise ConfigurationError("regularized mode requires kappa > 0")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
-        if self.history_depth < 5:
-            raise ConfigurationError("the snapshot ring needs depth >= 5")
-        limit = self.cfl_safety * min(self.grid.hx, self.grid.hy) ** 2
+        if self.snapshot_every < 1:
+            raise ConfigurationError(
+                f"snapshot_every must be >= 1, got {self.snapshot_every}"
+            )
+        limit = CFL_SAFETY * min(self.grid.hx, self.grid.hy) ** 2
         if self.dt > limit * (1 + 1e-12):
             raise ConfigurationError(
                 f"dt={self.dt:.3e} exceeds the diffusive limit {limit:.3e}"
@@ -121,7 +120,6 @@ class SolverState:
     t: float
     q: np.ndarray
     h: np.ndarray
-    phi: np.ndarray
     bundle: MetricBundle
     v: np.ndarray
     w: np.ndarray
@@ -130,10 +128,10 @@ class SolverState:
     beta_poly: tuple | None = None
     flags: tuple = ()
     dissipation: tuple | None = None
-    history: History | None = None
 
     def snapshot(self) -> dict:
-        return {"q": self.q, "h": self.h, "v": self.v, "w": self.w, "phi": self.phi}
+        return {"q": self.q, "h": self.h, "v": self.v, "w": self.w,
+                "phi": self.bundle.phi}
 
 
 def height_rate(bundle: MetricBundle, v: np.ndarray) -> np.ndarray:
@@ -153,24 +151,15 @@ def _effective_height(h: np.ndarray, config: SolverConfig) -> np.ndarray:
     return h
 
 
-_solver_cache: dict = {}
-
-
-def _heat_solver(config: SolverConfig) -> StripSolver:
-    key = (config.nx, config.ny, config.dt, config.mode, config.kappa)
-    solver = _solver_cache.get(key)
-    if solver is None:
-        if config.mode == KAPPA:
-            # penalized interface condition q - kappa^2 q_y = kappa^2 (beta + corr);
-            # the sign is the one the weak form dictates (dissipative penalty)
-            bottom = EdgeCondition(ROBIN, coef=-config.kappa**2)
-        else:
-            bottom = EdgeCondition(DIRICHLET)
-        solver = StripSolver(config.grid, 1.0 / config.dt, bottom, EdgeCondition(NEUMANN))
-        if len(_solver_cache) > 16:
-            _solver_cache.clear()
-        _solver_cache[key] = solver
-    return solver
+@lru_cache(maxsize=16)
+def _heat_solver(nx: int, ny: int, dt: float, mode: str, kappa: float) -> StripSolver:
+    if mode == KAPPA:
+        # penalized interface condition q - kappa^2 q_y = kappa^2 (beta + corr);
+        # the sign is the one the weak form dictates (dissipative penalty)
+        bottom = EdgeCondition(ROBIN, coef=-kappa**2)
+    else:
+        bottom = EdgeCondition(DIRICHLET)
+    return StripSolver(Grid(nx, ny), 1.0 / dt, bottom, EdgeCondition(NEUMANN))
 
 
 def _matched_edge_gradient(q: np.ndarray, hy: float) -> np.ndarray:
@@ -213,26 +202,25 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         rate = rate + config.source_h(state.t)
     h_new = state.h + dt * rate
     if config.mode == KAPPA:
-        check_graph_condition(h_new, config.graph_bound)
+        check_graph_condition(h_new)
 
     h_eff = _effective_height(h_new, config)
-    phi_new = harmonic_extend(grid, h_eff, config.graph_bound)
+    phi_new = harmonic_extend(grid, h_eff)
     bundle_new = metric_bundle(grid, phi_new)
-    w_new = (phi_new - state.phi) / dt
+    w_new = (phi_new - state.bundle.phi) / dt
 
     rhs = state.q / dt
     deviation = gauge_deviation(grid, bundle_new, state.q)
     if deviation is not None:
         rhs = rhs + deviation
-    # the map moves only vertically (w[0] = 0), so v . w = v1 w1
-    rhs = rhs - state.v[1] * w_new[1]
+    rhs = rhs - state.v[1] * w_new
     if state.alpha is not None:
         rhs = rhs + state.alpha
     if config.source_q is not None:
         rhs = rhs + config.source_q(t_new)
 
     bottom = _bottom_condition(config, state, bundle_new, h_new, t_new)
-    solver = _heat_solver(config)
+    solver = _heat_solver(config.nx, config.ny, dt, config.mode, config.kappa)
     q_new = solver.solve(rhs, bottom, None)
     if not np.all(np.isfinite(q_new)):
         raise StepDivergedError(f"non-finite temperature at t={t_new:.6g}")
@@ -245,25 +233,18 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     if margin < 0.0 and "taylor" not in flags:
         flags = flags + ("taylor",)
     sup_h = float(np.max(np.abs(h_new)) + np.max(np.abs(bundle_new.dheight)))
-    if sup_h > config.smallness and "smallness" not in flags:
+    if sup_h > SMALLNESS and "smallness" not in flags:
         flags = flags + ("smallness",)
-
-    # push onto a copy of the ring so that the input state stays valid
-    history = state.history
-    if history is not None:
-        history = replace(history, times=list(history.times),
-                          snaps=list(history.snaps))
 
     dissip = None
     if config.track_dissipation and config.mode == CLASSICAL and config.source_q is None:
         dissip = _dissipation_defect(grid, state, q_new, v_new, bundle_new, dt)
 
-    new_state = SolverState(
+    return SolverState(
         step=state.step + 1,
         t=t_new,
         q=q_new,
         h=h_new,
-        phi=phi_new,
         bundle=bundle_new,
         v=v_new,
         w=w_new,
@@ -272,11 +253,7 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         beta_poly=state.beta_poly,
         flags=flags,
         dissipation=dissip,
-        history=history,
     )
-    if history is not None:
-        history.push(t_new, new_state.snapshot())
-    return new_state
 
 
 def _dissipation_defect(grid, state, q_new, v_new, bundle_new, dt):
@@ -299,7 +276,7 @@ def _dissipation_defect(grid, state, q_new, v_new, bundle_new, dt):
 
 def init_state(config: SolverConfig, q0: np.ndarray | None = None,
                h0: np.ndarray | None = None) -> SolverState:
-    """Build the initial state: data, geometry, velocity, forcings, ring."""
+    """Build the initial state: data, geometry, velocity, forcings."""
     grid = config.grid
     spec = config.data
     if q0 is None or h0 is None:
@@ -307,17 +284,13 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
             q0, h0 = build_sigma_data(grid, replace(spec, sigma=config.sigma))
         elif config.mode == KAPPA:
             q0, h0 = build_classical_data(grid, spec)
-            q0 = build_regularized_datum(
-                grid, q0, h0, config.kappa,
-                tol=config.elliptic_tol, max_iter=config.elliptic_max_iter,
-            )
+            q0 = build_regularized_datum(grid, q0, h0, config.kappa)
         else:
             q0, h0 = build_classical_data(grid, spec)
-    check_graph_condition(h0, config.graph_bound)
+    check_graph_condition(h0)
 
     h_eff = _effective_height(h0, config)
-    phi = harmonic_extend(grid, h_eff, config.graph_bound)
-    bundle = metric_bundle(grid, phi)
+    bundle = metric_bundle(grid, harmonic_extend(grid, h_eff))
     v = compute_velocity(grid, bundle, q0)
 
     rate = height_rate(bundle, v)
@@ -331,14 +304,10 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
         alpha = _alpha_forcing(grid, config, q0, h0, h_eff)
         beta_poly = _bootstrap_beta(config, q0, h0, alpha)
 
-    history = History(depth=config.history_depth)
-    state = SolverState(
-        step=0, t=0.0, q=q0, h=h0, phi=phi, bundle=bundle, v=v, w=w,
+    return SolverState(
+        step=0, t=0.0, q=q0, h=h0, bundle=bundle, v=v, w=w,
         margin=taylor_margin(grid, q0), alpha=alpha, beta_poly=beta_poly,
-        history=history,
     )
-    history.push(0.0, state.snapshot())
-    return state
 
 
 def harmonic_extend_rate(grid: Grid, rate: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -359,8 +328,8 @@ def _alpha_forcing(grid, config, q0, h0, h_eff):
     smoothed interface geometry; the weight a^2 + c^2 = (1 + phi_x^2)/J^2
     extends the edge metric g^2/J^2 into the strip.
     """
-    bundle0 = metric_bundle(grid, harmonic_extend(grid, h0, config.graph_bound))
-    bundle_k = metric_bundle(grid, harmonic_extend(grid, h_eff, config.graph_bound))
+    bundle0 = metric_bundle(grid, harmonic_extend(grid, h0))
+    bundle_k = metric_bundle(grid, harmonic_extend(grid, h_eff))
     q2 = vertical_derivative(q0, grid.hy, 1)
 
     def weight(b):
@@ -379,13 +348,12 @@ def _kappa_rate_sample(config: SolverConfig, q: np.ndarray, h: np.ndarray,
     """
     grid = config.grid
     h_eff = smooth_double(h, config.kappa)
-    phi = harmonic_extend(grid, h_eff, config.graph_bound)
-    bundle = metric_bundle(grid, phi)
+    bundle = metric_bundle(grid, harmonic_extend(grid, h_eff))
     v = compute_velocity(grid, bundle, q)
     rate = height_rate(bundle, v)
     w = _extend_edge_scalar(grid, smooth_double(rate, config.kappa))
     probe = SolverState(
-        step=0, t=0.0, q=q, h=h, phi=phi, bundle=bundle, v=v, w=w,
+        step=0, t=0.0, q=q, h=h, bundle=bundle, v=v, w=w,
         margin=0.0, alpha=alpha,
     )
     deriv = initial_time_derivatives(probe, config)
@@ -429,7 +397,7 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     b = state.bundle
     q, v, w = state.q, state.v, state.w
 
-    q_t = transformed_laplacian_expanded(grid, b, q) - v[1] * w[1]
+    q_t = transformed_laplacian_expanded(grid, b, q) - v[1] * w
     if state.alpha is not None:
         q_t = q_t + state.alpha
     if config.source_q is not None:
@@ -440,12 +408,12 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
         h_t = h_t + config.source_h(0.0)
 
     # rates of the inverse-gradient entries: the inverse M^-1 of the map
-    # gradient moves as -M^-1 (grad w) M^-1, and w = (0, w1) keeps its
-    # first row (1, 0) fixed
+    # gradient moves as -M^-1 (grad (0, w)) M^-1, which keeps its first
+    # row (1, 0) fixed
     a, c = b.a, b.c
-    w1_x, w1_y = gradient(grid, w[1])
-    a_t = -c * (w1_x + a * w1_y)
-    c_t = -c * c * w1_y
+    w_x, w_y = gradient(grid, w)
+    a_t = -c * (w_x + a * w_y)
+    c_t = -c * c * w_y
     q_x, q_y = gradient(grid, q)
     qt_x, qt_y = gradient(grid, q_t)
     # pulled-back flux F = -v and its rate F_t = -v_t
@@ -476,7 +444,7 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     lap_t = (a_t * dflux_y[0] + c_t * dflux_y[1]
              + tangential_derivative(flux_t[0]) + a * dflux_t_y[0]
              + c * dflux_t_y[1])
-    q_tt = lap_t - v_t[1] * w[1] - v[1] * w_t[1]
+    q_tt = lap_t - v_t[1] * w - v[1] * w_t
 
     return {
         "q_t": q_t, "q_tt": q_tt, "h_t": h_t, "h_tt": h_tt,
@@ -484,27 +452,21 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     }
 
 
-def weak_residual(state: SolverState, config: SolverConfig, n_test: int = 12) -> float:
+def weak_residual(state: SolverState, config: SolverConfig, q_t: np.ndarray,
+                  n_test: int = 12) -> float:
     """Largest normalized defect of the penalized weak form over test functions.
 
     Tests the Jacobian-weighted heat balance with the width^-2 interface
     penalty against a tensor basis of trigonometric-in-x, polynomial-in-y
-    functions; requires the regularized mode and at least three stored
-    snapshots for the time derivative.
+    functions; requires the regularized mode.  ``q_t`` is the temperature's
+    time derivative at ``state``, e.g. ``numerics.time_derivative`` over
+    trajectory snapshots.
     """
-    from .numerics import (
-        NeedsMoreStepsError,
-        history_derivative,
-        integrate_boundary,
-        integrate_interior,
-    )
+    from .numerics import integrate_boundary, integrate_interior
 
     if config.mode != KAPPA:
         raise ConfigurationError("weak residual is defined for the regularized mode")
-    if state.history is None or len(state.history) < 3:
-        raise NeedsMoreStepsError("weak residual needs at least 3 snapshots")
     grid = config.grid
-    q_t = history_derivative(state.history, "q", 1)
     b = state.bundle
     q, v, w = state.q, state.v, state.w
     kappa2 = config.kappa**2
@@ -522,7 +484,7 @@ def weak_residual(state: SolverState, config: SolverConfig, n_test: int = 12) ->
             (flux[0] * (dphi[0] + b.a * dphi[1]) + flux[1] * b.c * dphi[1])
             * b.jac, grid)
         lhs += integrate_boundary(q[:, 0] * phi[:, 0], grid) / kappa2
-        rhs = integrate_interior(-v[1] * w[1] * b.jac * phi, grid)
+        rhs = integrate_interior(-v[1] * w * b.jac * phi, grid)
         rhs += integrate_interior(alpha * b.jac * phi, grid)
         rhs += integrate_boundary(beta * phi[:, 0], grid)
         defect = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))

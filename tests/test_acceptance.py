@@ -46,10 +46,14 @@ def test_criterion_01_harmonic_extension_oracle():
     phi = harmonic_extend(GRID, h)
     x, y = GRID.mesh()
     exact = 0.1 * np.cos(x) * np.sinh(1.0 - y) / np.sinh(1.0)
-    err = float(np.max(np.abs(phi[1] - exact)))
+    err = float(np.max(np.abs(phi - exact)))
     elapsed = time.time() - t0
-    _verdict(1, err <= 1e-10 and elapsed < 1.0,
-             f"closed-form error {err:.2e} in {elapsed:.3f}s")
+    # the time enters the line only when it breaks the bound, so the
+    # verdict text does not depend on the machine's speed
+    detail = f"closed-form error {err:.2e}"
+    if elapsed >= 1.0:
+        detail += f", took {elapsed:.3f}s (limit 1s)"
+    _verdict(1, err <= 1e-10 and elapsed < 1.0, detail)
 
 
 def test_criterion_02_trace_gain_stability():
@@ -60,7 +64,7 @@ def test_criterion_02_trace_gain_stability():
         for grid in (Grid(64, 129), Grid(128, 257)):
             h = eps * np.cos(k * grid.xs)
             phi = harmonic_extend(grid, h)
-            ratios.append(interior_norm(phi[1], grid, 2)
+            ratios.append(interior_norm(phi, grid, 2)
                           / boundary_norm(h, 1.5))
         worst = max(worst, abs(ratios[1] - ratios[0]) / ratios[0])
     _verdict(2, worst <= 0.10, f"max relative drift under doubling {worst:.3f}")
@@ -109,7 +113,7 @@ def test_criterion_04_initial_data_suite():
             config=base_cfg, times=[0.0],
             snaps=[{
                 "q": st.q - st0.q, "h": st.h - st0.h, "v": st.v - st0.v,
-                "w": st.w - st0.w, "phi": st.phi - st0.phi,
+                "w": st.w - st0.w, "phi": st.bundle.phi - st0.bundle.phi,
             }],
             margins=[taylor_margin(GRID, st.q - st0.q)],
             initial_derivatives={k: ds[k] - d0[k] for k in ds},

@@ -29,7 +29,7 @@ def _zero_derivs(grid):
     zeros = np.zeros((grid.nx, grid.ny))
     vzeros = np.zeros((2, grid.nx, grid.ny))
     return {"q_t": zeros, "q_tt": zeros, "h_t": np.zeros(grid.nx),
-            "h_tt": np.zeros(grid.nx), "v_t": vzeros, "w_t": vzeros}
+            "h_tt": np.zeros(grid.nx), "v_t": vzeros, "w_t": zeros}
 
 
 def _static_trajectory(config, q, h, n_snaps=5):
@@ -37,7 +37,7 @@ def _static_trajectory(config, q, h, n_snaps=5):
     phi = harmonic_extend(grid, h)
     bundle = metric_bundle(grid, phi)
     v = compute_velocity(grid, bundle, q)
-    w = np.zeros_like(v)
+    w = np.zeros_like(phi)
     dt = config.dt * config.snapshot_every
     snaps = [{"q": q, "h": h, "v": v, "w": w, "phi": phi}
              for _ in range(n_snaps)]
@@ -57,8 +57,8 @@ def _roll_trajectory(traj, shift):
             "q": np.roll(s["q"], shift, axis=0),
             "h": np.roll(s["h"], shift),
             "v": np.roll(s["v"], shift, axis=1),
-            "w": np.roll(s["w"], shift, axis=1),
-            "phi": np.roll(s["phi"], shift, axis=1),
+            "w": np.roll(s["w"], shift, axis=0),
+            "phi": np.roll(s["phi"], shift, axis=0),
         })
     init = {
         k: np.roll(v, shift, axis=1 if v.ndim == 3 else 0)

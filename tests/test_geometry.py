@@ -23,20 +23,16 @@ def test_flat_extension_is_identity():
     assert np.max(np.abs(phi)) == 0.0
 
 
-def test_first_component_always_zero():
-    phi = harmonic_extend(GRID, 0.12 * np.cos(3 * GRID.xs))
-    assert np.max(np.abs(phi[0])) == 0.0
-
-
 def test_extension_closed_form_oracle():
     # separation of variables: cos-mode data extends with a sinh profile
     h = 0.1 * np.cos(GRID.xs)
     phi = harmonic_extend(GRID, h)
+    assert phi.shape == (GRID.nx, GRID.ny)
     x, y = GRID.mesh()
     exact = 0.1 * np.cos(x) * np.sinh(1.0 - y) / np.sinh(1.0)
-    assert np.max(np.abs(phi[1] - exact)) <= 1e-10
+    assert np.max(np.abs(phi - exact)) <= 1e-10
     j_half = GRID.ny // 2
-    assert phi[1, 0, j_half] == pytest.approx(0.1 * np.sinh(0.5) / np.sinh(1.0))
+    assert phi[0, j_half] == pytest.approx(0.1 * np.sinh(0.5) / np.sinh(1.0))
 
 
 def test_extension_linearity():
@@ -126,7 +122,7 @@ def test_trace_gain_ratio_bounded_and_stable():
             h = eps * np.cos(k * grid.xs)
             phi = harmonic_extend(grid, h)
             ratios.append(
-                interior_norm(phi[1], grid, 2) / boundary_norm(h, 1.5)
+                interior_norm(phi, grid, 2) / boundary_norm(h, 1.5)
             )
         assert abs(ratios[1] - ratios[0]) <= 0.1 * abs(ratios[0])
         # observed plateau just above 3; a single constant covers all modes

@@ -34,10 +34,15 @@ assert SLOPE_BUDGET**2 < GRAPH_BOUND
 
 
 def oracle_map_gradient(grid: Grid, phi: np.ndarray) -> np.ndarray:
-    """M[r, c] = d(psi^r)/d(x^c) of the map psi = Id + phi, shape (2, 2, nx, ny)."""
+    """M[r, c] = d(psi^r)/d(x^c) of psi = Id + (0, phi), shape (2, 2, nx, ny).
+
+    The offset is stacked with its zero horizontal component, so the
+    formulas below stay those of a general two-component map.
+    """
+    offset = np.stack((np.zeros_like(phi), phi))
     grad = np.empty((2, 2, grid.nx, grid.ny))
-    grad[:, 0] = tangential_derivative(phi)
-    grad[:, 1] = vertical_derivative(phi, grid.hy, 1)
+    grad[:, 0] = tangential_derivative(offset)
+    grad[:, 1] = vertical_derivative(offset, grid.hy, 1)
     grad[0, 0] += 1.0
     grad[1, 1] += 1.0
     return grad

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from stefansim.numerics import ConfigurationError, Grid
 from stefansim.elliptic import EllipticSolveError
 from stefansim.initdata import DataSpec
+from stefansim import harness, stepper
 from stefansim.stepper import SolverConfig
 from stefansim.harness import (
     ManufacturedCase,
@@ -63,6 +65,10 @@ def test_config_errors(tmp_path):
         parse_config_file(bad)
     with pytest.raises(ConfigurationError):
         apply_overrides({}, ["oops"])
+    # a misspelt key must not leave its default silently in force
+    with pytest.raises(ConfigurationError) as err:
+        build_config({"grid.nX": 128, "dT": 1e-3, "grid.nx": 64})
+    assert str(err.value) == "unknown config keys: dT, grid.nX"
 
 
 def test_run_artifacts_and_manifest(tmp_path):
@@ -126,7 +132,13 @@ def test_taylor_violation_flags_within_grace(tmp_path):
     assert traj.times[-1] <= config.t_end
 
 
-def test_snapshot_divisibility_enforced():
+def test_snapshot_divisibility_enforced(monkeypatch):
+    # checked before init_state, so a bad regularized-mode config does not
+    # pay for the regularized-datum solve first
+    def never(*args, **kwargs):
+        raise AssertionError("init_state ran before the cadence check")
+
+    monkeypatch.setattr(harness, "init_state", never)
     config = build_config(_fast_settings(snapshot_every=7))
     with pytest.raises(ConfigurationError):
         simulate(config)
@@ -139,6 +151,12 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert code == 0
     assert (tmp_path / "out" / "manifest.json").exists()
     code = cli_main(["run", "--config", str(cfg), "--override", "dt=1.0"])
+    assert code == 4
+    code = cli_main(["run", "--config", str(cfg), "--override", "t_ned=1e-4"])
+    assert code == 4
+    code = cli_main(["run", "--config", str(cfg),
+                     "--override", "snapshot_every=0",
+                     "--override", "t_end=1e-4"])
     assert code == 4
 
 
@@ -155,10 +173,14 @@ def test_cli_init_abort_writes_manifest(tmp_path):
     assert payload["reason"].startswith("InvalidGeometryError")
 
 
-def test_kappa_init_abort_writes_manifest(tmp_path):
+def test_kappa_init_abort_writes_manifest(tmp_path, monkeypatch):
     # one fixed-point iteration cannot solve for the regularized datum
+    monkeypatch.setattr(
+        stepper, "build_regularized_datum",
+        functools.partial(stepper.build_regularized_datum, max_iter=1),
+    )
     config = SolverConfig(mode="kappa", kappa=0.1, t_end=1e-3,
-                          snapshot_every=10, elliptic_max_iter=1,
+                          snapshot_every=10,
                           data=DataSpec(h0_amplitude=0.05))
     with pytest.raises(EllipticSolveError):
         run_simulation(config, outdir=tmp_path)
@@ -236,7 +258,7 @@ def _direct_sources(case, t):
     bundle = metric_bundle(fine, harmonic_extend(fine, case.height(fine, t)))
     v = compute_velocity(fine, bundle, q)
     w = _extend_edge_scalar(fine, case.height_rate_exact(fine, t))
-    src_q = qt - transformed_laplacian_expanded(fine, bundle, q) + v[1] * w[1]
+    src_q = qt - transformed_laplacian_expanded(fine, bundle, q) + v[1] * w
     src_h = case.height_rate_exact(fine, t) - height_rate(bundle, v)
     return src_q[::2, ::2], src_h[::2]
 

@@ -1,4 +1,4 @@
-"""Discrete substrate: differentiation, norms, quadrature, history."""
+"""Discrete substrate: differentiation, norms, quadrature, time derivatives."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import sympy as sp
 from stefansim.numerics import (
     ConfigurationError,
     Grid,
-    History,
     NeedsMoreStepsError,
     ResolutionError,
     boundary_norm,
@@ -207,16 +206,3 @@ def test_time_derivative_closed_form_oracle():
 def test_time_derivative_needs_history():
     with pytest.raises(NeedsMoreStepsError):
         time_derivative([0.0, 0.1], [np.zeros(2)] * 2, 1)
-
-
-def test_history_uniform_spacing_enforced():
-    hist = History(depth=5)
-    hist.push(0.0, {"f": np.zeros(2)})
-    hist.push(0.1, {"f": np.zeros(2)})
-    with pytest.raises(ValueError):
-        hist.push(0.25, {"f": np.zeros(2)})
-    hist.push(0.2, {"f": np.zeros(2)})
-    assert len(hist) == 3
-    for t in (0.3, 0.4, 0.5):
-        hist.push(t, {"f": np.zeros(2)})
-    assert len(hist) == 5  # ring trims to depth

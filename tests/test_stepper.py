@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stefansim.numerics import Grid, NeedsMoreStepsError, ConfigurationError
+from stefansim.numerics import Grid, ConfigurationError, time_derivative
 from stefansim.geometry import harmonic_extend, identity_bundle, metric_bundle
 from stefansim.operators import (
     compute_velocity,
@@ -92,7 +92,7 @@ def test_transformed_laplacian_pullback_of_harmonic():
         h = 0.1 * np.cos(grid.xs)
         phi = harmonic_extend(grid, h)
         bundle = metric_bundle(grid, phi)
-        q = grid.ys[None, :] + phi[1]
+        q = grid.ys[None, :] + phi
         lap = transformed_laplacian(grid, bundle, q)
         return float(np.max(np.abs(lap[:, 1:-1])))
 
@@ -149,13 +149,14 @@ def test_one_step_height_law_and_flux_record():
 def test_advance_leaves_input_state_unchanged():
     cfg = _short_config(data=DataSpec(alpha=1.0, h0_amplitude=0.05))
     st = init_state(cfg)
-    depth = len(st.history)
+    before = {k: v.copy() for k, v in st.snapshot().items()}
     a = advance(st, cfg)
     b = advance(st, cfg)
-    assert len(st.history) == depth
-    for name in ("q", "h", "v"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert a.history.times == b.history.times == [0.0, cfg.dt]
+    for name, value in st.snapshot().items():
+        assert np.array_equal(value, before[name])
+    for name, value in a.snapshot().items():
+        assert np.array_equal(value, b.snapshot()[name])
+    assert a.t == b.t == cfg.dt
 
 
 def test_top_wall_discrete_flux_identically_zero():
@@ -196,6 +197,8 @@ def test_config_validation():
         SolverConfig(dt=1e-3)
     with pytest.raises(ConfigurationError):
         SolverConfig(mode="melt")
+    with pytest.raises(ConfigurationError):
+        SolverConfig(snapshot_every=0)
 
 
 def test_initial_derivatives_match_early_differences():
@@ -215,7 +218,10 @@ def test_initial_derivatives_match_early_differences():
 
 
 class _FrozenKappaState:
-    """Synthetic regularized-mode state built from analytic fields."""
+    """Synthetic regularized-mode state built from analytic fields.
+
+    ``build`` returns the state and the temperature's time derivative.
+    """
 
     @staticmethod
     def build(cfg, t=1e-3):
@@ -239,69 +245,52 @@ class _FrozenKappaState:
         w = _extend_edge_scalar(grid, smooth_double(rate, cfg.kappa))
         qt = 0.05 * np.sin(x) * (y - 0.5 * y * y)
         alpha = qt - transformed_laplacian_expanded(grid, bundle, q) \
-            + (v[0] * w[0] + v[1] * w[1])
+            + v[1] * w
         beta_now = q[:, 0] / cfg.kappa**2 - rate
-        from stefansim.numerics import History
-
-        hist = History(depth=5)
+        # q_t as a caller takes it from three stored snapshots
         dt = 1e-5
-        for k in (2, 1, 0):
-            hist.push(t - k * dt, {"q": q_of(t - k * dt), "h": h, "v": v,
-                                   "w": w, "phi": phi})
-        return SolverState(
-            step=3, t=t, q=q, h=h, phi=phi, bundle=bundle, v=v, w=w,
+        times = [t - k * dt for k in (2, 1, 0)]
+        q_t = time_derivative(times, [q_of(tv) for tv in times], 1)
+        state = SolverState(
+            step=3, t=t, q=q, h=h, bundle=bundle, v=v, w=w,
             margin=1.0, alpha=alpha,
             beta_poly=(beta_now, np.zeros(grid.nx), np.zeros(grid.nx)),
-            history=hist,
         )
+        return state, q_t
 
 
 def test_weak_residual_zero_state():
     cfg = _short_config(mode="kappa", kappa=0.1)
     zeros = np.zeros((GRID.nx, GRID.ny))
-    from stefansim.numerics import History
-
-    hist = History(depth=5)
-    phi = np.zeros((2, GRID.nx, GRID.ny))
-    for k in range(3):
-        hist.push(k * 1e-5, {"q": zeros, "h": np.zeros(GRID.nx),
-                             "v": np.zeros((2, GRID.nx, GRID.ny)),
-                             "w": phi, "phi": phi})
-    st = SolverState(step=3, t=2e-5, q=zeros, h=np.zeros(GRID.nx), phi=phi,
+    st = SolverState(step=3, t=2e-5, q=zeros, h=np.zeros(GRID.nx),
                      bundle=identity_bundle(GRID),
-                     v=np.zeros((2, GRID.nx, GRID.ny)), w=phi, margin=0.0,
+                     v=np.zeros((2, GRID.nx, GRID.ny)), w=zeros, margin=0.0,
                      alpha=zeros,
-                     beta_poly=(np.zeros(GRID.nx),) * 3, history=hist)
-    assert weak_residual(st, cfg) <= 1e-12
+                     beta_poly=(np.zeros(GRID.nx),) * 3)
+    assert weak_residual(st, cfg, zeros) <= 1e-12
 
 
 def test_weak_residual_manufactured_and_perturbed():
     cfg = _short_config(mode="kappa", kappa=0.1)
-    st = _FrozenKappaState.build(cfg)
-    base = weak_residual(st, cfg, n_test=12)
+    st, q_t = _FrozenKappaState.build(cfg)
+    base = weak_residual(st, cfg, q_t, n_test=12)
     assert base <= 2e-3
 
     rng = np.random.default_rng(0)
     noisy = st.q * (1.0 + 0.01 * rng.standard_normal(st.q.shape))
     st_noisy = SolverState(
-        step=st.step, t=st.t, q=noisy, h=st.h, phi=st.phi, bundle=st.bundle,
+        step=st.step, t=st.t, q=noisy, h=st.h, bundle=st.bundle,
         v=st.v, w=st.w, margin=st.margin, alpha=st.alpha,
-        beta_poly=st.beta_poly, history=st.history,
+        beta_poly=st.beta_poly,
     )
-    assert weak_residual(st_noisy, cfg, n_test=12) >= 10.0 * base
+    assert weak_residual(st_noisy, cfg, q_t, n_test=12) >= 10.0 * base
 
 
 def test_weak_residual_usage_errors():
     cfg = _short_config()
     st = init_state(cfg)
     with pytest.raises(ConfigurationError):
-        weak_residual(st, cfg)
-    kcfg = _short_config(mode="kappa", kappa=0.1)
-    kst = init_state(kcfg)
-    kst.history.times = kst.history.times[:1]
-    kst.history.snaps = kst.history.snaps[:1]
-    with pytest.raises(NeedsMoreStepsError):
-        weak_residual(kst, kcfg)
+        weak_residual(st, cfg, np.zeros_like(st.q))
 
 
 def test_sigma_mode_trace_follows_curvature():

@@ -16,6 +16,7 @@ scalar q is ``(q_x + a q_y, c q_y)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +55,27 @@ def check_graph_condition(h: np.ndarray, bound: float = GRAPH_BOUND) -> None:
         )
 
 
+@lru_cache(maxsize=16)
+def _extension_profiles(nx: int, ny: int) -> np.ndarray:
+    """Per-mode vertical profiles sinh(k(1-y))/sinh(k), 1-y at k = 0.
+
+    Shape (nx//2 + 1, ny).  It depends only on the grid, so it is built once
+    per (nx, ny) and returned read-only: every call shares the one array.
+    """
+    y = Grid(nx, ny).ys[None, :]
+    k = wavenumbers(nx)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sinh(k(1-y))/sinh(k) written with decaying exponentials.
+        prof = np.where(
+            k > 0,
+            np.exp(-k * y) * (1.0 - np.exp(-2.0 * k * (1.0 - y)))
+            / (1.0 - np.exp(-2.0 * k)),
+            1.0 - y,
+        )
+    prof.flags.writeable = False
+    return prof
+
+
 def harmonic_extend(grid: Grid, h: np.ndarray, graph_bound: float = GRAPH_BOUND) -> np.ndarray:
     """Vertical offset of the harmonic extension of the edge data (x, h(x)).
 
@@ -65,19 +87,8 @@ def harmonic_extend(grid: Grid, h: np.ndarray, graph_bound: float = GRAPH_BOUND)
     edge rows exactly at the grid nodes.
     """
     check_graph_condition(h, graph_bound)
-    nx = grid.nx
-    y = grid.ys[None, :]
-    k = wavenumbers(nx)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # sinh(k(1-y))/sinh(k) written with decaying exponentials.
-        prof = np.where(
-            k > 0,
-            np.exp(-k * y) * (1.0 - np.exp(-2.0 * k * (1.0 - y)))
-            / (1.0 - np.exp(-2.0 * k)),
-            1.0 - y,
-        )
-    coef = np.fft.rfft(h)[:, None] * prof
-    phi = np.fft.irfft(coef, n=nx, axis=0)
+    coef = np.fft.rfft(h)[:, None] * _extension_profiles(grid.nx, grid.ny)
+    phi = np.fft.irfft(coef, n=grid.nx, axis=0)
     phi[:, 0] = h
     phi[:, -1] = 0.0
     return phi
@@ -93,6 +104,8 @@ class MetricBundle:
 
     Edge fields on the interface row: ``height``, ``dheight``, ``line_el``
     (sqrt(1 + h'^2)), unit ``normal`` and ``tangent``, ``jac_edge``.
+
+    ``drift`` is computed on first use and kept with the bundle.
     """
 
     grid: Grid
@@ -107,6 +120,17 @@ class MetricBundle:
     tangent: np.ndarray
     jac_edge: np.ndarray
     is_flat: bool = False
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """First-order coefficient a_x + a a_y + c c_y of the gauge deviation.
+
+        It depends on the map alone, so the repeated deviations of one
+        bundle (the fixed-point iterations of an elliptic solve) share it.
+        """
+        a, c, hy = self.a, self.c, self.grid.hy
+        return (tangential_derivative(a) + a * vertical_derivative(a, hy, 1)
+                + c * vertical_derivative(c, hy, 1))
 
 
 def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:

@@ -23,7 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .numerics import ConfigurationError, Grid
+from .numerics import (
+    ConfigurationError,
+    Grid,
+    tangential_derivative,
+    vertical_derivative,
+)
 from .geometry import (
     DegenerateMapError,
     InvalidGeometryError,
@@ -32,7 +37,11 @@ from .geometry import (
 )
 from .elliptic import EllipticSolveError
 from .initdata import DataSpec, build_sigma_data, compat_residuals
-from .operators import compute_velocity, flat_laplacian, gauge_deviation
+from .operators import (
+    deviation_from_derivatives,
+    flat_laplacian,
+    velocity_from_derivatives,
+)
 from .stepper import (
     CLASSICAL,
     KAPPA,
@@ -374,7 +383,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     settings = settings or {}
     require = settings.get("compat.require", True)
     override = settings.get("compat.override", False)
-    t0 = time.time()
+    t0 = time.perf_counter()
     manifest = RunManifest(
         config=_config_dict(config),
         version=__version__,
@@ -404,7 +413,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     except (DegenerateMapError, InvalidGeometryError, EllipticSolveError) as exc:
         manifest.status = STATUS_ABORTED
         manifest.reason = f"{type(exc).__name__}: {exc}"
-        manifest.wall_time = time.time() - t0
+        manifest.wall_time = time.perf_counter() - t0
         if outdir is not None:
             outdir = Path(outdir)
             outdir.mkdir(parents=True, exist_ok=True)
@@ -415,7 +424,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     if traj.status not in EXIT_CODES:
         manifest.reason = traj.flags[-1] if traj.flags else "aborted"
     reports = energy_table(traj)
-    manifest.wall_time = time.time() - t0
+    manifest.wall_time = time.perf_counter() - t0
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -589,10 +598,23 @@ class ManufacturedCase:
     q = amp T(t) P(x, y) and h = S(t) cos x.  The harmonic extension is
     linear, so the map offset is S(t) E and the map velocity R(t) E with
     E the extension of cos x and R = S'; the velocity and the expanded
-    Laplacian are linear in q.  P, its flat Laplacian and E are therefore
-    built once, and each time level costs one metric bundle, one velocity
-    and one gauge deviation.  A field that is not separable in t would
+    Laplacian are linear in q.  A field that is not separable in t would
     need the direct evaluation again.
+
+    Precomputed once (``_separable_factors``): P, its flat Laplacian and
+    the derivatives P_x, P_y, P_yy, P_xy, taken on the fine grid and kept at
+    the run-grid nodes, plus E and the interface rows of P_x and P_y on the
+    fine grid.  Per time level: one fine-grid metric bundle of
+    S(t) E and its drift a_x + a a_y + c c_y; then a, c and the drift are
+    restricted, and the velocity, the gauge deviation, the Laplacian and
+    ``source_q`` are formed at the run-grid nodes only.  The height source
+    uses the interface row of the fine bundle and velocity.
+
+    Restricting first is exact: every derivative is taken on the fine grid
+    before restriction, and everything after it is pointwise arithmetic,
+    which gives the same floating-point result at a node whether or not the
+    other nodes are computed.  The sources are therefore bitwise equal to
+    forming everything on the fine grid and restricting at the end.
     """
 
     def __init__(self, grid: Grid, flat: bool = True, amp: float = 0.05,
@@ -602,7 +624,7 @@ class ManufacturedCase:
         self.amp = amp
         self.rate = rate
         self.fine = grid.refined()
-        # (P, flat Laplacian of P, E) on the fine grid, built on first use
+        # the time-independent factors of the sources, built on first use
         self._factors = None
         # (t, restricted source_q, restricted source_h) of the last level:
         # the stepper asks for source_q(t) in one step and source_h(t) in
@@ -645,17 +667,20 @@ class ManufacturedCase:
             return np.zeros(grid.nx)
         return self._dhfac(t) * np.cos(grid.xs)
 
-    def _restrict(self, fine_field):
-        return fine_field[::2, ::2].copy()
-
     def _separable_factors(self):
         if self._factors is None:
             fine = self.fine
             prof = self._profile(fine)
+            px = tangential_derivative(prof)
+            py = vertical_derivative(prof, fine.hy, 1)
             # sup|(cos x)'|^2 = 1 exceeds the graph bound; the gate is applied
             # to h(t) itself in _sources
             ext = _extend_edge_scalar(fine, np.cos(fine.xs))
-            self._factors = (prof, flat_laplacian(fine, prof), ext)
+            coarse = [f[::2, ::2].copy() for f in (
+                prof, flat_laplacian(fine, prof), px, py,
+                vertical_derivative(prof, fine.hy, 2), tangential_derivative(py),
+            )]
+            self._factors = (ext, *coarse, px[:, :1].copy(), py[:, :1].copy())
         return self._factors
 
     def _sources(self, t: float):
@@ -663,20 +688,27 @@ class ManufacturedCase:
         if self._level is not None and self._level[0] == t:
             return self._level[1:]
         fine = self.fine
-        prof, lap_flat, ext = self._separable_factors()
+        ext, prof, lap_flat, px, py, pyy, pxy, edge_px, edge_py = \
+            self._separable_factors()
         h = self.height(fine, t)
         check_graph_condition(h)
         phi = self._hfac(t) * ext
         phi[:, 0] = h
         bundle = metric_bundle(fine, phi)
+        a, c = bundle.a[::2, ::2], bundle.c[::2, ::2]
         scale = self.amp * self._tfac(t)
-        v = scale * compute_velocity(fine, bundle, prof)
-        deviation = gauge_deviation(fine, bundle, prof)
-        lap = scale * (lap_flat if deviation is None else lap_flat + deviation)
-        w = self._dhfac(t) * ext
-        src_q = self.amp * self._dtfac(t) * prof - lap + v[1] * w
-        src_h = self.height_rate_exact(fine, t) - height_rate(bundle, v)
-        self._level = (t, self._restrict(src_q), src_h[::2].copy())
+        v = scale * velocity_from_derivatives(a, c, px, py)
+        lap = lap_flat
+        if not bundle.is_flat:
+            lap = lap + deviation_from_derivatives(
+                a, c, bundle.drift[::2, ::2], py, pyy, pxy)
+        w = self._dhfac(t) * ext[::2, ::2]
+        src_q = self.amp * self._dtfac(t) * prof - scale * lap + v[1] * w
+        # height_rate reads the edge traces of the fine bundle
+        edge_v = scale * velocity_from_derivatives(
+            bundle.a[:, :1], bundle.c[:, :1], edge_px, edge_py)
+        src_h = self.height_rate_exact(fine, t) - height_rate(bundle, edge_v)
+        self._level = (t, src_q, src_h[::2].copy())
         return self._level[1:]
 
     def source_q(self, t: float):

@@ -5,7 +5,9 @@ stepper, and the diagnostics: the velocity, the gauge deviation, the
 transformed Laplacian in divergence and expanded form, the flat Laplacian
 used as the implicit part of the splitting, and the gauge curl.  All of
 them use the graph-gauge inverse-gradient entries ``a`` and ``c`` of the
-metric bundle.
+metric bundle.  The velocity and deviation formulas are also exposed as
+pointwise kernels on given derivatives, for callers that hold those
+already (the manufactured sources restricted to coarse nodes).
 """
 
 from __future__ import annotations
@@ -23,10 +25,15 @@ def gradient(grid: Grid, q: np.ndarray) -> np.ndarray:
     )
 
 
+def velocity_from_derivatives(a, c, qx, qy) -> np.ndarray:
+    """Pointwise -(q_x + a q_y, c q_y) from derivatives of q given at the nodes."""
+    return -np.stack((qx + a * qy, c * qy))
+
+
 def compute_velocity(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
     """Extended velocity v = -(q_x + a q_y, c q_y), the pullback of -grad p."""
     qy = vertical_derivative(q, grid.hy, 1)
-    return -np.stack((tangential_derivative(q) + bundle.a * qy, bundle.c * qy))
+    return velocity_from_derivatives(bundle.a, bundle.c, tangential_derivative(q), qy)
 
 
 def transformed_laplacian(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
@@ -54,25 +61,27 @@ def transformed_laplacian_expanded(grid: Grid, bundle: MetricBundle, q: np.ndarr
     return out if deviation is None else out + deviation
 
 
+def deviation_from_derivatives(a, c, drift, qy, qyy, qxy) -> np.ndarray:
+    """Pointwise 2a q_xy + (a^2 + c^2 - 1) q_yy + drift q_y from given derivatives."""
+    out = 2.0 * a * qxy + (a * a + c * c - 1.0) * qyy
+    return out + drift * qy
+
+
 def gauge_deviation(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray | None:
     """Expanded-form transformed Laplacian minus the flat Laplacian.
 
     This is the explicit remainder of the IMEX splitting,
     2a q_xy + (a^2 + c^2 - 1) q_yy + (a_x + a a_y + c c_y) q_y; the q_x and
-    q_xx terms cancel exactly in the graph gauge.  Returns None on flat
-    geometry (it vanishes identically there).
+    q_xx terms cancel exactly in the graph gauge.  The first-order
+    coefficient is ``bundle.drift``, computed once per bundle.  Returns None
+    on flat geometry (it vanishes identically there).
     """
     if bundle.is_flat:
         return None
-    hy = grid.hy
-    a, c = bundle.a, bundle.c
-    q2 = vertical_derivative(q, hy, 1)
-    q22 = vertical_derivative(q, hy, 2)
-    q12 = tangential_derivative(q2)
-    out = 2.0 * a * q12 + (a * a + c * c - 1.0) * q22
-    drift = (tangential_derivative(a) + a * vertical_derivative(a, hy, 1)
-             + c * vertical_derivative(c, hy, 1))
-    return out + drift * q2
+    q2 = vertical_derivative(q, grid.hy, 1)
+    q22 = vertical_derivative(q, grid.hy, 2)
+    return deviation_from_derivatives(bundle.a, bundle.c, bundle.drift, q2, q22,
+                                      tangential_derivative(q2))
 
 
 def flat_laplacian(grid: Grid, q: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ mode).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -100,8 +100,9 @@ class SolverConfig:
                 f"dt={self.dt:.3e} exceeds the diffusive limit {limit:.3e}"
             )
 
-    @property
+    @cached_property
     def grid(self) -> Grid:
+        # built once per config; replace() makes a new config with its own
         return Grid(self.nx, self.ny)
 
     @property

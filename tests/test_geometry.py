@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from stefansim.numerics import Grid, boundary_norm, interior_norm
+from stefansim import elliptic
+from stefansim.numerics import (
+    Grid,
+    boundary_norm,
+    interior_norm,
+    tangential_derivative,
+    vertical_derivative,
+)
+from stefansim.elliptic import NEUMANN, EdgeCondition, solve_transformed_poisson
 from stefansim.geometry import (
     InvalidGeometryError,
+    _extension_profiles,
     harmonic_extend,
     identity_bundle,
     mean_curvature,
@@ -42,6 +51,21 @@ def test_extension_linearity():
     lhs = harmonic_extend(GRID, h1 + h2)
     rhs = harmonic_extend(GRID, h1) + harmonic_extend(GRID, h2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-11
+
+
+def test_extension_profile_table_shared_and_read_only():
+    table = _extension_profiles(GRID.nx, GRID.ny)
+    assert table.flags.writeable is False
+    assert _extension_profiles(GRID.nx, GRID.ny) is table
+    with pytest.raises(ValueError):
+        table[1, 1] = 0.0
+    # the caller owns the returned offset: writing into it leaves the table
+    # and the next call unchanged
+    h = 0.05 * np.cos(GRID.xs) + 0.01 * np.sin(3 * GRID.xs)
+    phi = harmonic_extend(GRID, h)
+    expected = phi.copy()
+    phi[...] = np.nan
+    assert np.array_equal(harmonic_extend(GRID, h), expected)
 
 
 def test_graph_condition_gate():
@@ -127,3 +151,38 @@ def test_trace_gain_ratio_bounded_and_stable():
         assert abs(ratios[1] - ratios[0]) <= 0.1 * abs(ratios[0])
         # observed plateau just above 3; a single constant covers all modes
         assert ratios[0] <= 3.2
+
+
+def test_poisson_solve_with_cached_drift_matches_recomputed_drift(monkeypatch):
+    # the fixed point evaluates the deviation once per iteration on one
+    # bundle; reading the cached drift must give what recomputing it by
+    # hand at every iteration gives, bit for bit
+    h = 0.1 * np.cos(GRID.xs) + 0.03 * np.sin(2 * GRID.xs)
+    x, y = GRID.mesh()
+    rhs = np.cos(x) * np.sin(np.pi * y) + y * y
+    bottom = 0.2 * np.sin(GRID.xs)
+
+    def solve():
+        b = metric_bundle(GRID, harmonic_extend(GRID, h))
+        return b, solve_transformed_poisson(GRID, b, rhs, bottom,
+                                            EdgeCondition(NEUMANN))
+
+    def deviation_by_hand(grid, b, q):
+        hy = grid.hy
+        a, c = b.a, b.c
+        q2 = vertical_derivative(q, hy, 1)
+        q22 = vertical_derivative(q, hy, 2)
+        q12 = tangential_derivative(q2)
+        out = 2.0 * a * q12 + (a * a + c * c - 1.0) * q22
+        drift = (tangential_derivative(a) + a * vertical_derivative(a, hy, 1)
+                 + c * vertical_derivative(c, hy, 1))
+        return out + drift * q2
+
+    bundle, (u, resid, its) = solve()
+    assert its >= 2
+    assert bundle.drift is bundle.drift
+    monkeypatch.setattr(elliptic, "gauge_deviation", deviation_by_hand)
+    _, (u_ref, resid_ref, its_ref) = solve()
+    assert np.array_equal(u, u_ref)
+    assert resid == resid_ref
+    assert its == its_ref

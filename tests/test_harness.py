@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -197,6 +198,19 @@ def test_manifest_records_flags(tmp_path):
     payload = json.loads((tmp_path / "manifest.json").read_text())
     assert payload["flags"] == ["smallness"]
 
+
+def test_manifest_wall_time_monotonic(tmp_path, monkeypatch):
+    # a wall clock stepped back during the run must not give a negative time
+    clock = itertools.count(1.0e9, -1.0)
+    monkeypatch.setattr(harness.time, "time", lambda: next(clock))
+    settings = _fast_settings()
+    _, manifest = run_simulation(build_config(settings), outdir=tmp_path,
+                                 settings=settings)
+    assert manifest.wall_time >= 0.0
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert payload["wall_time"] >= 0.0
+
+
 def test_cli_check_data(tmp_path):
     assert cli_main(["check-data"]) == 0
     cfg = tmp_path / "bad.cfg"
@@ -263,6 +277,39 @@ def _direct_sources(case, t):
     return src_q[::2, ::2], src_h[::2]
 
 
+def _fine_level_sources(case, t):
+    """Reference: one separable level formed on the fine grid, then restricted.
+
+    The same arithmetic as the cached path, but P is differentiated inside
+    ``compute_velocity`` and ``gauge_deviation`` on the fine grid at every
+    call and every product is formed at every fine node.  Derivatives come
+    first and the rest is pointwise, so the result must match bit for bit.
+    """
+    from stefansim.geometry import metric_bundle
+    from stefansim.operators import (
+        compute_velocity,
+        flat_laplacian,
+        gauge_deviation,
+    )
+    from stefansim.stepper import _extend_edge_scalar, height_rate
+
+    fine = case.fine
+    prof = case._profile(fine)
+    ext = _extend_edge_scalar(fine, np.cos(fine.xs))
+    phi = case._hfac(t) * ext
+    phi[:, 0] = case.height(fine, t)
+    bundle = metric_bundle(fine, phi)
+    scale = case.amp * case._tfac(t)
+    v = scale * compute_velocity(fine, bundle, prof)
+    deviation = gauge_deviation(fine, bundle, prof)
+    lap_flat = flat_laplacian(fine, prof)
+    lap = scale * (lap_flat if deviation is None else lap_flat + deviation)
+    w = case._dhfac(t) * ext
+    src_q = case.amp * case._dtfac(t) * prof - lap + v[1] * w
+    src_h = case.height_rate_exact(fine, t) - height_rate(bundle, v)
+    return src_q[::2, ::2], src_h[::2]
+
+
 @pytest.mark.parametrize("flat", [True, False])
 @pytest.mark.parametrize("shape", [(32, 65), (64, 129)])
 def test_mms_sources_match_direct_evaluation(flat, shape):
@@ -273,14 +320,17 @@ def test_mms_sources_match_direct_evaluation(flat, shape):
              ("h", 0.0), ("q", t3), ("q", t3), ("h", t3), ("h", t2)]
     for kind, t in calls:
         ref_q, ref_h = _direct_sources(case, t)
+        level_q, level_h = _fine_level_sources(case, t)
         if kind == "q":
             got = case.source_q(t)
             assert got.shape == ref_q.shape
             assert np.max(np.abs(got - ref_q)) <= 1e-10 * np.max(np.abs(ref_q))
+            assert np.array_equal(got, level_q)
         else:
             got = case.source_h(t)
             assert got.shape == ref_h.shape
             assert np.max(np.abs(got - ref_h)) <= 1e-13
+            assert np.array_equal(got, level_h)
         # the caller owns the returned array
         expected = got.copy()
         got[...] = np.nan

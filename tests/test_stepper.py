@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -199,6 +202,18 @@ def test_config_validation():
         SolverConfig(mode="melt")
     with pytest.raises(ConfigurationError):
         SolverConfig(snapshot_every=0)
+
+
+def test_config_grid_built_once():
+    c = SolverConfig()
+    assert c.grid is c.grid
+    finer = replace(c, nx=128, ny=257, dt=6.25e-6)
+    assert finer.grid.nx == 128 and finer.grid.ny == 257
+    assert c.grid == Grid(64, 129)
+    assert "grid" not in asdict(c)
+    # the sweeps send configs to worker processes
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and back.grid == c.grid
 
 
 def test_initial_derivatives_match_early_differences():

@@ -24,7 +24,7 @@ from .initdata import (
     taylor_margin,
 )
 from .operators import compute_velocity, transformed_laplacian
-from .stepper import SolverConfig, SolverState, advance, init_state, weak_residual
+from .stepper import SolverConfig, SolverState, advance, init_state
 from .analysis import (
     EnergyReport,
     Trajectory,
@@ -52,7 +52,7 @@ __all__ = [
     "build_regularized_datum", "build_sigma_data", "compat_residuals",
     "taylor_margin",
     "compute_velocity", "transformed_laplacian",
-    "SolverConfig", "SolverState", "advance", "init_state", "weak_residual",
+    "SolverConfig", "SolverState", "advance", "init_state",
     "EnergyReport", "Trajectory", "dissipation_residual", "energy_report",
     "energy_table", "geometric_identities", "mixed_cnorm",
     "RunManifest", "SweepResult", "mms_convergence", "run_simulation",

@@ -587,12 +587,27 @@ def mixed_cnorm(traj_a: Trajectory, traj_b: Trajectory) -> float:
     return best_q + best_h
 
 
+def dissipation_defect(grid: Grid, old, new, dt: float) -> tuple:
+    """``(t, defect)``: the energy dissipation law over one step, normalized.
+
+    The law on the fixed strip reads  d/dt [1/2 int q^2 J] = -int |v|^2 J;
+    both sides are evaluated on consecutive states with the run's own
+    quadrature and velocity, so the defect isolates splitting and motion
+    errors.
+    """
+    a_old = 0.5 * integrate_interior(old.q**2 * old.bundle.jac, grid)
+    a_new = 0.5 * integrate_interior(new.q**2 * new.bundle.jac, grid)
+    b_new = integrate_interior((new.v[0] ** 2 + new.v[1] ** 2) * new.bundle.jac, grid)
+    defect = (a_new - a_old) / dt + b_new
+    return (old.t + dt, defect / max(b_new, 1e-30))
+
+
 def dissipation_residual(traj: Trajectory) -> float:
     """Largest normalized defect of the energy dissipation law on the run.
 
     Only meaningful for the pinned-zero interface condition (the law has
-    no boundary production term there); the per-step series is recorded by
-    the stepper during the run.
+    no boundary production term there); the per-step series of
+    ``dissipation_defect`` is recorded by ``harness.simulate``.
     """
     if traj.config.mode != "classical" or traj.config.sigma != 0.0:
         raise UsageError("dissipation law requires the classical mode")

@@ -47,11 +47,11 @@ def graph_margin(h: np.ndarray) -> float:
     return float(np.max(dh * dh))
 
 
-def check_graph_condition(h: np.ndarray, bound: float = GRAPH_BOUND) -> None:
+def check_graph_condition(h: np.ndarray) -> None:
     m = graph_margin(h)
-    if m > bound:
+    if m > GRAPH_BOUND:
         raise InvalidGeometryError(
-            f"graph condition violated: sup|h'|^2 = {m:.3g} > {bound}"
+            f"graph condition violated: sup|h'|^2 = {m:.3g} > {GRAPH_BOUND}"
         )
 
 
@@ -76,22 +76,29 @@ def _extension_profiles(nx: int, ny: int) -> np.ndarray:
     return prof
 
 
-def harmonic_extend(grid: Grid, h: np.ndarray, graph_bound: float = GRAPH_BOUND) -> np.ndarray:
-    """Vertical offset of the harmonic extension of the edge data (x, h(x)).
+def extend_edge(grid: Grid, data: np.ndarray) -> np.ndarray:
+    """Harmonic extension of any edge data (rates too): no graph-condition gate.
 
-    Returns ``phi`` of shape (nx, ny) with the map being Id + (0, phi);
-    the horizontal component extends zero edge data and is not stored.  Per
-    Fourier mode the vertical profile solves  p'' - k^2 p = 0 with p(0)=1,
-    p(1)=0, i.e. the exact sinh/linear profile, so the extension is
+    Per Fourier mode the vertical profile solves  p'' - k^2 p = 0 with
+    p(0)=1, p(1)=0, i.e. the exact sinh/linear profile, so the extension is
     harmonic to machine precision on band-limited data and matches the
     edge rows exactly at the grid nodes.
     """
-    check_graph_condition(h, graph_bound)
-    coef = np.fft.rfft(h)[:, None] * _extension_profiles(grid.nx, grid.ny)
+    coef = np.fft.rfft(data)[:, None] * _extension_profiles(grid.nx, grid.ny)
     phi = np.fft.irfft(coef, n=grid.nx, axis=0)
-    phi[:, 0] = h
+    phi[:, 0] = data
     phi[:, -1] = 0.0
     return phi
+
+
+def harmonic_extend(grid: Grid, h: np.ndarray) -> np.ndarray:
+    """Vertical offset of the harmonic extension of the edge data (x, h(x)).
+
+    Returns ``phi`` of shape (nx, ny) with the map being Id + (0, phi);
+    the horizontal component extends zero edge data and is not stored.
+    """
+    check_graph_condition(h)
+    return extend_edge(grid, h)
 
 
 @dataclass(frozen=True)

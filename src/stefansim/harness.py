@@ -18,6 +18,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,13 @@ from .geometry import (
     DegenerateMapError,
     InvalidGeometryError,
     check_graph_condition,
+    extend_edge,
+    identity_bundle,
     metric_bundle,
 )
 from .elliptic import EllipticSolveError
-from .initdata import DataSpec, build_sigma_data, compat_residuals
+from .initdata import (DataConstructionError, DataSpec, build_sigma_data,
+                       compat_residuals)
 from .operators import (
     deviation_from_derivatives,
     flat_laplacian,
@@ -48,7 +52,6 @@ from .stepper import (
     SURFACE_TENSION,
     SolverConfig,
     StepDivergedError,
-    _extend_edge_scalar,
     advance,
     height_rate,
     init_state,
@@ -57,6 +60,7 @@ from .stepper import (
 from .analysis import (
     EnergyReport,
     Trajectory,
+    dissipation_defect,
     energy_table,
     mixed_cnorm,
 )
@@ -259,9 +263,10 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
     """Run one simulation and return its trajectory (no file output).
 
     Snapshots are recorded every ``snapshot_every`` steps (including the
-    initial and final instants).  A nonpositive stability margin flags the
-    run and stops it after ``TAYLOR_GRACE_STEPS`` steps; geometry loss or a
-    diverged update aborts it.
+    initial and final instants), and in unforced classical runs the
+    dissipation defect after every step.  A nonpositive stability margin
+    flags the run and stops it after ``TAYLOR_GRACE_STEPS`` steps; geometry
+    loss or a diverged update aborts it.
     """
     cadence = config.snapshot_every
     n_steps = config.n_steps
@@ -274,15 +279,17 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
     snaps = [state.snapshot()]
     margins = [state.margin]
     dissipation = []
+    monitor = config.mode == CLASSICAL and config.source_q is None
     initial = initial_time_derivatives(state, config)
     status = STATUS_COMPLETED
     reason = ""
     flagged_at = None
     try:
         for n in range(1, n_steps + 1):
-            state = advance(state, config)
-            if state.dissipation is not None:
-                dissipation.append(state.dissipation)
+            old, state = state, advance(state, config)
+            if monitor:
+                dissipation.append(
+                    dissipation_defect(config.grid, old, state, config.dt))
             if n % cadence == 0:
                 times.append(state.t)
                 snaps.append(state.snapshot())
@@ -377,8 +384,8 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     The compatibility of the configured data is checked first; failures
     stop the run with a config error unless the override flag is set
     (curved initial interfaces have no exactly compatible explicit datum).
-    A numerical failure before the first step (geometry, elliptic solve)
-    writes an aborted manifest and is re-raised.
+    A numerical failure before the first step (data construction, geometry,
+    elliptic solve) writes an aborted manifest and is re-raised.
     """
     settings = settings or {}
     require = settings.get("compat.require", True)
@@ -410,7 +417,8 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
                     "compat.override to run anyway: " + report.summary()
                 )
         traj = simulate(config, q0=q0, h0=h0)
-    except (DegenerateMapError, InvalidGeometryError, EllipticSolveError) as exc:
+    except (DataConstructionError, DegenerateMapError, InvalidGeometryError,
+            EllipticSolveError) as exc:
         manifest.status = STATUS_ABORTED
         manifest.reason = f"{type(exc).__name__}: {exc}"
         manifest.wall_time = time.perf_counter() - t0
@@ -605,7 +613,8 @@ class ManufacturedCase:
     the derivatives P_x, P_y, P_yy, P_xy, taken on the fine grid and kept at
     the run-grid nodes, plus E and the interface rows of P_x and P_y on the
     fine grid.  Per time level: one fine-grid metric bundle of
-    S(t) E and its drift a_x + a a_y + c c_y; then a, c and the drift are
+    S(t) E and its drift a_x + a a_y + c c_y (a flat case has S = 0, so
+    one identity bundle serves every level); then a, c and the drift are
     restricted, and the velocity, the gauge deviation, the Laplacian and
     ``source_q`` are formed at the run-grid nodes only.  The height source
     uses the interface row of the fine bundle and velocity.
@@ -675,7 +684,7 @@ class ManufacturedCase:
             py = vertical_derivative(prof, fine.hy, 1)
             # sup|(cos x)'|^2 = 1 exceeds the graph bound; the gate is applied
             # to h(t) itself in _sources
-            ext = _extend_edge_scalar(fine, np.cos(fine.xs))
+            ext = extend_edge(fine, np.cos(fine.xs))
             coarse = [f[::2, ::2].copy() for f in (
                 prof, flat_laplacian(fine, prof), px, py,
                 vertical_derivative(prof, fine.hy, 2), tangential_derivative(py),
@@ -690,11 +699,14 @@ class ManufacturedCase:
         fine = self.fine
         ext, prof, lap_flat, px, py, pyy, pxy, edge_px, edge_py = \
             self._separable_factors()
-        h = self.height(fine, t)
-        check_graph_condition(h)
-        phi = self._hfac(t) * ext
-        phi[:, 0] = h
-        bundle = metric_bundle(fine, phi)
+        if self.flat:
+            bundle = self._flat_bundle
+        else:
+            h = self.height(fine, t)
+            check_graph_condition(h)
+            phi = self._hfac(t) * ext
+            phi[:, 0] = h
+            bundle = metric_bundle(fine, phi)
         a, c = bundle.a[::2, ::2], bundle.c[::2, ::2]
         scale = self.amp * self._tfac(t)
         v = scale * velocity_from_derivatives(a, c, px, py)
@@ -711,6 +723,11 @@ class ManufacturedCase:
         self._level = (t, src_q, src_h[::2].copy())
         return self._level[1:]
 
+    @cached_property
+    def _flat_bundle(self):
+        # S = 0 keeps a flat case's map at zero on every level
+        return identity_bundle(self.fine)
+
     def source_q(self, t: float):
         return self._sources(t)[0].copy()
 
@@ -725,7 +742,6 @@ class ManufacturedCase:
             mode=CLASSICAL, nx=nx, ny=ny, dt=dt, t_end=t_end,
             snapshot_every=max(1, round(t_end / dt)),
             source_q=case.source_q, source_h=case.source_h,
-            track_dissipation=False,
         )
         grid = cfg.grid
         q0 = case.temperature(grid, 0.0)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .numerics import (
     ConfigurationError,
@@ -31,6 +30,13 @@ from .numerics import (
 
 #: Minimum number of sample points across a kernel's support.
 KERNEL_SAMPLES = 257
+
+
+def _simpson(*args, **kwargs):
+    # scipy.integrate is most of the package's import time and only the
+    # regularized mode builds kernels, so it loads on the first build
+    from scipy.integrate import simpson
+    return simpson(*args, **kwargs)
 
 
 def bump(u: np.ndarray) -> np.ndarray:
@@ -59,16 +65,16 @@ class Kernel:
             raise ConfigurationError("kernel must be sampled at >= 64 points")
         offsets = np.linspace(-width, width, samples)
         values = bump(offsets / width) / width
-        mass = simpson(values, x=offsets)
+        mass = _simpson(values, x=offsets)
         return cls(width=width, offsets=offsets, values=values / mass)
 
     def mass(self) -> float:
-        return float(simpson(self.values, x=self.offsets))
+        return float(_simpson(self.values, x=self.offsets))
 
     def transform(self, k: np.ndarray) -> np.ndarray:
         """Fourier symbol c(k) = integral rho_width(s) cos(ks) ds, |c| <= 1."""
-        c = simpson(self.values[None, :] * np.cos(np.outer(k, self.offsets)),
-                    x=self.offsets, axis=1)
+        c = _simpson(self.values[None, :] * np.cos(np.outer(k, self.offsets)),
+                     x=self.offsets, axis=1)
         return c
 
 
@@ -130,8 +136,8 @@ def _planar_rows(width: float, nx: int, hy: float):
             continue
         s = np.linspace(-half, half, KERNEL_SAMPLES)
         vals = bump(np.sqrt(s * s + u * u) / width)
-        symbols.append(simpson(vals[None, :] * np.cos(np.outer(k, s)), x=s, axis=1))
-        masses.append(simpson(vals, x=s))
+        symbols.append(_simpson(vals[None, :] * np.cos(np.outer(k, s)), x=s, axis=1))
+        masses.append(_simpson(vals, x=s))
     total = float(np.sum(masses)) * hy
     symbols = np.array(symbols) * hy / total
     return layers, symbols

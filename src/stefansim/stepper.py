@@ -8,7 +8,8 @@ term, and any forcing are explicit.  Three interface conditions are
 supported: melting temperature pinned to zero (classical), pinned to
 sigma times the interface curvature (surface tension), and a penalized
 width^2-weighted Robin condition with consistency forcings (regularized
-mode).
+mode).  A step computes no diagnostic: the run loop in ``harness`` applies
+the monitors of ``analysis`` to consecutive states.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .numerics import (
 from .geometry import (
     MetricBundle,
     check_graph_condition,
+    extend_edge,
     harmonic_extend,
     mean_curvature,
     metric_bundle,
@@ -79,7 +81,6 @@ class SolverConfig:
     #: manufactured-solution hooks; each maps t -> field / edge array
     source_q: object = None
     source_h: object = None
-    track_dissipation: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -128,7 +129,6 @@ class SolverState:
     alpha: np.ndarray | None = None
     beta_poly: tuple | None = None
     flags: tuple = ()
-    dissipation: tuple | None = None
 
     def snapshot(self) -> dict:
         return {"q": self.q, "h": self.h, "v": self.v, "w": self.w,
@@ -146,10 +146,11 @@ def beta_value(beta_poly, t: float) -> np.ndarray:
     return c0 + c1 * t + 0.5 * c2 * t * t
 
 
-def _effective_height(h: np.ndarray, config: SolverConfig) -> np.ndarray:
+def _smoothed(edge: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Edge data (height or a rate of it) as the gauge map sees them."""
     if config.mode == KAPPA:
-        return smooth_double(h, config.kappa)
-    return h
+        return smooth_double(edge, config.kappa)
+    return edge
 
 
 @lru_cache(maxsize=16)
@@ -205,8 +206,7 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     if config.mode == KAPPA:
         check_graph_condition(h_new)
 
-    h_eff = _effective_height(h_new, config)
-    phi_new = harmonic_extend(grid, h_eff)
+    phi_new = harmonic_extend(grid, _smoothed(h_new, config))
     bundle_new = metric_bundle(grid, phi_new)
     w_new = (phi_new - state.bundle.phi) / dt
 
@@ -237,10 +237,6 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     if sup_h > SMALLNESS and "smallness" not in flags:
         flags = flags + ("smallness",)
 
-    dissip = None
-    if config.track_dissipation and config.mode == CLASSICAL and config.source_q is None:
-        dissip = _dissipation_defect(grid, state, q_new, v_new, bundle_new, dt)
-
     return SolverState(
         step=state.step + 1,
         t=t_new,
@@ -253,26 +249,7 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         alpha=state.alpha,
         beta_poly=state.beta_poly,
         flags=flags,
-        dissipation=dissip,
     )
-
-
-def _dissipation_defect(grid, state, q_new, v_new, bundle_new, dt):
-    """Per-step defect of the energy dissipation law, normalized.
-
-    The law on the fixed strip reads  d/dt [1/2 int q^2 J] = -int |v|^2 J;
-    both sides are evaluated with the run's own quadrature and velocity,
-    so the defect isolates splitting and motion errors.
-    """
-    from .numerics import integrate_interior
-
-    a_old = 0.5 * integrate_interior(state.q**2 * state.bundle.jac, grid)
-    a_new = 0.5 * integrate_interior(q_new**2 * bundle_new.jac, grid)
-    b_new = integrate_interior(
-        (v_new[0] ** 2 + v_new[1] ** 2) * bundle_new.jac, grid
-    )
-    defect = (a_new - a_old) / dt + b_new
-    return (state.t + dt, defect / max(b_new, 1e-30))
 
 
 def init_state(config: SolverConfig, q0: np.ndarray | None = None,
@@ -290,19 +267,18 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
             q0, h0 = build_classical_data(grid, spec)
     check_graph_condition(h0)
 
-    h_eff = _effective_height(h0, config)
-    bundle = metric_bundle(grid, harmonic_extend(grid, h_eff))
+    bundle = metric_bundle(grid, harmonic_extend(grid, _smoothed(h0, config)))
     v = compute_velocity(grid, bundle, q0)
 
     rate = height_rate(bundle, v)
     if config.source_h is not None:
         rate = rate + config.source_h(0.0)
-    w = harmonic_extend_rate(grid, rate, config)
+    w = extend_edge(grid, _smoothed(rate, config))
 
     alpha = None
     beta_poly = None
     if config.mode == KAPPA:
-        alpha = _alpha_forcing(grid, config, q0, h0, h_eff)
+        alpha = _alpha_forcing(grid, q0, h0, bundle)
         beta_poly = _bootstrap_beta(config, q0, h0, alpha)
 
     return SolverState(
@@ -311,32 +287,17 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
     )
 
 
-def harmonic_extend_rate(grid: Grid, rate: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Map velocity at t = 0: the extension operator applied to the height rate."""
-    rate_eff = smooth_double(rate, config.kappa) if config.mode == KAPPA else rate
-    return _extend_edge_scalar(grid, rate_eff)
-
-
-def _extend_edge_scalar(grid: Grid, data: np.ndarray) -> np.ndarray:
-    """Harmonic extension of arbitrary edge data (no graph-condition gate)."""
-    return harmonic_extend(grid, data, graph_bound=np.inf)
-
-
-def _alpha_forcing(grid, config, q0, h0, h_eff):
+def _alpha_forcing(grid, q0, h0, bundle_k):
     """Time-independent interior forcing restoring the flux compatibility.
 
     The difference of the squared-flux weights between the raw and the
-    smoothed interface geometry; the weight a^2 + c^2 = (1 + phi_x^2)/J^2
-    extends the edge metric g^2/J^2 into the strip.
+    smoothed (``bundle_k``) interface geometry; the weight
+    a^2 + c^2 = (1 + phi_x^2)/J^2 extends the edge metric g^2/J^2 into the
+    strip.
     """
     bundle0 = metric_bundle(grid, harmonic_extend(grid, h0))
-    bundle_k = metric_bundle(grid, harmonic_extend(grid, h_eff))
     q2 = vertical_derivative(q0, grid.hy, 1)
-
-    def weight(b):
-        return b.a**2 + b.c**2
-
-    return (weight(bundle0) - weight(bundle_k)) * q2 * q2
+    return ((bundle0.a**2 + bundle0.c**2) - (bundle_k.a**2 + bundle_k.c**2)) * q2 * q2
 
 
 def _kappa_rate_sample(config: SolverConfig, q: np.ndarray, h: np.ndarray,
@@ -348,15 +309,11 @@ def _kappa_rate_sample(config: SolverConfig, q: np.ndarray, h: np.ndarray,
     derivatives use, which is far more robust than double differencing.
     """
     grid = config.grid
-    h_eff = smooth_double(h, config.kappa)
-    bundle = metric_bundle(grid, harmonic_extend(grid, h_eff))
+    bundle = metric_bundle(grid, harmonic_extend(grid, _smoothed(h, config)))
     v = compute_velocity(grid, bundle, q)
-    rate = height_rate(bundle, v)
-    w = _extend_edge_scalar(grid, smooth_double(rate, config.kappa))
-    probe = SolverState(
-        step=0, t=0.0, q=q, h=h, bundle=bundle, v=v, w=w,
-        margin=0.0, alpha=alpha,
-    )
+    w = extend_edge(grid, _smoothed(height_rate(bundle, v), config))
+    probe = SolverState(step=0, t=0.0, q=q, h=h, bundle=bundle, v=v, w=w,
+                        margin=0.0, alpha=alpha)
     deriv = initial_time_derivatives(probe, config)
     return deriv["h_t"], deriv["h_tt"]
 
@@ -373,7 +330,6 @@ def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
     micro = replace(
         config, mode=CLASSICAL, sigma=0.0, kappa=0.0, dt=micro_dt,
         t_end=3 * micro_dt, source_q=None, source_h=None,
-        track_dissipation=False,
     )
     state = init_state(micro, q0=q0.copy(), h0=h0.copy())
     f0, g0 = _kappa_rate_sample(config, state.q, state.h, alpha)
@@ -423,8 +379,7 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     v_t = -flux_t
 
     # interface speed rate: differentiate g (v . n) on the edge
-    rate_eff = smooth_double(h_t, config.kappa) if config.mode == KAPPA else h_t
-    dh_t = tangential_derivative(rate_eff)
+    dh_t = tangential_derivative(_smoothed(h_t, config))
     g, n = b.line_el, b.normal
     g_t = b.dheight * dh_t / g
     n_t = np.stack((dh_t, np.zeros_like(dh_t))) / g - n * (g_t / g)
@@ -435,9 +390,7 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
         + g * (ve[0] * n_t[0] + ve[1] * n_t[1])
     )
 
-    w_t = _extend_edge_scalar(
-        grid, smooth_double(h_tt, config.kappa) if config.mode == KAPPA else h_tt
-    )
+    w_t = extend_edge(grid, _smoothed(h_tt, config))
 
     # q_tt = d/dt [TransformedLaplacian(q)] - v_t . w - v . w_t
     dflux_y = vertical_derivative(flux, grid.hy, 1)
@@ -451,66 +404,3 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
         "q_t": q_t, "q_tt": q_tt, "h_t": h_t, "h_tt": h_tt,
         "v_t": v_t, "w_t": w_t,
     }
-
-
-def weak_residual(state: SolverState, config: SolverConfig, q_t: np.ndarray,
-                  n_test: int = 12) -> float:
-    """Largest normalized defect of the penalized weak form over test functions.
-
-    Tests the Jacobian-weighted heat balance with the width^-2 interface
-    penalty against a tensor basis of trigonometric-in-x, polynomial-in-y
-    functions; requires the regularized mode.  ``q_t`` is the temperature's
-    time derivative at ``state``, e.g. ``numerics.time_derivative`` over
-    trajectory snapshots.
-    """
-    from .numerics import integrate_boundary, integrate_interior
-
-    if config.mode != KAPPA:
-        raise ConfigurationError("weak residual is defined for the regularized mode")
-    grid = config.grid
-    b = state.bundle
-    q, v, w = state.q, state.v, state.w
-    kappa2 = config.kappa**2
-    if state.beta_poly is not None:
-        beta = beta_value(state.beta_poly, state.t)
-    else:
-        beta = np.zeros(grid.nx)
-    alpha = state.alpha if state.alpha is not None else 0.0
-
-    flux = -compute_velocity(grid, b, q)
-    worst = 0.0
-    for phi, dphi in _test_functions(grid, n_test):
-        lhs = integrate_interior(q_t * b.jac * phi, grid)
-        lhs += integrate_interior(
-            (flux[0] * (dphi[0] + b.a * dphi[1]) + flux[1] * b.c * dphi[1])
-            * b.jac, grid)
-        lhs += integrate_boundary(q[:, 0] * phi[:, 0], grid) / kappa2
-        rhs = integrate_interior(-v[1] * w * b.jac * phi, grid)
-        rhs += integrate_interior(alpha * b.jac * phi, grid)
-        rhs += integrate_boundary(beta * phi[:, 0], grid)
-        defect = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        worst = max(worst, defect)
-    return worst
-
-
-def _test_functions(grid: Grid, n_test: int):
-    """Tensor test functions and their gradients, sampled on the grid."""
-    x, y = grid.mesh()
-    trig = [np.ones_like(x), np.cos(x), np.sin(x), np.cos(2 * x), np.sin(2 * x),
-            np.cos(3 * x), np.sin(3 * x)]
-    dtrig = [np.zeros_like(x), -np.sin(x), np.cos(x), -2 * np.sin(2 * x),
-             2 * np.cos(2 * x), -3 * np.sin(3 * x), 3 * np.cos(3 * x)]
-    out = []
-    for p in range(4):
-        for m in range(len(trig)):
-            pol = y**p if p else np.ones_like(y)
-            dpol = p * y ** (p - 1) if p else np.zeros_like(y)
-            phi = trig[m] * pol
-            dphi = np.stack((
-                np.broadcast_to(dtrig[m] * pol, (grid.nx, grid.ny)),
-                np.broadcast_to(trig[m] * dpol, (grid.nx, grid.ny)),
-            ))
-            out.append((np.broadcast_to(phi, (grid.nx, grid.ny)), dphi))
-            if len(out) >= n_test:
-                return out
-    return out

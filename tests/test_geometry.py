@@ -18,6 +18,7 @@ from stefansim.elliptic import NEUMANN, EdgeCondition, solve_transformed_poisson
 from stefansim.geometry import (
     InvalidGeometryError,
     _extension_profiles,
+    extend_edge,
     harmonic_extend,
     identity_bundle,
     mean_curvature,
@@ -69,8 +70,13 @@ def test_extension_profile_table_shared_and_read_only():
 
 
 def test_graph_condition_gate():
+    steep = 0.9 * np.cos(GRID.xs)
     with pytest.raises(InvalidGeometryError):
-        harmonic_extend(GRID, 0.9 * np.cos(GRID.xs))
+        harmonic_extend(GRID, steep)
+    # rates need no gate: the unchecked extension takes the same data
+    assert np.array_equal(extend_edge(GRID, steep)[:, 0], steep)
+    h = 0.05 * np.cos(GRID.xs) + 0.01 * np.sin(3 * GRID.xs)
+    assert np.array_equal(extend_edge(GRID, h), harmonic_extend(GRID, h))
 
 
 def test_bundle_flat_reference_values():

@@ -174,6 +174,38 @@ def test_cli_init_abort_writes_manifest(tmp_path):
     assert payload["reason"].startswith("InvalidGeometryError")
 
 
+@pytest.mark.parametrize("mode, extra, expected", [
+    ("classical", {}, True),
+    ("surface_tension", {"sigma": 0.01}, False),
+    ("kappa", {"kappa": 0.1}, False),
+])
+def test_simulate_records_one_dissipation_entry_per_step(mode, extra, expected):
+    config = build_config(_fast_settings(mode=mode, t_end=1e-4,
+                                         snapshot_every=2, **extra))
+    traj = simulate(config)
+    if not expected:
+        assert traj.dissipation == []
+        return
+    assert len(traj.dissipation) == config.n_steps == 4
+    # stamped at the step times, summed the way the stepper sums them
+    t = 0.0
+    for stamp, defect in traj.dissipation:
+        t += config.dt
+        assert stamp == t and np.isfinite(defect)
+    assert traj.dissipation[-1][0] == traj.times[-1]
+
+
+def test_cli_data_construction_abort_writes_manifest(tmp_path):
+    # alpha * eps_slab >= 1 admits no classical datum: the run stops at init
+    out = tmp_path / "d"
+    code = cli_main(["run", "--out", str(out), "--override", "data.alpha=5"])
+    assert code == 3
+    payload = json.loads((out / "manifest.json").read_text())
+    assert payload["status"] == "aborted"
+    assert payload["exit_code"] == 3
+    assert payload["reason"].startswith("DataConstructionError")
+
+
 def test_kappa_init_abort_writes_manifest(tmp_path, monkeypatch):
     # one fixed-point iteration cannot solve for the regularized datum
     monkeypatch.setattr(
@@ -259,19 +291,19 @@ def _direct_sources(case, t):
     velocity and the expanded Laplacian to q(t), and extend the exact
     height rate for the map velocity.
     """
-    from stefansim.geometry import harmonic_extend, metric_bundle
+    from stefansim.geometry import extend_edge, harmonic_extend, metric_bundle
     from stefansim.operators import (
         compute_velocity,
         transformed_laplacian_expanded,
     )
-    from stefansim.stepper import _extend_edge_scalar, height_rate
+    from stefansim.stepper import height_rate
 
     fine = case.fine
     q = case.temperature(fine, t)
     qt = case.amp * case._dtfac(t) * case._profile(fine)
     bundle = metric_bundle(fine, harmonic_extend(fine, case.height(fine, t)))
     v = compute_velocity(fine, bundle, q)
-    w = _extend_edge_scalar(fine, case.height_rate_exact(fine, t))
+    w = extend_edge(fine, case.height_rate_exact(fine, t))
     src_q = qt - transformed_laplacian_expanded(fine, bundle, q) + v[1] * w
     src_h = case.height_rate_exact(fine, t) - height_rate(bundle, v)
     return src_q[::2, ::2], src_h[::2]
@@ -285,17 +317,17 @@ def _fine_level_sources(case, t):
     call and every product is formed at every fine node.  Derivatives come
     first and the rest is pointwise, so the result must match bit for bit.
     """
-    from stefansim.geometry import metric_bundle
+    from stefansim.geometry import extend_edge, metric_bundle
     from stefansim.operators import (
         compute_velocity,
         flat_laplacian,
         gauge_deviation,
     )
-    from stefansim.stepper import _extend_edge_scalar, height_rate
+    from stefansim.stepper import height_rate
 
     fine = case.fine
     prof = case._profile(fine)
-    ext = _extend_edge_scalar(fine, np.cos(fine.xs))
+    ext = extend_edge(fine, np.cos(fine.xs))
     phi = case._hfac(t) * ext
     phi[:, 0] = case.height(fine, t)
     bundle = metric_bundle(fine, phi)

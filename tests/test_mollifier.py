@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -170,3 +173,10 @@ def test_commutator_ratio_uniform_over_widths():
     ratios = [commutator_defect(F, G, w) for w in (0.4, 0.2, 0.1, 0.05)]
     assert max(ratios) <= 1.0
     assert max(ratios) / min(ratios) <= 3.0
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # the quadrature behind the kernels loads on the first kernel build only
+    code = ("import sys, stefansim; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

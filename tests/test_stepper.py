@@ -1,4 +1,4 @@
-"""Velocity, transformed Laplacian, time stepping, weak-form residual."""
+"""Velocity, transformed Laplacian, time stepping."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from stefansim.numerics import Grid, ConfigurationError, time_derivative
+from stefansim.numerics import Grid, ConfigurationError
 from stefansim.geometry import harmonic_extend, identity_bundle, metric_bundle
 from stefansim.operators import (
     compute_velocity,
@@ -19,13 +19,11 @@ from stefansim.operators import (
 from stefansim.initdata import DataSpec
 from stefansim.stepper import (
     SolverConfig,
-    SolverState,
     advance,
     beta_value,
     height_rate,
     init_state,
     initial_time_derivatives,
-    weak_residual,
 )
 
 GRID = Grid(64, 129)
@@ -230,82 +228,6 @@ def test_initial_derivatives_match_early_differences():
     assert np.max(np.abs(qdot - deriv["q_t"])) / scale <= 5e-2
     hdot = (states[1].h - states[0].h) / cfg.dt
     assert np.max(np.abs(hdot - deriv["h_t"])) <= 1e-3
-
-
-class _FrozenKappaState:
-    """Synthetic regularized-mode state built from analytic fields.
-
-    ``build`` returns the state and the temperature's time derivative.
-    """
-
-    @staticmethod
-    def build(cfg, t=1e-3):
-        grid = cfg.grid
-        x, y = grid.mesh()
-
-        def q_of(tv):
-            return 0.1 * (1 + 0.5 * tv) * np.sin(x) * (y - 0.5 * y * y) \
-                + 0.05 * (y - 0.5 * y * y)
-
-        h = 0.03 * np.cos(grid.xs)
-        from stefansim.mollifier import smooth_double
-        from stefansim.stepper import _extend_edge_scalar
-
-        h_eff = smooth_double(h, cfg.kappa)
-        phi = harmonic_extend(grid, h_eff)
-        bundle = metric_bundle(grid, phi)
-        q = q_of(t)
-        v = compute_velocity(grid, bundle, q)
-        rate = height_rate(bundle, v)
-        w = _extend_edge_scalar(grid, smooth_double(rate, cfg.kappa))
-        qt = 0.05 * np.sin(x) * (y - 0.5 * y * y)
-        alpha = qt - transformed_laplacian_expanded(grid, bundle, q) \
-            + v[1] * w
-        beta_now = q[:, 0] / cfg.kappa**2 - rate
-        # q_t as a caller takes it from three stored snapshots
-        dt = 1e-5
-        times = [t - k * dt for k in (2, 1, 0)]
-        q_t = time_derivative(times, [q_of(tv) for tv in times], 1)
-        state = SolverState(
-            step=3, t=t, q=q, h=h, bundle=bundle, v=v, w=w,
-            margin=1.0, alpha=alpha,
-            beta_poly=(beta_now, np.zeros(grid.nx), np.zeros(grid.nx)),
-        )
-        return state, q_t
-
-
-def test_weak_residual_zero_state():
-    cfg = _short_config(mode="kappa", kappa=0.1)
-    zeros = np.zeros((GRID.nx, GRID.ny))
-    st = SolverState(step=3, t=2e-5, q=zeros, h=np.zeros(GRID.nx),
-                     bundle=identity_bundle(GRID),
-                     v=np.zeros((2, GRID.nx, GRID.ny)), w=zeros, margin=0.0,
-                     alpha=zeros,
-                     beta_poly=(np.zeros(GRID.nx),) * 3)
-    assert weak_residual(st, cfg, zeros) <= 1e-12
-
-
-def test_weak_residual_manufactured_and_perturbed():
-    cfg = _short_config(mode="kappa", kappa=0.1)
-    st, q_t = _FrozenKappaState.build(cfg)
-    base = weak_residual(st, cfg, q_t, n_test=12)
-    assert base <= 2e-3
-
-    rng = np.random.default_rng(0)
-    noisy = st.q * (1.0 + 0.01 * rng.standard_normal(st.q.shape))
-    st_noisy = SolverState(
-        step=st.step, t=st.t, q=noisy, h=st.h, bundle=st.bundle,
-        v=st.v, w=st.w, margin=st.margin, alpha=st.alpha,
-        beta_poly=st.beta_poly,
-    )
-    assert weak_residual(st_noisy, cfg, q_t, n_test=12) >= 10.0 * base
-
-
-def test_weak_residual_usage_errors():
-    cfg = _short_config()
-    st = init_state(cfg)
-    with pytest.raises(ConfigurationError):
-        weak_residual(st, cfg, np.zeros_like(st.q))
 
 
 def test_sigma_mode_trace_follows_curvature():

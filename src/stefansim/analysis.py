@@ -38,7 +38,7 @@ from .numerics import (
 from .geometry import metric_bundle
 from .mollifier import smooth_horizontal
 from .operators import curl_residual, gradient
-from .stepper import KAPPA, SolverConfig
+from .stepper import CLASSICAL, SolverConfig
 
 
 class UsageError(NumericsError):
@@ -431,7 +431,7 @@ def _map_derivative(get, a, b, x, y):
 def energy_table(traj: Trajectory) -> list:
     """One EnergyReport per snapshot, cumulative in time."""
     cfg = traj.config
-    kappa = cfg.kappa if cfg.mode == KAPPA else 0.0
+    kappa = cfg.kappa
     sigma = cfg.sigma
     acc = _Accumulator()
     reports = []
@@ -541,8 +541,7 @@ def natural_edge_terms(traj: Trajectory, idx: int = -1) -> list:
     separately so that coercivity can be checked term by term.
     """
     idx = idx % len(traj)
-    kappa = traj.config.kappa if traj.config.mode == KAPPA else 0.0
-    vals = _instant_norms(traj, idx, kappa)
+    vals = _instant_norms(traj, idx, traj.config.kappa)
     out = []
     for ab in _orders_eq(4):
         out.append(vals[("wh",) + ab])
@@ -609,7 +608,7 @@ def dissipation_residual(traj: Trajectory) -> float:
     no boundary production term there); the per-step series of
     ``dissipation_defect`` is recorded by ``harness.simulate``.
     """
-    if traj.config.mode != "classical" or traj.config.sigma != 0.0:
+    if traj.config.mode != CLASSICAL:
         raise UsageError("dissipation law requires the classical mode")
     if not traj.dissipation:
         return 0.0

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .numerics import ConfigurationError, NumericsError
 from .initdata import compat_residuals
+from .stepper import initial_data
 from .harness import (
     apply_overrides,
     build_config,
@@ -25,7 +26,6 @@ from .harness import (
     sweep_kappa,
     sweep_sigma,
     write_sweep,
-    _configured_data,
     _ladder,
 )
 
@@ -90,7 +90,7 @@ def _cmd_sweep_kappa(args) -> int:
 def _cmd_check_data(args) -> int:
     settings = _settings(args)
     config = build_config(settings)
-    q0, h0 = _configured_data(config)
+    q0, h0 = initial_data(config)
     report = compat_residuals(config.grid, q0, h0, sigma=config.sigma)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_FLAGGED

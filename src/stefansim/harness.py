@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,7 @@ from .geometry import (
     metric_bundle,
 )
 from .elliptic import EllipticSolveError
-from .initdata import (DataConstructionError, DataSpec, build_sigma_data,
-                       compat_residuals)
+from .initdata import DataConstructionError, DataSpec, compat_residuals
 from .operators import (
     deviation_from_derivatives,
     flat_laplacian,
@@ -55,6 +55,7 @@ from .stepper import (
     advance,
     height_rate,
     init_state,
+    initial_data,
     initial_time_derivatives,
 )
 from .analysis import (
@@ -96,7 +97,6 @@ def default_config() -> dict:
         "data.b_mode": 1,
         "data.h0_amplitude": 0.0,
         "data.h0_mode": 1,
-        "compat.require": True,
         "compat.override": False,
         "output.svg": True,
         "sweep.sigma_ladder": "0.1,0.01,0.001,0.0001,0",
@@ -150,17 +150,30 @@ def build_config(settings: dict) -> SolverConfig:
     """Turn flat settings into a validated solver configuration.
 
     Every key must be one of ``default_config()``; a misspelt key would
-    otherwise leave its default in force without notice.
+    otherwise leave its default in force without notice.  A value must have
+    its default's type: a boolean key takes true or false, a numeric key a
+    number (a string such as ``flase`` would otherwise pass as truthy).
     """
     merged = default_config()
     unknown = sorted(set(settings) - set(merged))
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in settings.items():
+        default = merged[key]
+        if isinstance(default, bool):
+            wanted, ok = "true or false", isinstance(value, bool)
+        elif isinstance(default, (int, float)):
+            wanted = "a number"
+            ok = isinstance(value, Real) and not isinstance(value, bool)
+        else:
+            continue
+        if not ok:
+            raise ConfigurationError(
+                f"config key {key} needs {wanted}, got {value!r}")
     merged.update(settings)
     data = DataSpec(
         alpha=float(merged["data.alpha"]),
         eps_slab=float(merged["data.eps_slab"]),
-        sigma=float(merged["sigma"]),
         b_amplitude=float(merged["data.b_amplitude"]),
         b_mode=int(merged["data.b_mode"]),
         h0_amplitude=float(merged["data.h0_amplitude"]),
@@ -182,9 +195,14 @@ def build_config(settings: dict) -> SolverConfig:
 
 def _ladder(settings: dict, key: str) -> list:
     raw = settings.get(key, default_config()[key])
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return [float(raw)]
-    return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+    try:
+        return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ConfigurationError(
+            f"config key {key} needs comma-separated numbers, got {raw!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +254,9 @@ class SweepResult:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "values": self.values,
-            "statuses": self.statuses,
-            "final_energies": self.final_energies,
-            "distances": self.distances,
-            "fit_exponent": self.fit_exponent,
-            "monotone": self.monotone,
-            **self.extras,
-        }
+        out = asdict(self)
+        out.update(out.pop("extras"))
+        return out
 
 
 def _config_dict(config: SolverConfig) -> dict:
@@ -381,14 +392,14 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
                    q0=None, h0=None):
     """Full run with reporting; returns (trajectory, manifest).
 
-    The compatibility of the configured data is checked first; failures
-    stop the run with a config error unless the override flag is set
-    (curved initial interfaces have no exactly compatible explicit datum).
+    The compatibility of the configured data is checked first, on the
+    datum the run then starts from; failures stop the run with a config
+    error unless the override flag is set (curved initial interfaces have
+    no exactly compatible explicit datum).
     A numerical failure before the first step (data construction, geometry,
     elliptic solve) writes an aborted manifest and is re-raised.
     """
     settings = settings or {}
-    require = settings.get("compat.require", True)
     override = settings.get("compat.override", False)
     t0 = time.perf_counter()
     manifest = RunManifest(
@@ -402,8 +413,8 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     grid = config.grid
     try:
         if q0 is None and config.mode in (CLASSICAL, SURFACE_TENSION):
-            probe_q, probe_h = _configured_data(config)
-            report = compat_residuals(grid, probe_q, probe_h, sigma=config.sigma)
+            q0, h0 = initial_data(config)
+            report = compat_residuals(grid, q0, h0, sigma=config.sigma)
             manifest.compat = {
                 "r_dirichlet": report.r_dirichlet,
                 "r_second": report.r_second,
@@ -411,7 +422,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
                 "neumann_top": report.neumann_top,
                 "passed": report.passed,
             }
-            if require and not report.passed and not override:
+            if not report.passed and not override:
                 raise ConfigurationError(
                     "initial data fails compatibility checks; set "
                     "compat.override to run anyway: " + report.summary()
@@ -444,27 +455,22 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     return traj, manifest
 
 
-def _configured_data(config: SolverConfig):
-    from .initdata import build_classical_data
-
-    if config.mode == SURFACE_TENSION:
-        return build_sigma_data(
-            config.grid, replace(config.data, sigma=config.sigma)
-        )
-    return build_classical_data(config.grid, config.data)
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
 
+def _map_points(point, jobs, workers: int) -> list:
+    """``point`` applied to every job, in a process pool when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(point, jobs))
+    return [point(j) for j in jobs]
+
+
 def _sigma_point(args):
     config, sigma = args
-    if sigma > 0.0:
-        cfg = replace(config, mode=SURFACE_TENSION, sigma=float(sigma))
-    else:
-        cfg = replace(config, mode=CLASSICAL, sigma=0.0)
-    return simulate(cfg)
+    mode = SURFACE_TENSION if sigma > 0.0 else CLASSICAL
+    return simulate(replace(config, mode=mode, sigma=float(sigma), kappa=0.0))
 
 
 def sweep_sigma(config: SolverConfig, ladder=None, workers: int = 1) -> SweepResult:
@@ -476,12 +482,7 @@ def sweep_sigma(config: SolverConfig, ladder=None, workers: int = 1) -> SweepRes
     ladder = [float(s) for s in (ladder or (0.1, 0.01, 0.001, 0.0001, 0.0))]
     if 0.0 not in ladder:
         raise ConfigurationError("the sigma ladder must include 0")
-    jobs = [(config, s) for s in ladder]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trajs = list(pool.map(_sigma_point, jobs))
-    else:
-        trajs = [_sigma_point(j) for j in jobs]
+    trajs = _map_points(_sigma_point, [(config, s) for s in ladder], workers)
     by_sigma = dict(zip(ladder, trajs))
     ref = by_sigma[0.0]
     distances = []
@@ -539,12 +540,7 @@ def sweep_kappa(config: SolverConfig, ladder=None, workers: int = 1) -> SweepRes
     ladder = [float(k) for k in (ladder or (0.2, 0.1, 0.05, 0.025))]
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("the kappa ladder must be strictly decreasing")
-    jobs = [(config, k) for k in ladder]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_kappa_point, jobs))
-    else:
-        results = [_kappa_point(j) for j in jobs]
+    results = _map_points(_kappa_point, [(config, k) for k in ladder], workers)
     trajs = [r[0] for r in results]
     stats = [r[1] for r in results]
     distances = [

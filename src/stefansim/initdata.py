@@ -13,7 +13,7 @@ families), so the analytic zeros of the explicit data survive discretely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class DataSpec:
 
     alpha: float = 1.0
     eps_slab: float = 0.25
-    sigma: float = 0.0
     b_amplitude: float = 1.0
     b_mode: int = 1
     h0_amplitude: float = 0.0
@@ -60,8 +59,6 @@ class DataSpec:
             raise ConfigurationError("alpha must be positive")
         if not 0.0 < self.eps_slab < 0.5:
             raise ConfigurationError("eps_slab must lie in (0, 0.5)")
-        if self.sigma < 0:
-            raise ConfigurationError("sigma must be >= 0")
         if self.eps_slab + self.blend_window >= 1.0:
             raise ConfigurationError("slab plus blend window must fit below the top")
 
@@ -141,20 +138,20 @@ def build_classical_data(grid: Grid, spec: DataSpec):
     return q0, h0
 
 
-def build_sigma_data(grid: Grid, spec: DataSpec):
+def build_sigma_data(grid: Grid, spec: DataSpec, sigma: float):
     """Surface-tension family (q0, h0): flat interface, sigma*b(x)*y^3 term.
 
-    Reduces exactly to the classical datum when sigma = 0; the extra term
-    vanishes to second order at the interface, so every trace entering the
-    flat compatibility conditions is unchanged and the family's energy
-    distance to the sigma = 0 member scales linearly in sigma.
+    Reduces exactly to the flat classical datum of ``spec`` when sigma = 0;
+    the extra term vanishes to second order at the interface, so every
+    trace entering the flat compatibility conditions is unchanged and the
+    family's energy distance to the sigma = 0 member scales linearly in
+    sigma.
     """
-    base = DataSpec(alpha=spec.alpha, eps_slab=spec.eps_slab, sigma=0.0,
-                    b_amplitude=spec.b_amplitude, b_mode=spec.b_mode,
-                    h0_amplitude=0.0)
-    q0, _ = build_classical_data(grid, base)
+    if sigma < 0:
+        raise ConfigurationError("sigma must be >= 0")
+    q0, _ = build_classical_data(grid, replace(spec, h0_amplitude=0.0))
     y = grid.ys
-    q0 = q0 + spec.sigma * spec.b_profile(grid)[:, None] * (y**3 * blend_cutoff(spec, y))[None, :]
+    q0 = q0 + sigma * spec.b_profile(grid)[:, None] * (y**3 * blend_cutoff(spec, y))[None, :]
     h0 = np.zeros(grid.nx)
     return q0, h0
 

@@ -89,6 +89,10 @@ class SolverConfig:
             raise ConfigurationError("surface-tension mode requires sigma > 0")
         if self.mode == KAPPA and self.kappa <= 0:
             raise ConfigurationError("regularized mode requires kappa > 0")
+        if self.sigma != 0 and self.mode != SURFACE_TENSION:
+            raise ConfigurationError("sigma applies only in surface_tension mode")
+        if self.kappa != 0 and self.mode != KAPPA:
+            raise ConfigurationError("kappa applies only in kappa mode")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
         if self.snapshot_every < 1:
@@ -252,39 +256,45 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     )
 
 
+def initial_data(config: SolverConfig):
+    """The explicit datum (q0, h0) of the mode's data family.
+
+    The sigma family in surface-tension mode, the classical one otherwise;
+    kappa mode lifts it through the regularized datum in ``init_state``.
+    """
+    if config.mode == SURFACE_TENSION:
+        return build_sigma_data(config.grid, config.data, config.sigma)
+    return build_classical_data(config.grid, config.data)
+
+
 def init_state(config: SolverConfig, q0: np.ndarray | None = None,
                h0: np.ndarray | None = None) -> SolverState:
     """Build the initial state: data, geometry, velocity, forcings."""
-    grid = config.grid
-    spec = config.data
     if q0 is None or h0 is None:
-        if config.mode == SURFACE_TENSION:
-            q0, h0 = build_sigma_data(grid, replace(spec, sigma=config.sigma))
-        elif config.mode == KAPPA:
-            q0, h0 = build_classical_data(grid, spec)
-            q0 = build_regularized_datum(grid, q0, h0, config.kappa)
-        else:
-            q0, h0 = build_classical_data(grid, spec)
+        q0, h0 = initial_data(config)
+        if config.mode == KAPPA:
+            q0 = build_regularized_datum(config.grid, q0, h0, config.kappa)
     check_graph_condition(h0)
+    state = _state_of(config, q0, h0)
+    if config.mode == KAPPA:
+        alpha = _alpha_forcing(config.grid, q0, h0, state.bundle)
+        state = replace(state, alpha=alpha,
+                        beta_poly=_bootstrap_beta(config, q0, h0, alpha))
+    return state
 
-    bundle = metric_bundle(grid, harmonic_extend(grid, _smoothed(h0, config)))
-    v = compute_velocity(grid, bundle, q0)
 
+def _state_of(config: SolverConfig, q: np.ndarray, h: np.ndarray,
+              alpha: np.ndarray | None = None) -> SolverState:
+    """The t = 0 state of data (q, h): gauge map, velocities and margin."""
+    grid = config.grid
+    bundle = metric_bundle(grid, harmonic_extend(grid, _smoothed(h, config)))
+    v = compute_velocity(grid, bundle, q)
     rate = height_rate(bundle, v)
     if config.source_h is not None:
         rate = rate + config.source_h(0.0)
     w = extend_edge(grid, _smoothed(rate, config))
-
-    alpha = None
-    beta_poly = None
-    if config.mode == KAPPA:
-        alpha = _alpha_forcing(grid, q0, h0, bundle)
-        beta_poly = _bootstrap_beta(config, q0, h0, alpha)
-
-    return SolverState(
-        step=0, t=0.0, q=q0, h=h0, bundle=bundle, v=v, w=w,
-        margin=taylor_margin(grid, q0), alpha=alpha, beta_poly=beta_poly,
-    )
+    return SolverState(step=0, t=0.0, q=q, h=h, bundle=bundle, v=v, w=w,
+                       margin=taylor_margin(grid, q), alpha=alpha)
 
 
 def _alpha_forcing(grid, q0, h0, bundle_k):
@@ -308,13 +318,7 @@ def _kappa_rate_sample(config: SolverConfig, q: np.ndarray, h: np.ndarray,
     comes from the same equation substitution the initial-instant
     derivatives use, which is far more robust than double differencing.
     """
-    grid = config.grid
-    bundle = metric_bundle(grid, harmonic_extend(grid, _smoothed(h, config)))
-    v = compute_velocity(grid, bundle, q)
-    w = extend_edge(grid, _smoothed(height_rate(bundle, v), config))
-    probe = SolverState(step=0, t=0.0, q=q, h=h, bundle=bundle, v=v, w=w,
-                        margin=0.0, alpha=alpha)
-    deriv = initial_time_derivatives(probe, config)
+    deriv = initial_time_derivatives(_state_of(config, q, h, alpha), config)
     return deriv["h_t"], deriv["h_tt"]
 
 

@@ -102,7 +102,7 @@ def test_criterion_04_initial_data_suite():
     st0 = init_state(base_cfg)
     d0 = initial_time_derivatives(st0, base_cfg)
     for s in sigmas:
-        q0, h0 = build_sigma_data(GRID, DataSpec(alpha=1.0, sigma=s))
+        q0, h0 = build_sigma_data(GRID, DataSpec(alpha=1.0), s)
         rs = compat_residuals(GRID, q0, h0, sigma=s)
         sig_ok = sig_ok and rs.r_second <= 1e-9
         cfg = SolverConfig(mode="surface_tension", sigma=s,

@@ -12,7 +12,7 @@ import pytest
 from stefansim.numerics import ConfigurationError, Grid
 from stefansim.elliptic import EllipticSolveError
 from stefansim.initdata import DataSpec
-from stefansim import harness, stepper
+from stefansim import harness, initdata, stepper
 from stefansim.stepper import SolverConfig
 from stefansim.harness import (
     ManufacturedCase,
@@ -70,6 +70,14 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigurationError) as err:
         build_config({"grid.nX": 128, "dT": 1e-3, "grid.nx": 64})
     assert str(err.value) == "unknown config keys: dT, grid.nX"
+    with pytest.raises(ConfigurationError, match="unknown config keys"):
+        build_config({"compat.require": False})
+    # a value must have its default's type: "flase" is no boolean
+    for key, raw in (("compat.override", "flase"), ("output.svg", "nope"),
+                     ("grid.nx", "abc"), ("dt", "fast"), ("kappa", "true")):
+        settings = apply_overrides({}, [f"{key}={raw}"])
+        with pytest.raises(ConfigurationError, match=f"config key {key} "):
+            build_config(settings)
 
 
 def test_run_artifacts_and_manifest(tmp_path):
@@ -159,6 +167,11 @@ def test_cli_run_and_exit_codes(tmp_path):
                      "--override", "snapshot_every=0",
                      "--override", "t_end=1e-4"])
     assert code == 4
+    for override in ("grid.nx=abc", "dt=fast", "compat.override=flase"):
+        assert cli_main(["run", "--config", str(cfg),
+                         "--override", override]) == 4
+    assert cli_main(["sweep-sigma",
+                     "--override", "sweep.sigma_ladder=0.1,abc"]) == 4
 
 
 def test_cli_init_abort_writes_manifest(tmp_path):
@@ -241,6 +254,22 @@ def test_manifest_wall_time_monotonic(tmp_path, monkeypatch):
     assert manifest.wall_time >= 0.0
     payload = json.loads((tmp_path / "manifest.json").read_text())
     assert payload["wall_time"] >= 0.0
+
+
+def test_classical_run_builds_its_datum_once(monkeypatch):
+    # the compatibility probe's datum is the one the run starts from
+    calls = []
+    build = initdata.build_classical_data
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(initdata, "build_classical_data", counted)
+    monkeypatch.setattr(stepper, "build_classical_data", counted)
+    settings = _fast_settings()
+    run_simulation(build_config(settings), settings=settings)
+    assert len(calls) == 1
 
 
 def test_cli_check_data(tmp_path):

@@ -62,9 +62,11 @@ def test_classical_flux_sign_guard():
         build_classical_data(GRID, DataSpec(alpha=4.0, eps_slab=0.3))
 
 
-def test_sigma_zero_reduces_to_classical():
-    qc, _ = build_classical_data(GRID, DataSpec(alpha=1.0, h0_amplitude=0.0))
-    qs, hs = build_sigma_data(GRID, DataSpec(alpha=1.0, sigma=0.0))
+@pytest.mark.parametrize("blend_window", [0.55, 0.4])
+def test_sigma_zero_reduces_to_classical(blend_window):
+    spec = DataSpec(alpha=1.0, blend_window=blend_window)
+    qc, _ = build_classical_data(GRID, spec)
+    qs, hs = build_sigma_data(GRID, spec, 0.0)
     assert np.max(np.abs(qc - qs)) == 0.0
     assert np.max(np.abs(hs)) == 0.0
 
@@ -79,8 +81,7 @@ def test_sigma_family_flat_second_condition(sigma):
              - s * sp.diff(q, y, 1, x, 2)).subs(y, 0)
     assert sp.simplify(resid) == 0
 
-    spec = DataSpec(alpha=1.0, sigma=sigma)
-    q0, h0 = build_sigma_data(GRID, spec)
+    q0, h0 = build_sigma_data(GRID, DataSpec(alpha=1.0), sigma)
     rep = compat_residuals(GRID, q0, h0, sigma=sigma)
     assert rep.r_second <= 1e-9
     assert rep.r_dirichlet == 0.0
@@ -91,8 +92,8 @@ def test_sigma_family_third_trace_derivative():
     # (q0)_yyy at the interface is 6 sigma b(x); symbolic oracle above,
     # discrete check with a one-sided cubic-exact difference on the slab
     sigma = 0.05
-    spec = DataSpec(alpha=1.0, sigma=sigma)
-    q0, _ = build_sigma_data(GRID, spec)
+    spec = DataSpec(alpha=1.0)
+    q0, _ = build_sigma_data(GRID, spec, sigma)
     hy = GRID.hy
     d3 = (-q0[:, 0] + 3 * q0[:, 1] - 3 * q0[:, 2] + q0[:, 3]) / hy**3
     expected = 6.0 * sigma * spec.b_profile(GRID)
@@ -159,3 +160,5 @@ def test_spec_validation():
         DataSpec(eps_slab=0.7)
     with pytest.raises(Exception):
         DataSpec(eps_slab=0.45, blend_window=0.6)
+    with pytest.raises(Exception):
+        build_sigma_data(GRID, SPEC, -0.1)

@@ -200,6 +200,13 @@ def test_config_validation():
         SolverConfig(mode="melt")
     with pytest.raises(ConfigurationError):
         SolverConfig(snapshot_every=0)
+    # sigma and kappa act only in their own modes
+    with pytest.raises(ConfigurationError):
+        SolverConfig(mode="classical", sigma=0.1)
+    with pytest.raises(ConfigurationError):
+        SolverConfig(mode="classical", kappa=0.1)
+    with pytest.raises(ConfigurationError):
+        SolverConfig(mode="surface_tension", sigma=0.1, kappa=0.1)
 
 
 def test_config_grid_built_once():

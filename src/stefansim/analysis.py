@@ -29,7 +29,7 @@ from .numerics import (
     edge_derivative,
     integrate_boundary,
     integrate_interior,
-    interior_norm,
+    interior_norms,
     tangential_derivative,
     tangential_derivatives_upto,
     time_derivative,
@@ -174,7 +174,8 @@ class _Accumulator:
     """Running max / trapezoid-in-time of a family of squared norms.
 
     Entries reported as None (stencil not supported at that instant) are
-    carried as zero in the integrals and skipped in the maxima.
+    carried as zero in the integrals and skipped in the maxima.  Reading a
+    family that was never passed to ``update`` raises KeyError.
     """
 
     def __init__(self):
@@ -201,10 +202,14 @@ class _Accumulator:
         self._last_t = t
 
     def sum_max(self, keys) -> float:
+        # None-only families read as zero, never-recorded ones as KeyError
+        missing = [k for k in keys if k not in self.integral]
+        if missing:
+            raise KeyError(f"families never recorded: {missing}")
         return float(sum(self.max.get(k, 0.0) for k in keys))
 
     def sum_int(self, keys) -> float:
-        return float(sum(self.integral.get(k, 0.0) for k in keys))
+        return float(sum(self.integral[k] for k in keys))
 
 
 @dataclass(frozen=True)
@@ -322,13 +327,14 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float) -> dict:
         for a, va in enumerate(_derivative_ladder(vb, amax)):
             out[("v", a, b)] = _interior_sq(grid, va[0]) + _interior_sq(grid, va[1])
 
-    # temperature Sobolev families
+    # temperature Sobolev families: H^{4-2b} and H^{5-2b} enter the energy,
+    # H^{2-2b} and H^{3-2b} the lower-order monitor
     for b in range(3):
         qb = get.try_call("q", b)
-        for s in (4 - 2 * b, 5 - 2 * b):
-            out[("qH", s, b)] = (
-                None if qb is None else interior_norm(qb, grid, s) ** 2
-            )
+        orders = range(max(2 - 2 * b, 0), 6 - 2 * b)
+        norms = [None] * len(orders) if qb is None else [
+            n ** 2 for n in interior_norms(qb, grid, orders)]
+        out.update({("qH", s, b): sq for s, sq in zip(orders, norms)})
 
     # edge geometry weights at this instant
     bundle = traj.bundle_at(idx)
@@ -337,59 +343,52 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float) -> dict:
     margin = traj.margins[idx]
     q2_edge = edge_derivative(traj.snaps[idx]["q"], grid.hy, 1)
     flux_w = q2_edge / jac_e if margin > 0.0 else None
+    sig_w = g_e**-3 / jac_e
 
-    # height families, raw and layer-smoothed, plus the sigma-weighted ones
+    # height families: raw H^{4-2b}, H^{5-2b}; layer-smoothed H^{4-2b} and,
+    # for the lower-order monitor, H^{2-2b}, H^{3-2b}; the flux-weighted top
+    # order and the sigma-weighted ones (all None where unsupported)
     for b in range(3):
         hb = get.try_call("h", b)
+        h = np.zeros(grid.nx) if hb is None else hb
+        hs = smooth_horizontal(h, kappa) if kappa > 0 else h
         amax = 4 - 2 * b
-        if hb is None:
-            for s in (4 - 2 * b, 5 - 2 * b):
-                out[("hB", s, b)] = None
-                out[("hBs", s, b)] = None
-            for a in range(amax + 1):
-                out[("wh", a, b)] = None
-                out[("sigh", a, b)] = None
-            continue
-        hs = smooth_horizontal(hb, kappa) if kappa > 0 else hb
-        for s in (4 - 2 * b, 5 - 2 * b):
-            out[("hB", s, b)] = boundary_norm(hb, s) ** 2
-            out[("hBs", s, b)] = boundary_norm(hs, s) ** 2
-        ladder_s = _derivative_ladder(hs, amax)
+        fam = {("hB", s, b): boundary_norm(h, s) ** 2 for s in (amax, amax + 1)}
+        for s in range(max(amax - 2, 0), amax + 1):
+            fam[("hBs", s, b)] = boundary_norm(hs, s) ** 2
+        fam[("wh", amax, b)] = (
+            None if flux_w is None else _boundary_sq(grid, _dx(hs, amax), flux_w)
+        )
+        sig_ladder = _derivative_ladder(h, amax + 1)
         for a in range(amax + 1):
-            out[("wh", a, b)] = (
-                None if flux_w is None else _boundary_sq(grid, ladder_s[a], flux_w)
-            )
-        sig_ladder = _derivative_ladder(hb, amax + 1)
-        for a in range(amax + 1):
-            out[("sigh", a, b)] = _boundary_sq(
-                grid, sig_ladder[a + 1], g_e**-3 / jac_e
-            )
+            fam[("sigh", a, b)] = _boundary_sq(grid, sig_ladder[a + 1], sig_w)
+        out.update(dict.fromkeys(fam) if hb is None else fam)
 
-    # interface-speed families (the stored h_t law and its derivatives)
+    # interface-speed families (the stored h_t law and its derivatives):
+    # orders a + 2b <= 4 unweighted and 1/J-weighted, <= 3 for the 1/J^2-
+    # and sigma-weighted ones, the flux-weighted top order a + 2b = 3
     for b, amax in ((0, 4), (1, 2), (2, 0)):
         rb = get.try_call("rate", b)
-        if rb is None:
-            for a in range(amax + 1):
-                for fam in ("ht", "htJ", "htJ2", "wht", "sight"):
-                    out[(fam, a, b)] = None
-            continue
-        for s in (3 - 2 * b, 4 - 2 * b):
-            if s >= 0:
-                out[("htB", s, b)] = boundary_norm(rb, s) ** 2
-        rs = smooth_horizontal(rb, kappa) if kappa > 0 else rb
-        ladder = _derivative_ladder(rb, amax)
-        ladder_s = _derivative_ladder(rs, amax) if kappa > 0 else ladder
-        sig_ladder = _derivative_ladder(rb, amax + 1)
+        r = np.zeros(grid.nx) if rb is None else rb
+        ladder = _derivative_ladder(r, amax)
+        fam = {}
         for a in range(amax + 1):
-            out[("ht", a, b)] = _boundary_sq(grid, ladder[a])
-            out[("htJ", a, b)] = _boundary_sq(grid, ladder[a], 1.0 / jac_e)
-            out[("htJ2", a, b)] = _boundary_sq(grid, ladder[a], 1.0 / jac_e**2)
-            out[("wht", a, b)] = (
-                None if flux_w is None else _boundary_sq(grid, ladder_s[a], flux_w)
+            fam[("ht", a, b)] = _boundary_sq(grid, ladder[a])
+            fam[("htJ", a, b)] = _boundary_sq(grid, ladder[a], 1.0 / jac_e)
+        for a in range(amax):
+            fam[("htJ2", a, b)] = _boundary_sq(grid, ladder[a], 1.0 / jac_e**2)
+            fam[("sight", a, b)] = _boundary_sq(grid, ladder[a + 1], sig_w)
+        if amax:
+            rs = smooth_horizontal(r, kappa) if kappa > 0 else r
+            fam[("wht", amax - 1, b)] = (
+                None if flux_w is None
+                else _boundary_sq(grid, _dx(rs, amax - 1), flux_w)
             )
-            out[("sight", a, b)] = _boundary_sq(
-                grid, sig_ladder[a + 1], g_e**-3 / jac_e
-            )
+        out.update(dict.fromkeys(fam) if rb is None else fam)
+        # the speed's Sobolev norms are left out, not None, where unsupported
+        if rb is not None and b < 2:
+            for s in (3 - 2 * b, 4 - 2 * b):
+                out[("htB", s, b)] = boundary_norm(rb, s) ** 2
 
     # gauge-combination interior families at the identity orders
     v = get("v")

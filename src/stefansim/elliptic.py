@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .numerics import Grid, NumericsError, wavenumbers
+from .numerics import (
+    SECOND_DIFFERENCE,
+    WALL_SLOPE,
+    ConfigurationError,
+    Grid,
+    NumericsError,
+    wavenumbers,
+)
 from .geometry import MetricBundle
 from .operators import flat_laplacian, gauge_deviation
 
@@ -39,10 +46,10 @@ ROBIN = "robin"
 class EdgeCondition:
     """Boundary row specification for the banded solve.
 
-    Dirichlet rows pin the edge value.  Neumann rows impose the one-sided
-    second-order derivative stencil (the same stencil the diagnostics use,
-    so the discrete flux is zero identically).  Robin rows at the lower
-    edge impose  u + coef * u_y = value  with the one-sided stencil.
+    Dirichlet rows pin the edge value.  A Robin row (lower edge only)
+    imposes  u + coef * u_y = value, a Neumann row (top edge only)  u_y =
+    value, both with the y-derivative's wall stencil ``numerics.WALL_SLOPE``,
+    so the discrete flux of a homogeneous Neumann solve is zero identically.
     """
 
     kind: str
@@ -53,6 +60,10 @@ class StripSolver:
     """Factory for repeated solves of  c*u - Lap(u) = f  on the strip."""
 
     def __init__(self, grid: Grid, c: float, bottom: EdgeCondition, top: EdgeCondition):
+        if (bottom.kind not in (DIRICHLET, ROBIN)
+                or top.kind not in (DIRICHLET, NEUMANN)):
+            raise ConfigurationError(
+                f"unsupported edge pairing: {bottom.kind} bottom, {top.kind} top")
         self.grid = grid
         self.c = float(c)
         self.bottom = bottom
@@ -60,55 +71,29 @@ class StripSolver:
         self._assemble()
 
     def _assemble(self) -> None:
-        grid = self.grid
-        ny = grid.ny
-        hy = grid.hy
-        k = wavenumbers(grid.nx)
-        nm = len(k)
-        n = nm * ny
-        # five diagonals, LAPACK banded layout ab[u + i - j, j]
-        ab = np.zeros((5, n))
-        diag = self.c + 2.0 / hy**2 + k[:, None] ** 2 * np.ones((nm, ny))
-        lower = np.full((nm, ny), -1.0 / hy**2)
-        upper = np.full((nm, ny), -1.0 / hy**2)
-
-        def set_row(block, j, cols):
-            # cols: dict col-offset -> coefficient, offsets in -2..2
-            base = block * ny + j
-            for off, val in cols.items():
-                ab[2 - off, base + off] = val
-
-        # interior rows
-        ab[2, :] = diag.ravel()
-        ab[1, :] = np.roll(upper.ravel(), 1)
-        ab[3, :] = np.roll(lower.ravel(), -1)
-        for block in range(nm):
-            base = block * ny
-            # clear whatever the vectorized fill left on the boundary rows
-            for off in (-2, -1, 0, 1, 2):
-                col = base + off
-                if 0 <= col < n:
-                    ab[2 - off, col] = 0.0
-                col = base + ny - 1 + off
-                if 0 <= col < n:
-                    ab[2 - off, col] = 0.0
-            if self.bottom.kind == DIRICHLET:
-                set_row(block, 0, {0: 1.0})
-            elif self.bottom.kind == ROBIN:
-                s = self.bottom.coef / (2.0 * hy)
-                set_row(block, 0, {0: 1.0 - 3.0 * s, 1: 4.0 * s, 2: -s})
-            else:
-                s = 1.0 / (2.0 * hy)
-                set_row(block, 0, {0: -3.0 * s, 1: 4.0 * s, 2: -s})
-            if self.top.kind == DIRICHLET:
-                set_row(block, ny - 1, {0: 1.0})
-            else:
-                s = 1.0 / (2.0 * hy)
-                set_row(block, ny - 1, {0: 3.0 * s, -1: -4.0 * s, -2: s})
-        self._ab = ab
-        # LAPACK gbtrf factorization: storage needs kl extra fill rows on top
-        lab = np.zeros((7, n))
-        lab[2:, :] = ab
+        ny, hy = self.grid.ny, self.grid.hy
+        k = wavenumbers(self.grid.nx)
+        # bands[2 - off][m, j]: coefficient of u[m, j + off] in row j of mode m
+        bands = np.zeros((5, len(k), ny))
+        lo, mid, hi = SECOND_DIFFERENCE
+        bands[1, :, 1:-1] = -hi / hy**2
+        bands[2, :, 1:-1] = self.c - mid / hy**2 + k[:, None] ** 2
+        bands[3, :, 1:-1] = -lo / hy**2
+        bands[2, :, [0, -1]] = 1.0
+        if self.bottom.kind == ROBIN:
+            # u + coef * wall_slope(u)
+            s = self.bottom.coef / (2.0 * hy)
+            for off, w in enumerate(WALL_SLOPE):
+                bands[2 - off, :, 0] += w * s
+        if self.top.kind == NEUMANN:
+            # u_y with the wall stencil mirrored: negated weights, rows inward
+            s = 1.0 / (2.0 * hy)
+            for off, w in enumerate(WALL_SLOPE):
+                bands[2 + off, :, -1] = -w * s
+        # LAPACK gbtrf layout ab[kl + ku + i - j, j], with kl rows of fill on top
+        lab = np.zeros((7, bands[0].size))
+        for r in range(5):
+            lab[2 + r] = np.roll(bands[r].ravel(), 2 - r)
         lu, piv, info = dgbtrf(lab, 2, 2)
         if info != 0:
             raise EllipticSolveError(f"banded factorization failed, info={info}")
@@ -129,12 +114,10 @@ class StripSolver:
 
     def solve(self, rhs: np.ndarray, bottom: np.ndarray | None, top: np.ndarray | None) -> np.ndarray:
         """Solve with physical-space right sides; None edge data means zero."""
-        nx = self.grid.nx
-        nk = nx // 2 + 1
         rh = np.fft.rfft(rhs, axis=0)
-        bh = np.zeros(nk, complex) if bottom is None else np.fft.rfft(bottom)
-        th = np.zeros(nk, complex) if top is None else np.fft.rfft(top)
-        return np.fft.irfft(self.solve_modes(rh, bh, th), n=nx, axis=0)
+        bh = 0.0 if bottom is None else np.fft.rfft(bottom)
+        th = 0.0 if top is None else np.fft.rfft(top)
+        return np.fft.irfft(self.solve_modes(rh, bh, th), n=self.grid.nx, axis=0)
 
 
 def solve_transformed_poisson(

@@ -146,30 +146,37 @@ def apply_overrides(settings: dict, overrides) -> dict:
     return out
 
 
-def build_config(settings: dict) -> SolverConfig:
-    """Turn flat settings into a validated solver configuration.
+def _check_settings(settings: dict) -> None:
+    """Reject keys outside ``default_config()`` and values of the wrong type.
 
-    Every key must be one of ``default_config()``; a misspelt key would
-    otherwise leave its default in force without notice.  A value must have
-    its default's type: a boolean key takes true or false, a numeric key a
-    number (a string such as ``flase`` would otherwise pass as truthy).
+    A misspelt key would leave its default in force without notice; a
+    boolean key takes true or false (``flase`` would pass as truthy), an
+    integer key an integral number (64.5 would be truncated to 64).
     """
-    merged = default_config()
-    unknown = sorted(set(settings) - set(merged))
+    defaults = default_config()
+    unknown = sorted(set(settings) - set(defaults))
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     for key, value in settings.items():
-        default = merged[key]
+        default = defaults[key]
         if isinstance(default, bool):
             wanted, ok = "true or false", isinstance(value, bool)
         elif isinstance(default, (int, float)):
-            wanted = "a number"
-            ok = isinstance(value, Real) and not isinstance(value, bool)
+            integral = isinstance(default, int)
+            wanted = "an integer" if integral else "a number"
+            ok = (isinstance(value, Real) and not isinstance(value, bool)
+                  and (not integral or float(value).is_integer()))
         else:
             continue
         if not ok:
             raise ConfigurationError(
                 f"config key {key} needs {wanted}, got {value!r}")
+
+
+def build_config(settings: dict) -> SolverConfig:
+    """Turn flat settings, checked by ``_check_settings``, into a config."""
+    _check_settings(settings)
+    merged = default_config()
     merged.update(settings)
     data = DataSpec(
         alpha=float(merged["data.alpha"]),
@@ -395,11 +402,13 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     The compatibility of the configured data is checked first, on the
     datum the run then starts from; failures stop the run with a config
     error unless the override flag is set (curved initial interfaces have
-    no exactly compatible explicit datum).
+    no exactly compatible explicit datum).  ``settings`` are checked as in
+    ``build_config``.
     A numerical failure before the first step (data construction, geometry,
     elliptic solve) writes an aborted manifest and is re-raised.
     """
     settings = settings or {}
+    _check_settings(settings)
     override = settings.get("compat.override", False)
     t0 = time.perf_counter()
     manifest = RunManifest(

@@ -148,6 +148,41 @@ def tangential_derivatives_upto(f: np.ndarray, orders, axis: int | None = None) 
     return out
 
 
+#: One-sided first derivative at a wall, in units of 1/(2h), from the wall
+#: row inward; exact on quadratics.  The far wall uses the negated weights.
+WALL_SLOPE = (-3.0, 4.0, -1.0)
+_FAR_WALL_SLOPE = tuple(-w for w in WALL_SLOPE)
+#: Centred second difference, in units of 1/h^2.
+SECOND_DIFFERENCE = (1.0, -2.0, 1.0)
+#: One-sided second derivative at a wall, in units of 1/h^2; exact on cubics.
+_WALL_CURVATURE = (2.0, -5.0, 4.0, -1.0)
+
+
+def _weighted(weights, samples):
+    # left to right in one buffer, rounding like the written-out
+    # a*f0 - b*f1 + ... (x + (-y) is x - y); unit weights skip the multiply
+    out = weights[0] * samples[0]
+    for w, f in zip(weights[1:], samples[1:]):
+        if w == 1.0:
+            out += f
+        elif w == -1.0:
+            out -= f
+        else:
+            out += w * f
+    return out
+
+
+def wall_slope(f: np.ndarray, hy: float) -> np.ndarray:
+    """One-sided second-order y-derivative at the interface row y = 0.
+
+    The y-derivative's row 0, the implicit solve's Robin row and the
+    stepper's lagged Robin correction all use this stencil: the correction
+    vanishes on flat geometry only because they coincide, and a higher-order
+    trace in it feeds a boundary-layer instability.
+    """
+    return _weighted(WALL_SLOPE, (f[..., 0], f[..., 1], f[..., 2])) / (2.0 * hy)
+
+
 def vertical_derivative(f: np.ndarray, hy: float, order: int = 1) -> np.ndarray:
     """Second-order finite-difference y-derivative of an interior field.
 
@@ -161,33 +196,17 @@ def vertical_derivative(f: np.ndarray, hy: float, order: int = 1) -> np.ndarray:
     out = np.empty_like(f)
     if order == 1:
         out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * hy)
-        out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * hy)
-        out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * hy)
+        out[..., 0] = wall_slope(f, hy)
+        far = (f[..., -1], f[..., -2], f[..., -3])
+        out[..., -1] = _weighted(_FAR_WALL_SLOPE, far) / (2.0 * hy)
     else:
         h2 = hy * hy
-        out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h2
-        out[..., 0] = (
-            2.0 * f[..., 0] - 5.0 * f[..., 1] + 4.0 * f[..., 2] - f[..., 3]
-        ) / h2
-        out[..., -1] = (
-            2.0 * f[..., -1] - 5.0 * f[..., -2] + 4.0 * f[..., -3] - f[..., -4]
-        ) / h2
-    return out
-
-
-def vertical_derivative_n(f: np.ndarray, hy: float, order: int) -> np.ndarray:
-    """y-derivative of arbitrary order by composing the 1st/2nd stencils.
-
-    Accuracy degrades near the walls for order > 2; norm evaluations that
-    use this are flagged as lower-confidence by the analysis layer.
-    """
-    if order == 0:
-        return f
-    out = f
-    for _ in range(order // 2):
-        out = vertical_derivative(out, hy, 2)
-    if order % 2 == 1:
-        out = vertical_derivative(out, hy, 1)
+        out[..., 1:-1] = _weighted(
+            SECOND_DIFFERENCE, (f[..., 2:], f[..., 1:-1], f[..., :-2])) / h2
+        near = (f[..., 0], f[..., 1], f[..., 2], f[..., 3])
+        far = (f[..., -1], f[..., -2], f[..., -3], f[..., -4])
+        out[..., 0] = _weighted(_WALL_CURVATURE, near) / h2
+        out[..., -1] = _weighted(_WALL_CURVATURE, far) / h2
     return out
 
 
@@ -237,17 +256,34 @@ def boundary_norm(phi: np.ndarray, s: float) -> float:
 
 def interior_norm(f: np.ndarray, grid: Grid, s: int) -> float:
     """H^s(strip) norm, integer s in 0..5, summing all mixed derivatives."""
-    if not isinstance(s, (int, np.integer)) or s < 0:
+    return interior_norms(f, grid, (s,))[0]
+
+
+def interior_norms(f: np.ndarray, grid: Grid, orders) -> list:
+    """``interior_norm`` for each s in ``orders``, each integral computed once.
+
+    y-derivatives above second order compose the first/second difference
+    stencils, so accuracy degrades near the walls.
+    """
+    if any(not isinstance(s, (int, np.integer)) or s < 0 for s in orders):
         raise ValueError("s must be a nonnegative integer")
-    if s > 5:
+    top = max(orders)
+    if top > 5:
         raise ConfigurationError("interior norms above H^5 are unsupported")
-    total = 0.0
-    for a in range(s + 1):
-        fa = tangential_derivative(f, a) if a else f
-        for b in range(s + 1 - a):
-            fab = vertical_derivative_n(fa, grid.hy, b)
-            total += integrate_interior(fab * fab, grid)
-    return float(np.sqrt(total))
+    ladder = [f] + tangential_derivatives_upto(f, range(1, top + 1))
+    sq = {}
+    for a, fa in enumerate(ladder):
+        # dy[b] = d^b fa / dy^b: second differences composed, then one first
+        # difference for odd b
+        dy = [fa]
+        for b in range(top + 1 - a):
+            if b:
+                dy.append(vertical_derivative(dy[b - 1], grid.hy, 1) if b % 2
+                          else vertical_derivative(dy[b - 2], grid.hy, 2))
+            sq[a, b] = integrate_interior(dy[b] * dy[b], grid)
+    return [float(np.sqrt(sum(sq[a, b] for a in range(s + 1)
+                              for b in range(s + 1 - a))))
+            for s in orders]
 
 
 def time_derivative(times, values, order: int, index: int = -1) -> np.ndarray:
@@ -273,11 +309,9 @@ def time_derivative(times, values, order: int, index: int = -1) -> np.ndarray:
     if order == 1:
         if 1 <= index <= n - 2:
             return (v[index + 1] - v[index - 1]) / (2.0 * dt)
-        if index == 0:
-            return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-        return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+        w, rows = (WALL_SLOPE, v[:3]) if index == 0 else (_FAR_WALL_SLOPE, v[:-4:-1])
+        return _weighted(w, rows) / (2.0 * dt)
     if 1 <= index <= n - 2:
-        return (v[index + 1] - 2.0 * v[index] + v[index - 1]) / dt**2
-    if index == 0:
-        return (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dt**2
-    return (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / dt**2
+        return _weighted(SECOND_DIFFERENCE,
+                         (v[index + 1], v[index], v[index - 1])) / dt**2
+    return _weighted(_WALL_CURVATURE, v[:4] if index == 0 else v[:-5:-1]) / dt**2

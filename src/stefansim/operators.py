@@ -86,13 +86,7 @@ def gauge_deviation(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarr
 
 def flat_laplacian(grid: Grid, q: np.ndarray) -> np.ndarray:
     """Plain strip Laplacian with the same stencils as the implicit solve."""
-    out = tangential_derivative(q, 2)
-    h2 = grid.hy * grid.hy
-    lap_y = np.empty_like(q)
-    lap_y[:, 1:-1] = (q[:, 2:] - 2.0 * q[:, 1:-1] + q[:, :-2]) / h2
-    lap_y[:, 0] = (2.0 * q[:, 0] - 5.0 * q[:, 1] + 4.0 * q[:, 2] - q[:, 3]) / h2
-    lap_y[:, -1] = (2.0 * q[:, -1] - 5.0 * q[:, -2] + 4.0 * q[:, -3] - q[:, -4]) / h2
-    return out + lap_y
+    return tangential_derivative(q, 2) + vertical_derivative(q, grid.hy, 2)
 
 
 def curl_residual(grid: Grid, bundle: MetricBundle, v: np.ndarray) -> float:

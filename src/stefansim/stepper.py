@@ -24,7 +24,9 @@ from .numerics import (
     Grid,
     NumericsError,
     tangential_derivative,
+    time_derivative,
     vertical_derivative,
+    wall_slope,
 )
 from .geometry import (
     MetricBundle,
@@ -168,16 +170,6 @@ def _heat_solver(nx: int, ny: int, dt: float, mode: str, kappa: float) -> StripS
     return StripSolver(Grid(nx, ny), 1.0 / dt, bottom, EdgeCondition(NEUMANN))
 
 
-def _matched_edge_gradient(q: np.ndarray, hy: float) -> np.ndarray:
-    """Interface q_y with the same one-sided stencil as the Robin matrix row.
-
-    The lagged Robin correction must vanish identically on flat geometry,
-    which requires this stencil, the matrix row, and the velocity trace to
-    coincide; a higher-order trace here feeds a boundary-layer instability.
-    """
-    return (-3.0 * q[:, 0] + 4.0 * q[:, 1] - q[:, 2]) / (2.0 * hy)
-
-
 def _bottom_condition(config: SolverConfig, state: SolverState,
                       bundle_new: MetricBundle, h_new: np.ndarray,
                       t_new: float) -> np.ndarray:
@@ -188,7 +180,7 @@ def _bottom_condition(config: SolverConfig, state: SolverState,
     # Robin: q - kappa^2 q_y = kappa^2 (beta + corr) with the interface speed
     # split into the implicit flat flux and a lagged geometric correction.
     rate = height_rate(bundle_new, state.v)
-    corr = rate - _matched_edge_gradient(state.q, config.grid.hy)
+    corr = rate - wall_slope(state.q, config.grid.hy)
     return config.kappa**2 * (beta_value(state.beta_poly, t_new) + corr)
 
 
@@ -310,41 +302,29 @@ def _alpha_forcing(grid, q0, h0, bundle_k):
     return ((bundle0.a**2 + bundle0.c**2) - (bundle_k.a**2 + bundle_k.c**2)) * q2 * q2
 
 
-def _kappa_rate_sample(config: SolverConfig, q: np.ndarray, h: np.ndarray,
-                       alpha: np.ndarray | None):
-    """Interface speed and its time derivative for data (q, h), kappa geometry.
-
-    The speed comes from the smoothed-geometry velocity trace; its rate
-    comes from the same equation substitution the initial-instant
-    derivatives use, which is far more robust than double differencing.
-    """
-    deriv = initial_time_derivatives(_state_of(config, q, h, alpha), config)
-    return deriv["h_t"], deriv["h_tt"]
-
-
 def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
     """Taylor coefficients of t -> g_k (v . n_k) at t = 0 by micro-stepping.
 
     Three classical (pinned-temperature) micro-steps at dt/100 provide the
-    sample states; the speed's first derivative is evaluated at each by
-    equation substitution, and one more one-sided difference of those
-    yields the second coefficient.
+    sample states; at each, the equation substitution of the initial instant
+    on kappa geometry (far more robust than double differencing) gives the
+    speed and its first derivative, and one more one-sided difference of
+    those yields the second coefficient.
     """
     micro_dt = config.dt / 100.0
     micro = replace(
         config, mode=CLASSICAL, sigma=0.0, kappa=0.0, dt=micro_dt,
         t_end=3 * micro_dt, source_q=None, source_h=None,
     )
-    state = init_state(micro, q0=q0.copy(), h0=h0.copy())
-    f0, g0 = _kappa_rate_sample(config, state.q, state.h, alpha)
-    state = advance(state, micro)
-    _, g1 = _kappa_rate_sample(config, state.q, state.h, alpha)
-    state = advance(state, micro)
-    _, g2 = _kappa_rate_sample(config, state.q, state.h, alpha)
-    c2 = (-3.0 * g0 + 4.0 * g1 - g2) / (2.0 * micro_dt)
+    s0 = init_state(micro, q0=q0.copy(), h0=h0.copy())
+    s1 = advance(s0, micro)
+    samples = [initial_time_derivatives(_state_of(config, s.q, s.h, alpha), config)
+               for s in (s0, s1, advance(s1, micro))]
+    c2 = time_derivative([0.0, micro_dt, 2.0 * micro_dt],
+                         [d["h_tt"] for d in samples], 1, 0)
     # beta expands -(interface speed): the boundary covector is the cofactor
     # row, whose contraction with v is minus the speed
-    return (-f0, -g0, -c2)
+    return (-samples[0]["h_t"], -samples[0]["h_tt"], -c2)
 
 
 def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:

@@ -110,6 +110,30 @@ def test_static_trajectory_term_by_term_oracle():
     assert rep.energy == pytest.approx(expected, rel=1e-12)
 
 
+def test_static_trajectory_lower_order_term_by_term_oracle():
+    # the reduced-order monitor on frozen fields: the velocity families of
+    # order <= 2 (integrated) and <= 1 (maximum), the H^2/H^3 temperature
+    # and the H^2/H^3 smoothed height (the raw one outside kappa mode); the
+    # kappa-weighted speed families vanish with kappa
+    x, y = GRID.mesh()
+    q = 0.1 * np.sin(x) * (y - 0.5 * y * y)
+    h = 0.02 * np.cos(GRID.xs)
+    traj = _static_trajectory(CFG, q, h)
+    rep = energy_report(traj)
+    T = traj.times[-1]
+    v = traj.snaps[0]["v"]
+
+    expected = (
+        T * sum(interior_norm_sq_of_component(v, a, GRID) for a in range(3))
+        + sum(interior_norm_sq_of_component(v, a, GRID) for a in range(2))
+        + interior_norm(q, GRID, 2) ** 2
+        + T * interior_norm(q, GRID, 3) ** 2
+        + boundary_norm(h, 2.0) ** 2
+        + T * boundary_norm(h, 3.0) ** 2
+    )
+    assert rep.lower_order == pytest.approx(expected, rel=1e-12)
+
+
 def interior_norm_sq_of_component(v, a, grid):
     from stefansim.numerics import integrate_interior, tangential_derivative
 

@@ -78,6 +78,24 @@ def test_config_errors(tmp_path):
         settings = apply_overrides({}, [f"{key}={raw}"])
         with pytest.raises(ConfigurationError, match=f"config key {key} "):
             build_config(settings)
+    # an integer key takes no fraction: 64.5 would be truncated to 64
+    for key, raw in (("grid.nx", "64.5"), ("snapshot_every", "2.5"),
+                     ("data.b_mode", "1.5"), ("sweep.workers", "inf")):
+        settings = apply_overrides({}, [f"{key}={raw}"])
+        with pytest.raises(ConfigurationError,
+                           match=f"config key {key} needs an integer"):
+            build_config(settings)
+    assert build_config({"grid.nx": 64.0}).nx == 64
+
+
+def test_run_simulation_checks_its_settings():
+    # the run's own flags get the same check as build_config: "flase" is
+    # no boolean, and must not pass as a truthy override
+    config = build_config(_fast_settings(**{"data.h0_amplitude": 0.05}))
+    with pytest.raises(ConfigurationError, match="config key compat.override"):
+        run_simulation(config, settings={"compat.override": "flase"})
+    with pytest.raises(ConfigurationError, match="unknown config keys"):
+        run_simulation(config, settings={"output.svgs": False})
 
 
 def test_run_artifacts_and_manifest(tmp_path):

@@ -16,6 +16,7 @@ from stefansim.numerics import (
     fourier_coefficients,
     integrate_boundary,
     interior_norm,
+    interior_norms,
     tangential_derivative,
     time_derivative,
     vertical_derivative,
@@ -167,6 +168,15 @@ def test_interior_norm_examples():
     f = np.sin(x) * np.ones((1, GRID.ny))
     assert interior_norm(f, GRID, 1) == pytest.approx(oracle, rel=1e-10)
     assert oracle == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
+
+
+def test_interior_norms_match_single_norms():
+    # the shared mixed-derivative integrals sum exactly as one norm alone
+    x, y = GRID.mesh()
+    f = np.sin(2 * x) * np.exp(y) + y**3
+    orders = (5, 0, 2, 3)
+    assert interior_norms(f, GRID, orders) == [
+        interior_norm(f, GRID, s) for s in orders]
 
 
 def test_interior_norm_unsupported_order():

@@ -1,11 +1,12 @@
-"""Mode-wise banded solver for strip elliptic and heat problems.
+"""Mode-wise strip solver for elliptic and heat problems.
 
 The implicit operators all take the form  c*u - Laplacian(u)  with
 constant c >= 0; per Fourier mode in x this is a one-dimensional
-two-point boundary-value problem in y solved with a pentadiagonal-capable
-banded factorization (the one-sided boundary rows touch three points).
-All modes are stacked into one block-banded system so a single LAPACK
-call handles a step or an iteration.
+two-point boundary-value problem in y.  Eliminating the two wall rows
+(whose one-sided stencils touch three points) leaves a tridiagonal system
+per mode, solved for all modes at once by cyclic reduction in numpy
+(Hockney, J. ACM 12, 1965; Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
+7, 1970); no LAPACK routine is involved.
 
 Variable-coefficient problems are reduced to this flat solve by a fixed
 point: the gauge-deviation part of the operator is lagged and iterated
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .numerics import (
     SECOND_DIFFERENCE,
@@ -33,7 +33,8 @@ from .operators import flat_laplacian, gauge_deviation
 
 
 class EllipticSolveError(NumericsError):
-    """Fixed-point iteration for a variable-coefficient solve diverged."""
+    """A strip factorization met a zero or non-finite pivot, or a
+    variable-coefficient fixed point diverged."""
 
 
 #: Boundary-row tags.
@@ -41,10 +42,14 @@ DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 ROBIN = "robin"
 
+#: Unknowns per mode at or below which cyclic reduction stops and the
+#: remaining system is inverted densely.
+_DENSE_BLOCK = 15
+
 
 @dataclass(frozen=True)
 class EdgeCondition:
-    """Boundary row specification for the banded solve.
+    """Boundary row specification for the strip solve.
 
     Dirichlet rows pin the edge value.  A Robin row (lower edge only)
     imposes  u + coef * u_y = value, a Neumann row (top edge only)  u_y =
@@ -57,7 +62,15 @@ class EdgeCondition:
 
 
 class StripSolver:
-    """Factory for repeated solves of  c*u - Lap(u) = f  on the strip."""
+    """Factory for repeated solves of  c*u - Lap(u) = f  on the strip.
+
+    Both wall values of each mode are eliminated into the adjacent interior
+    rows, which leaves one tridiagonal system per mode.  The constructor
+    runs cyclic reduction on the coefficients of all modes at once, padded
+    with identity rows to 2^p - 1 unknowns, down to a block small enough for
+    a batched dense inverse; ``solve_modes`` replays the reduction on the
+    right side and back-substitutes.
+    """
 
     def __init__(self, grid: Grid, c: float, bottom: EdgeCondition, top: EdgeCondition):
         if (bottom.kind not in (DIRICHLET, ROBIN)
@@ -68,49 +81,100 @@ class StripSolver:
         self.c = float(c)
         self.bottom = bottom
         self.top = top
-        self._assemble()
+        self._factor()
 
-    def _assemble(self) -> None:
+    def _factor(self) -> None:
         ny, hy = self.grid.ny, self.grid.hy
         k = wavenumbers(self.grid.nx)
-        # bands[2 - off][m, j]: coefficient of u[m, j + off] in row j of mode m
-        bands = np.zeros((5, len(k), ny))
+        n = ny - 2
         lo, mid, hi = SECOND_DIFFERENCE
-        bands[1, :, 1:-1] = -hi / hy**2
-        bands[2, :, 1:-1] = self.c - mid / hy**2 + k[:, None] ** 2
-        bands[3, :, 1:-1] = -lo / hy**2
-        bands[2, :, [0, -1]] = 1.0
-        if self.bottom.kind == ROBIN:
-            # u + coef * wall_slope(u)
-            s = self.bottom.coef / (2.0 * hy)
-            for off, w in enumerate(WALL_SLOPE):
-                bands[2 - off, :, 0] += w * s
-        if self.top.kind == NEUMANN:
-            # u_y with the wall stencil mirrored: negated weights, rows inward
-            s = 1.0 / (2.0 * hy)
-            for off, w in enumerate(WALL_SLOPE):
-                bands[2 + off, :, -1] = -w * s
-        # LAPACK gbtrf layout ab[kl + ku + i - j, j], with kl rows of fill on top
-        lab = np.zeros((7, bands[0].size))
-        for r in range(5):
-            lab[2 + r] = np.roll(bands[r].ravel(), 2 - r)
-        lu, piv, info = dgbtrf(lab, 2, 2)
-        if info != 0:
-            raise EllipticSolveError(f"banded factorization failed, info={info}")
-        self._lu = lu
-        self._piv = piv
+        sub, sup = -lo / hy**2, -hi / hy**2
+        # wall rows  e0*u_wall + e1*u_next + e2*u_next2 = data, solved for
+        # u_wall and substituted into the first and last interior rows
+        self._bottom_row = _wall_row(self.bottom, hy)
+        self._top_row = _wall_row(self.top, hy)
+        b0, b1, b2 = self._bottom_row
+        t0, t1, t2 = self._top_row
+        self._bottom_gain = sub / b0
+        self._top_gain = sup / t0
+        # a, b, c[j, m]: coefficients of u[j], u[j+1], u[j+2] in interior row
+        # j+1, padded to 2^p - 1 rows with decoupled identity rows.  Columns
+        # hold the modes, each twice: the coefficients are real, so the solve
+        # sweeps the real and imaginary parts of a right side as adjacent
+        # columns, and every sweep is row-wise over contiguous memory.
+        size = 2 ** n.bit_length() - 1
+        k2 = np.repeat(k**2, 2)
+        a = np.zeros((size, len(k2)))
+        b = np.ones((size, len(k2)))
+        c = np.zeros((size, len(k2)))
+        a[1:n] = sub
+        b[:n] = self.c - mid / hy**2 + k2
+        c[:n - 1] = sup
+        b[0] -= self._bottom_gain * b1
+        c[0] -= self._bottom_gain * b2
+        b[n - 1] -= self._top_gain * t1
+        a[n - 1] -= self._top_gain * t2
+        self._size = size
+        self._levels = []
+        while size > _DENSE_BLOCK:
+            # eliminate the even rows into the odd ones
+            ae, be, ce = a[0::2], b[0::2], c[0::2]
+            _check_pivots(be)
+            recip = 1.0 / be
+            alpha = -a[1::2] * recip[:-1]
+            gamma = -c[1::2] * recip[1:]
+            self._levels.append((alpha, gamma, recip, (ae * recip)[1:],
+                                 (ce * recip)[:-1]))
+            a, b, c = (alpha * ae[:-1],
+                       b[1::2] + alpha * ce[:-1] + gamma * ae[1:],
+                       gamma * ce[1:])
+            size = len(b)
+        # invert the remaining block by elimination on identity right sides:
+        # inv[i, j, m] is entry (i, j) of the inverse for column m
+        inv = np.zeros((size, size, len(k2)))
+        inv[np.arange(size), np.arange(size)] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(1, size):
+                w = a[i] / b[i - 1]
+                b[i] -= w * c[i - 1]
+                inv[i] -= w * inv[i - 1]
+            _check_pivots(b)
+            inv[-1] /= b[-1]
+            for i in range(size - 2, -1, -1):
+                inv[i] = (inv[i] - c[i] * inv[i + 1]) / b[i]
+        self._block_inv = inv
 
     def solve_modes(self, rhs_hat: np.ndarray, bottom_hat: np.ndarray, top_hat: np.ndarray) -> np.ndarray:
         """Solve with spectral right sides; boundary rows get the edge data."""
-        b = rhs_hat.copy()
-        b[:, 0] = bottom_hat
-        b[:, -1] = top_hat
-        flat = b.reshape(-1)
-        stacked = np.column_stack((flat.real, flat.imag))
-        sol, info = dgbtrs(self._lu, 2, 2, stacked, self._piv)
-        if info != 0:
-            raise EllipticSolveError(f"banded back-substitution failed, info={info}")
-        return (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs_hat.shape)
+        modes, ny = rhs_hat.shape
+        n = ny - 2
+        d = np.zeros((self._size, modes), dtype=complex)
+        d[:n] = rhs_hat[:, 1:-1].T
+        d[0] -= self._bottom_gain * bottom_hat
+        d[n - 1] -= self._top_gain * top_hat
+        d = d.view(float)
+        sides = []
+        for alpha, gamma, _, _, _ in self._levels:
+            sides.append(d)
+            d = d[1::2] + alpha * d[0:-1:2] + gamma * d[2::2]
+        x = np.einsum("ijm,jm->im", self._block_inv, d)
+        for (_, _, recip, a_ratio, c_ratio), d in zip(reversed(self._levels),
+                                                      reversed(sides)):
+            # the eliminated rows from the kept ones, then the kept rows
+            full = np.empty_like(d)
+            even = full[0::2]
+            np.multiply(d[0::2], recip, out=even)
+            even[1:] -= a_ratio * x
+            even[:-1] -= c_ratio * x
+            full[1::2] = x
+            x = full
+        u = np.empty((modes, ny), dtype=complex)
+        u[:, 1:-1] = x[:n].view(complex).T
+        b0, b1, b2 = self._bottom_row
+        t0, t1, t2 = self._top_row
+        u[:, 0] = (bottom_hat - b1 * u[:, 1] - b2 * u[:, 2]) / b0
+        u[:, -1] = (top_hat - t1 * u[:, -2] - t2 * u[:, -3]) / t0
+        return u
 
     def solve(self, rhs: np.ndarray, bottom: np.ndarray | None, top: np.ndarray | None) -> np.ndarray:
         """Solve with physical-space right sides; None edge data means zero."""
@@ -118,6 +182,25 @@ class StripSolver:
         bh = 0.0 if bottom is None else np.fft.rfft(bottom)
         th = 0.0 if top is None else np.fft.rfft(top)
         return np.fft.irfft(self.solve_modes(rh, bh, th), n=self.grid.nx, axis=0)
+
+
+def _wall_row(edge: EdgeCondition, hy: float) -> tuple:
+    # (e0, e1, e2) of  e0*u_wall + e1*u_next + e2*u_next2 = data
+    if edge.kind == DIRICHLET:
+        return (1.0, 0.0, 0.0)
+    if edge.kind == ROBIN:
+        # u + coef * wall_slope(u)
+        s = edge.coef / (2.0 * hy)
+        w0, w1, w2 = WALL_SLOPE
+        return (1.0 + w0 * s, w1 * s, w2 * s)
+    # u_y with the wall stencil mirrored: negated weights, rows inward
+    s = 1.0 / (2.0 * hy)
+    return tuple(-w * s for w in WALL_SLOPE)
+
+
+def _check_pivots(pivots: np.ndarray) -> None:
+    if not np.all(np.isfinite(pivots)) or np.any(pivots == 0.0):
+        raise EllipticSolveError("zero or non-finite pivot in the strip factorization")
 
 
 def solve_transformed_poisson(
@@ -140,7 +223,7 @@ def solve_transformed_poisson(
     solver = StripSolver(grid, 0.0, EdgeCondition(DIRICHLET), top)
     if top_values is None:
         top_values = np.zeros(grid.nx)
-    # the banded solver realizes c*u - Lap(u) = f, so the Poisson right side
+    # the strip solver realizes c*u - Lap(u) = f, so the Poisson right side
     # enters negated
     u = solver.solve(-rhs, bottom_values, top_values)
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(bottom_values))), 1.0)

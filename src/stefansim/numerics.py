@@ -141,10 +141,12 @@ def tangential_derivatives_upto(f: np.ndarray, orders, axis: int | None = None) 
     coef = np.fft.rfft(f, axis=ax)
     shape = [1] * f.ndim
     shape[ax] = -1
+    buf = np.empty_like(coef)
     out = []
     for order in orders:
         mult = _spectral_multiplier(nx, order)
-        out.append(np.fft.irfft(coef * mult.reshape(shape), n=nx, axis=ax))
+        np.multiply(coef, mult.reshape(shape), out=buf)
+        out.append(np.fft.irfft(buf, n=nx, axis=ax))
     return out
 
 

@@ -176,7 +176,23 @@ def test_commutator_ratio_uniform_over_widths():
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
-    # the quadrature behind the kernels loads on the first kernel build only
-    code = ("import sys, stefansim; "
-            "sys.exit('scipy.integrate' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    # the quadrature behind the kernels loads on the first kernel build
+    # only, and the strip solver is numpy: importing the package and running
+    # the classical and surface-tension modes load no scipy module at all
+    code = """
+import sys
+import stefansim
+from stefansim.harness import build_config, simulate
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()
+for extra in ({}, {"mode": "surface_tension", "sigma": 0.01}):
+    simulate(build_config({"grid.nx": 16, "grid.ny": 33, "t_end": 1e-3,
+                           "snapshot_every": 10, "data.h0_amplitude": 0.05,
+                           **extra}))
+assert not scipy_modules(), scipy_modules()
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -585,19 +585,24 @@ def mixed_cnorm(traj_a: Trajectory, traj_b: Trajectory) -> float:
     return best_q + best_h
 
 
-def dissipation_defect(grid: Grid, old, new, dt: float) -> tuple:
+def heat_content(grid: Grid, state) -> float:
+    """1/2 int q^2 J, the energy of the dissipation law."""
+    return 0.5 * integrate_interior(state.q**2 * state.bundle.jac, grid)
+
+
+def dissipation_defect(grid: Grid, heat_old: float, heat_new: float, new,
+                       dt: float) -> tuple:
     """``(t, defect)``: the energy dissipation law over one step, normalized.
 
     The law on the fixed strip reads  d/dt [1/2 int q^2 J] = -int |v|^2 J;
     both sides are evaluated on consecutive states with the run's own
     quadrature and velocity, so the defect isolates splitting and motion
-    errors.
+    errors.  ``heat_old`` and ``heat_new`` are the ``heat_content`` of the
+    state before the step and of ``new``; a run computes each once.
     """
-    a_old = 0.5 * integrate_interior(old.q**2 * old.bundle.jac, grid)
-    a_new = 0.5 * integrate_interior(new.q**2 * new.bundle.jac, grid)
     b_new = integrate_interior((new.v[0] ** 2 + new.v[1] ** 2) * new.bundle.jac, grid)
-    defect = (a_new - a_old) / dt + b_new
-    return (old.t + dt, defect / max(b_new, 1e-30))
+    defect = (heat_new - heat_old) / dt + b_new
+    return (new.t, defect / max(b_new, 1e-30))
 
 
 def dissipation_residual(traj: Trajectory) -> float:

@@ -176,12 +176,17 @@ class StripSolver:
         u[:, -1] = (top_hat - t1 * u[:, -2] - t2 * u[:, -3]) / t0
         return u
 
-    def solve(self, rhs: np.ndarray, bottom: np.ndarray | None, top: np.ndarray | None) -> np.ndarray:
-        """Solve with physical-space right sides; None edge data means zero."""
+    def solve_to_modes(self, rhs: np.ndarray, bottom: np.ndarray | None,
+                       top: np.ndarray | None) -> np.ndarray:
+        """The rfft modes in x of the solution for physical-space right sides."""
         rh = np.fft.rfft(rhs, axis=0)
         bh = 0.0 if bottom is None else np.fft.rfft(bottom)
         th = 0.0 if top is None else np.fft.rfft(top)
-        return np.fft.irfft(self.solve_modes(rh, bh, th), n=self.grid.nx, axis=0)
+        return self.solve_modes(rh, bh, th)
+
+    def solve(self, rhs: np.ndarray, bottom: np.ndarray | None, top: np.ndarray | None) -> np.ndarray:
+        """Solve with physical-space right sides; None edge data means zero."""
+        return np.fft.irfft(self.solve_to_modes(rhs, bottom, top), n=self.grid.nx, axis=0)
 
 
 def _wall_row(edge: EdgeCondition, hy: float) -> tuple:

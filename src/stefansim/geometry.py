@@ -23,6 +23,7 @@ import numpy as np
 from .numerics import (
     Grid,
     NumericsError,
+    field_and_slope,
     tangential_derivative,
     vertical_derivative,
     wavenumbers,
@@ -47,12 +48,16 @@ def graph_margin(h: np.ndarray) -> float:
     return float(np.max(dh * dh))
 
 
-def check_graph_condition(h: np.ndarray) -> None:
-    m = graph_margin(h)
+def _require_graph(dh: np.ndarray) -> None:
+    m = float(np.max(dh * dh))
     if m > GRAPH_BOUND:
         raise InvalidGeometryError(
             f"graph condition violated: sup|h'|^2 = {m:.3g} > {GRAPH_BOUND}"
         )
+
+
+def check_graph_condition(h: np.ndarray) -> None:
+    _require_graph(tangential_derivative(h))
 
 
 @lru_cache(maxsize=16)
@@ -61,6 +66,8 @@ def _extension_profiles(nx: int, ny: int) -> np.ndarray:
 
     Shape (nx//2 + 1, ny).  It depends only on the grid, so it is built once
     per (nx, ny) and returned read-only: every call shares the one array.
+    Row 0 is exactly 1 and the last row exactly 0, so the modes of the
+    extension's edge rows are the edge data's modes and zero.
     """
     y = Grid(nx, ny).ys[None, :]
     k = wavenumbers(nx)[:, None]
@@ -76,6 +83,11 @@ def _extension_profiles(nx: int, ny: int) -> np.ndarray:
     return prof
 
 
+def _extension_modes(grid: Grid, data: np.ndarray) -> np.ndarray:
+    # rfft modes in x of the extension, shape (nx//2 + 1, ny)
+    return np.fft.rfft(data)[:, None] * _extension_profiles(grid.nx, grid.ny)
+
+
 def extend_edge(grid: Grid, data: np.ndarray) -> np.ndarray:
     """Harmonic extension of any edge data (rates too): no graph-condition gate.
 
@@ -84,8 +96,7 @@ def extend_edge(grid: Grid, data: np.ndarray) -> np.ndarray:
     harmonic to machine precision on band-limited data and matches the
     edge rows exactly at the grid nodes.
     """
-    coef = np.fft.rfft(data)[:, None] * _extension_profiles(grid.nx, grid.ny)
-    phi = np.fft.irfft(coef, n=grid.nx, axis=0)
+    phi = np.fft.irfft(_extension_modes(grid, data), n=grid.nx, axis=0)
     phi[:, 0] = data
     phi[:, -1] = 0.0
     return phi
@@ -106,8 +117,9 @@ class MetricBundle:
     """Gauge map and every derived geometric quantity.
 
     Interior fields: ``phi`` (vertical map offset, (nx, ny)), ``jac`` (Jacobian
-    J = 1 + phi_y), and the two nonconstant inverse-gradient entries
-    ``a = -phi_x / J`` and ``c = 1 / J``.
+    J = 1 + phi_y), and ``ac``, the two nonconstant inverse-gradient entries
+    ``a = -phi_x / J`` and ``c = 1 / J`` stacked as (2, nx, ny); ``a`` and
+    ``c`` are views of it.
 
     Edge fields on the interface row: ``height``, ``dheight``, ``line_el``
     (sqrt(1 + h'^2)), unit ``normal`` and ``tangent``, ``jac_edge``.
@@ -118,8 +130,7 @@ class MetricBundle:
     grid: Grid
     phi: np.ndarray
     jac: np.ndarray
-    a: np.ndarray
-    c: np.ndarray
+    ac: np.ndarray
     height: np.ndarray
     dheight: np.ndarray
     line_el: np.ndarray
@@ -128,6 +139,14 @@ class MetricBundle:
     jac_edge: np.ndarray
     is_flat: bool = False
 
+    @property
+    def a(self) -> np.ndarray:
+        return self.ac[0]
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.ac[1]
+
     @cached_property
     def drift(self) -> np.ndarray:
         """First-order coefficient a_x + a a_y + c c_y of the gauge deviation.
@@ -135,21 +154,52 @@ class MetricBundle:
         It depends on the map alone, so the repeated deviations of one
         bundle (the fixed-point iterations of an elliptic solve) share it.
         """
-        a, c, hy = self.a, self.c, self.grid.hy
-        return (tangential_derivative(a) + a * vertical_derivative(a, hy, 1)
-                + c * vertical_derivative(c, hy, 1))
+        # (a_y, c_y) times (a, c) in one buffer, summed in the written order
+        terms = vertical_derivative(self.ac, self.grid.hy, 1)
+        terms *= self.ac
+        out = tangential_derivative(self.ac[0])
+        out += terms[0]
+        out += terms[1]
+        return out
 
 
 def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:
     """Build the full geometric bundle from the vertical map offset."""
-    jac = 1.0 + vertical_derivative(phi, grid.hy, 1)
+    return _assemble(grid, phi, tangential_derivative(phi))
+
+
+def gauge_bundle(grid: Grid, h: np.ndarray) -> MetricBundle:
+    """``metric_bundle(grid, harmonic_extend(grid, h))`` from one modal extension.
+
+    phi and phi_x come from one stacked inverse transform of the extension's
+    modes, so phi is never transformed back.  Row 0 of phi_x is the edge
+    slope h': the graph gate and the edge fields both read it.  Equal to the
+    two-call form up to rounding.
+    """
+    phi, phi_x = field_and_slope(_extension_modes(grid, h), grid.nx)
+    _require_graph(phi_x[:, 0])
+    # a copy, so that a snapshot of phi does not keep phi_x alive
+    phi = phi.copy()
+    phi[:, 0] = h
+    phi[:, -1] = 0.0
+    return _assemble(grid, phi, phi_x)
+
+
+def _assemble(grid: Grid, phi: np.ndarray, phi_x: np.ndarray) -> MetricBundle:
+    jac = vertical_derivative(phi, grid.hy, 1)
+    jac += 1.0
     if np.min(jac) <= 0.0:
         raise DegenerateMapError(
             f"Jacobian must stay positive, min = {np.min(jac):.3g}"
         )
 
+    # a = -phi_x / J and c = 1 / J, written into one buffer
+    ac = np.empty((2,) + phi.shape)
+    np.negative(np.divide(phi_x, jac, out=ac[0]), out=ac[0])
+    np.divide(1.0, jac, out=ac[1])
     height = phi[:, 0].copy()
-    dheight = tangential_derivative(height)
+    # row 0 of phi_x is the spectral derivative of the edge row
+    dheight = phi_x[:, 0].copy()
     line_el = np.sqrt(1.0 + dheight * dheight)
     normal = np.stack((dheight, -np.ones_like(dheight))) / line_el
     tangent = np.stack((np.ones_like(dheight), dheight)) / line_el
@@ -158,8 +208,7 @@ def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:
         grid=grid,
         phi=phi,
         jac=jac,
-        a=-tangential_derivative(phi) / jac,
-        c=1.0 / jac,
+        ac=ac,
         height=height,
         dheight=dheight,
         line_el=line_el,

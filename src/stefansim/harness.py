@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from numbers import Real
@@ -63,6 +62,7 @@ from .analysis import (
     Trajectory,
     dissipation_defect,
     energy_table,
+    heat_content,
     mixed_cnorm,
 )
 from . import _svg
@@ -298,16 +298,18 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
     margins = [state.margin]
     dissipation = []
     monitor = config.mode == CLASSICAL and config.source_q is None
+    heat = heat_content(config.grid, state) if monitor else None
     initial = initial_time_derivatives(state, config)
     status = STATUS_COMPLETED
     reason = ""
     flagged_at = None
     try:
         for n in range(1, n_steps + 1):
-            old, state = state, advance(state, config)
+            state = advance(state, config)
             if monitor:
-                dissipation.append(
-                    dissipation_defect(config.grid, old, state, config.dt))
+                heat_old, heat = heat, heat_content(config.grid, state)
+                dissipation.append(dissipation_defect(
+                    config.grid, heat_old, heat, state, config.dt))
             if n % cadence == 0:
                 times.append(state.t)
                 snaps.append(state.snapshot())
@@ -471,6 +473,9 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
 def _map_points(point, jobs, workers: int) -> list:
     """``point`` applied to every job, in a process pool when workers > 1."""
     if workers > 1:
+        # imported here, not at module import: only a parallel sweep uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(point, jobs))
     return [point(j) for j in jobs]

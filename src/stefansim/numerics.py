@@ -19,7 +19,7 @@ so the H^0 boundary norm differs from the plain L^2 integral by 1/sqrt(2pi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -102,7 +102,12 @@ def _x_axis(f: np.ndarray) -> int:
     return 0 if f.ndim == 1 else f.ndim - 2
 
 
+@lru_cache(maxsize=32)
 def _spectral_multiplier(nx: int, order: int) -> np.ndarray:
+    """(ik)^order over the rfft modes, Nyquist zeroed for odd orders.
+
+    Built once per (nx, order) and returned read-only: every call shares it.
+    """
     if order > nx // 2 - 2:
         raise ResolutionError(
             f"order {order} exceeds resolvable modes for nx={nx}"
@@ -110,6 +115,7 @@ def _spectral_multiplier(nx: int, order: int) -> np.ndarray:
     mult = (1j * wavenumbers(nx)) ** order
     if order % 2 == 1:
         mult[-1] = 0.0
+    mult.flags.writeable = False
     return mult
 
 
@@ -132,6 +138,20 @@ def tangential_derivative(f: np.ndarray, order: int = 1, axis: int | None = None
     shape[ax] = -1
     coef *= mult.reshape(shape)
     return np.fft.irfft(coef, n=nx, axis=ax)
+
+
+def field_and_slope(coef: np.ndarray, nx: int) -> np.ndarray:
+    """A field and its spectral x-derivative from its rfft modes (x on axis 0).
+
+    One batched inverse transform of the stacked modes (coef, ik coef);
+    returns shape (2, nx, ...).  The slope is the one ``tangential_derivative``
+    gives of the field, up to rounding.
+    """
+    mult = _spectral_multiplier(nx, 1).reshape((-1,) + (1,) * (coef.ndim - 1))
+    pair = np.empty((2,) + coef.shape, dtype=complex)
+    pair[0] = coef
+    np.multiply(coef, mult, out=pair[1])
+    return np.fft.irfft(pair, n=nx, axis=1)
 
 
 def tangential_derivatives_upto(f: np.ndarray, orders, axis: int | None = None) -> list:

@@ -26,8 +26,17 @@ def gradient(grid: Grid, q: np.ndarray) -> np.ndarray:
 
 
 def velocity_from_derivatives(a, c, qx, qy) -> np.ndarray:
-    """Pointwise -(q_x + a q_y, c q_y) from derivatives of q given at the nodes."""
-    return -np.stack((qx + a * qy, c * qy))
+    """Pointwise -(q_x + a q_y, c q_y) from derivatives of q given at the nodes.
+
+    The other arguments must broadcast to the shape of ``qy``.
+    """
+    # written into one buffer: a step's arrays outgrow the cache, so each
+    # temporary costs memory traffic
+    v = np.empty((2,) + np.shape(qy))
+    np.multiply(a, qy, out=v[0])
+    v[0] += qx
+    np.multiply(c, qy, out=v[1])
+    return np.negative(v, out=v)
 
 
 def compute_velocity(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
@@ -62,9 +71,21 @@ def transformed_laplacian_expanded(grid: Grid, bundle: MetricBundle, q: np.ndarr
 
 
 def deviation_from_derivatives(a, c, drift, qy, qyy, qxy) -> np.ndarray:
-    """Pointwise 2a q_xy + (a^2 + c^2 - 1) q_yy + drift q_y from given derivatives."""
-    out = 2.0 * a * qxy + (a * a + c * c - 1.0) * qyy
-    return out + drift * qy
+    """Pointwise 2a q_xy + (a^2 + c^2 - 1) q_yy + drift q_y from given derivatives.
+
+    The other arguments must broadcast to the shape of ``a``.
+    """
+    # in place to save temporaries, in the order of the formula, so the
+    # rounding is that of the written-out expression
+    out = 2.0 * a
+    out *= qxy
+    coef = a * a
+    coef += c * c
+    coef -= 1.0
+    coef *= qyy
+    out += coef
+    out += np.multiply(drift, qy, out=coef)
+    return out
 
 
 def gauge_deviation(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray | None:

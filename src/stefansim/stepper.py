@@ -10,6 +10,27 @@ sigma times the interface curvature (surface tension), and a penalized
 width^2-weighted Robin condition with consistency forcings (regularized
 mode).  A step computes no diagnostic: the run loop in ``harness`` applies
 the monitors of ``analysis`` to consecutive states.
+
+Data flow of one step, with the transforms it makes (x is spectral, y is
+finite-difference, and the two commute up to rounding):
+
+1. h_new from the old interface speed.  ``gauge_bundle`` forms the
+   extension's modes and inverts [phi_hat, ik phi_hat] in one transform:
+   phi, phi_x, and in row 0 the edge slope h' for the graph gate and the
+   edge fields.  One y-derivative gives J; the drift a_x + a a_y + c c_y
+   takes a forward/inverse pair for a_x and one y-derivative of (a, c).
+2. The explicit right side: the old q over dt, the gauge deviation of the
+   new map applied to the old q, the transport term and any forcing.  The
+   deviation reads the q_y and q_xy the previous step left in the state;
+   only q_yy is differentiated here.
+3. One forward transform of the right side, the per-mode strip solve
+   (``StripSolver.solve_to_modes``), and one inverse transform of
+   [q_hat, ik q_hat] for q and q_x.  One y-derivative of that pair gives
+   [q_y, q_xy]; q_x and q_y make the velocity, and q_y, q_xy go into the
+   new state for the next step.
+
+That is five two-dimensional FFT calls and four y-derivative calls per
+step, in every mode.
 """
 
 from __future__ import annotations
@@ -23,6 +44,7 @@ from .numerics import (
     ConfigurationError,
     Grid,
     NumericsError,
+    field_and_slope,
     tangential_derivative,
     time_derivative,
     vertical_derivative,
@@ -32,16 +54,15 @@ from .geometry import (
     MetricBundle,
     check_graph_condition,
     extend_edge,
-    harmonic_extend,
+    gauge_bundle,
     mean_curvature,
-    metric_bundle,
 )
 from .mollifier import smooth_double
 from .operators import (
-    compute_velocity,
-    gauge_deviation,
+    deviation_from_derivatives,
     gradient,
     transformed_laplacian_expanded,
+    velocity_from_derivatives,
 )
 from .elliptic import DIRICHLET, NEUMANN, ROBIN, EdgeCondition, StripSolver
 from .initdata import (
@@ -122,7 +143,11 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Immutable-by-convention snapshot of the coupled system."""
+    """Immutable-by-convention snapshot of the coupled system.
+
+    ``q_y`` and ``q_xy`` are derivatives of ``q`` that the next step's gauge
+    deviation reads; they are carried, not part of the snapshot.
+    """
 
     step: int
     t: float
@@ -132,6 +157,8 @@ class SolverState:
     v: np.ndarray
     w: np.ndarray
     margin: float
+    q_y: np.ndarray
+    q_xy: np.ndarray
     alpha: np.ndarray | None = None
     beta_poly: tuple | None = None
     flags: tuple = ()
@@ -202,27 +229,32 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     if config.mode == KAPPA:
         check_graph_condition(h_new)
 
-    phi_new = harmonic_extend(grid, _smoothed(h_new, config))
-    bundle_new = metric_bundle(grid, phi_new)
-    w_new = (phi_new - state.bundle.phi) / dt
+    bundle_new = gauge_bundle(grid, _smoothed(h_new, config))
+    w_new = bundle_new.phi - state.bundle.phi
+    w_new /= dt
 
     rhs = state.q / dt
-    deviation = gauge_deviation(grid, bundle_new, state.q)
-    if deviation is not None:
-        rhs = rhs + deviation
-    rhs = rhs - state.v[1] * w_new
+    if not bundle_new.is_flat:
+        # gauge deviation of the new map on the old q (zero on flat maps)
+        q_yy = vertical_derivative(state.q, grid.hy, 2)
+        rhs += deviation_from_derivatives(
+            bundle_new.a, bundle_new.c, bundle_new.drift, state.q_y, q_yy,
+            state.q_xy)
+    rhs -= state.v[1] * w_new
     if state.alpha is not None:
-        rhs = rhs + state.alpha
+        rhs += state.alpha
     if config.source_q is not None:
-        rhs = rhs + config.source_q(t_new)
+        rhs += config.source_q(t_new)
 
     bottom = _bottom_condition(config, state, bundle_new, h_new, t_new)
     solver = _heat_solver(config.nx, config.ny, dt, config.mode, config.kappa)
-    q_new = solver.solve(rhs, bottom, None)
-    if not np.all(np.isfinite(q_new)):
+    fields = field_and_slope(solver.solve_to_modes(rhs, bottom, None), grid.nx)
+    if not np.all(np.isfinite(fields[0])):
         raise StepDivergedError(f"non-finite temperature at t={t_new:.6g}")
-
-    v_new = compute_velocity(grid, bundle_new, q_new)
+    # a copy, so that a snapshot of q does not keep q_x alive
+    q_new = fields[0].copy()
+    q_y, q_xy = vertical_derivative(fields, grid.hy, 1)
+    v_new = velocity_from_derivatives(bundle_new.a, bundle_new.c, fields[1], q_y)
     margin = taylor_margin(grid, q_new)
     flags = state.flags
     # strictly negative: the all-zero rest state sits exactly at zero and
@@ -242,6 +274,8 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         v=v_new,
         w=w_new,
         margin=margin,
+        q_y=q_y,
+        q_xy=q_xy,
         alpha=state.alpha,
         beta_poly=state.beta_poly,
         flags=flags,
@@ -279,14 +313,16 @@ def _state_of(config: SolverConfig, q: np.ndarray, h: np.ndarray,
               alpha: np.ndarray | None = None) -> SolverState:
     """The t = 0 state of data (q, h): gauge map, velocities and margin."""
     grid = config.grid
-    bundle = metric_bundle(grid, harmonic_extend(grid, _smoothed(h, config)))
-    v = compute_velocity(grid, bundle, q)
+    bundle = gauge_bundle(grid, _smoothed(h, config))
+    q_x, q_y = gradient(grid, q)
+    v = velocity_from_derivatives(bundle.a, bundle.c, q_x, q_y)
     rate = height_rate(bundle, v)
     if config.source_h is not None:
         rate = rate + config.source_h(0.0)
     w = extend_edge(grid, _smoothed(rate, config))
     return SolverState(step=0, t=0.0, q=q, h=h, bundle=bundle, v=v, w=w,
-                       margin=taylor_margin(grid, q), alpha=alpha)
+                       margin=taylor_margin(grid, q), q_y=q_y,
+                       q_xy=tangential_derivative(q_y), alpha=alpha)
 
 
 def _alpha_forcing(grid, q0, h0, bundle_k):
@@ -297,7 +333,7 @@ def _alpha_forcing(grid, q0, h0, bundle_k):
     a^2 + c^2 = (1 + phi_x^2)/J^2 extends the edge metric g^2/J^2 into the
     strip.
     """
-    bundle0 = metric_bundle(grid, harmonic_extend(grid, h0))
+    bundle0 = gauge_bundle(grid, h0)
     q2 = vertical_derivative(q0, grid.hy, 1)
     return ((bundle0.a**2 + bundle0.c**2) - (bundle_k.a**2 + bundle_k.c**2)) * q2 * q2
 

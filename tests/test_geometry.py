@@ -192,3 +192,36 @@ def test_poisson_solve_with_cached_drift_matches_recomputed_drift(monkeypatch):
     assert np.array_equal(u, u_ref)
     assert resid == resid_ref
     assert its == its_ref
+
+
+def test_gauge_bundle_is_the_two_call_bundle():
+    from stefansim.geometry import gauge_bundle
+
+    h = 0.05 * np.cos(GRID.xs) + 0.01 * np.sin(3 * GRID.xs)
+    one = gauge_bundle(GRID, h)
+    two = metric_bundle(GRID, harmonic_extend(GRID, h))
+    # the edge fields come from the same edge slope, bit for bit
+    for name in ("phi", "jac", "height", "dheight", "line_el", "normal",
+                 "tangent", "jac_edge"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    # phi_x differs at rounding; the drift differentiates a in y, which
+    # scales that rounding by about 1/hy
+    for name, tol in (("a", 1e-14), ("c", 1e-14), ("drift", 1e-12)):
+        ref = getattr(two, name)
+        assert np.max(np.abs(getattr(one, name) - ref)) <= tol * np.max(np.abs(ref))
+    assert one.a.base is one.c.base is one.ac
+    assert one.phi.flags.owndata
+
+
+def test_gauge_bundle_gate_at_the_graph_bound():
+    from stefansim.geometry import GRAPH_BOUND, gauge_bundle, graph_margin
+
+    slope = np.sqrt(GRAPH_BOUND)
+    for scale, ok in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        h = scale * slope * np.sin(GRID.xs)
+        assert (graph_margin(h) <= GRAPH_BOUND) == ok
+        if ok:
+            gauge_bundle(GRID, h)
+        else:
+            with pytest.raises(InvalidGeometryError):
+                gauge_bundle(GRID, h)

@@ -464,3 +464,35 @@ def test_sweep_parallel_workers_match_serial():
     serial = sweep_sigma(config, ladder=[0.05, 0.0], workers=1)
     parallel = sweep_sigma(config, ladder=[0.05, 0.0], workers=2)
     assert serial.distances == parallel.distances
+
+
+def test_dissipation_series_is_the_two_state_formula():
+    # each heat content is computed once and carried to the next step; the
+    # series is bit for bit the formula evaluated on both states of a step
+    from stefansim.numerics import integrate_interior
+
+    config = build_config(_fast_settings(t_end=1e-4, snapshot_every=2,
+                                         **{"data.h0_amplitude": 0.05}))
+    traj = simulate(config)
+    grid, dt = config.grid, config.dt
+    old = stepper.init_state(config)
+    expected = []
+    for _ in range(config.n_steps):
+        new = stepper.advance(old, config)
+        a_old = 0.5 * integrate_interior(old.q**2 * old.bundle.jac, grid)
+        a_new = 0.5 * integrate_interior(new.q**2 * new.bundle.jac, grid)
+        b_new = integrate_interior((new.v[0] ** 2 + new.v[1] ** 2) * new.bundle.jac, grid)
+        expected.append((old.t + dt, ((a_new - a_old) / dt + b_new) / max(b_new, 1e-30)))
+        old = new
+    assert traj.dissipation == expected
+
+
+def test_package_import_leaves_process_pool_unloaded():
+    # only a sweep with workers > 1 imports the process pool
+    import subprocess
+    import sys
+
+    code = ("import sys, stefansim.cli, stefansim.harness; "
+            "assert 'concurrent.futures.process' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -216,3 +216,34 @@ def test_time_derivative_closed_form_oracle():
 def test_time_derivative_needs_history():
     with pytest.raises(NeedsMoreStepsError):
         time_derivative([0.0, 0.1], [np.zeros(2)] * 2, 1)
+
+
+def test_spectral_multiplier_cached_read_only():
+    from stefansim.numerics import _spectral_multiplier
+
+    mult = _spectral_multiplier(GRID.nx, 3)
+    assert _spectral_multiplier(GRID.nx, 3) is mult
+    with pytest.raises(ValueError):
+        mult[1] = 0.0
+    k = np.fft.rfftfreq(GRID.nx, d=1.0 / GRID.nx)
+    expected = (1j * k) ** 3
+    expected[-1] = 0.0
+    assert np.array_equal(mult, expected)
+    # the derivative still multiplies a fresh copy of the modes in place
+    f = np.sin(2 * GRID.xs) + 0.3 * np.cos(5 * GRID.xs)
+    first = tangential_derivative(f, 3)
+    assert np.array_equal(tangential_derivative(f, 3), first)
+    with pytest.raises(ResolutionError):
+        _spectral_multiplier(16, 7)
+
+
+def test_field_and_slope_matches_tangential_derivative():
+    from stefansim.numerics import field_and_slope
+
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((GRID.nx, GRID.ny))
+    pair = field_and_slope(np.fft.rfft(f, axis=0), GRID.nx)
+    assert pair.shape == (2, GRID.nx, GRID.ny)
+    assert np.max(np.abs(pair[0] - f)) <= 1e-14
+    ref = tangential_derivative(f)
+    assert np.max(np.abs(pair[1] - ref)) <= 1e-13 * np.max(np.abs(ref))

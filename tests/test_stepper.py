@@ -260,3 +260,90 @@ def test_kappa_mode_trace_small_and_beta_consistent():
     for _ in range(8):
         st = advance(st, cfg)
     assert np.max(np.abs(st.q[:, 0])) <= 1e-4
+
+
+def _curved_config(**kw):
+    return _short_config(data=DataSpec(alpha=1.0, h0_amplitude=0.05), **kw)
+
+
+def _relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_one_curved_step_transform_budget(monkeypatch):
+    import sys
+
+    from stefansim import numerics
+
+    cfg = _curved_config()
+    st = init_state(cfg)
+    counts = {"fft": 0, "dy": 0}
+
+    def counting(fn, key, counted=lambda f: True):
+        def wrapped(f, *args, **kwargs):
+            counts[key] += counted(f)
+            return fn(f, *args, **kwargs)
+        return wrapped
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "fft",
+                                                   lambda f: np.ndim(f) >= 2))
+    original = numerics.vertical_derivative
+    for key, module in list(sys.modules.items()):
+        if key.startswith("stefansim") and getattr(module, "vertical_derivative",
+                                                    None) is original:
+            monkeypatch.setattr(module, "vertical_derivative",
+                                counting(original, "dy"))
+    advance(st, cfg)
+    assert counts["fft"] <= 5
+    assert counts["dy"] <= 4
+
+
+def test_carried_derivatives_match_recomputed_ones():
+    from stefansim.operators import gradient
+
+    cfg = _curved_config()
+    st = advance(advance(init_state(cfg), cfg), cfg)
+    q_y = gradient(GRID, st.q)[1]
+    recomputed = replace(st, q_y=q_y, q_xy=gradient(GRID, q_y)[0])
+    a, b = advance(st, cfg), advance(recomputed, cfg)
+    for name in ("q", "v"):
+        assert _relative(a.snapshot()[name], b.snapshot()[name]) <= 1e-13
+
+
+def _two_call_step(state, cfg):
+    """The classical step as separate transforms: the deviation, the strip
+    solve and the velocity each from the temperature in physical space."""
+    from stefansim.elliptic import DIRICHLET, NEUMANN, EdgeCondition, StripSolver
+    from stefansim.operators import gauge_deviation
+
+    dt = cfg.dt
+    h = state.h + dt * height_rate(state.bundle, state.v)
+    phi = harmonic_extend(GRID, h)
+    bundle = metric_bundle(GRID, phi)
+    w = (phi - state.bundle.phi) / dt
+    rhs = state.q / dt + gauge_deviation(GRID, bundle, state.q) - state.v[1] * w
+    solver = StripSolver(GRID, 1.0 / dt, EdgeCondition(DIRICHLET),
+                         EdgeCondition(NEUMANN))
+    q = solver.solve(rhs, None, None)
+    return {"q": q, "h": h, "v": compute_velocity(GRID, bundle, q), "w": w,
+            "phi": phi}
+
+
+def test_step_matches_the_two_call_oracle():
+    cfg = _curved_config()
+    st = advance(init_state(cfg), cfg)
+    got = advance(st, cfg).snapshot()
+    for name, value in _two_call_step(st, cfg).items():
+        assert _relative(got[name], value) <= 1e-13, name
+
+
+@pytest.mark.parametrize("extra", [{}, {"mode": "surface_tension", "sigma": 0.01}])
+def test_snapshot_fields_own_their_memory(extra):
+    from stefansim.harness import simulate
+
+    traj = simulate(_curved_config(t_end=1e-4, snapshot_every=2, **extra))
+    assert len(traj.snaps) == 3
+    for snap in traj.snaps:
+        for name, value in snap.items():
+            assert value.flags.owndata, name

@@ -163,6 +163,25 @@ class MetricBundle:
         return out
 
 
+def inverse_gradient(phi_x: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """(a, c) = (-phi_x / J, 1 / J), stacked as (2, ...) in one buffer."""
+    ac = np.empty((2,) + np.shape(jac))
+    np.negative(np.divide(phi_x, jac, out=ac[0]), out=ac[0])
+    np.divide(1.0, jac, out=ac[1])
+    return ac
+
+
+def harmonic_drift(ac, jac, phi_xy, phi_yy) -> np.ndarray:
+    """The drift a_x + a a_y + c c_y from exact derivatives of a harmonic phi.
+
+    With phi_xx = -phi_yy: a_x = (phi_yy - a phi_xy) / J,
+    a_y = -(phi_xy + a phi_yy) / J and c_y = -c^2 phi_yy.
+    """
+    a, c = ac
+    return ((phi_yy - a * phi_xy) / jac - a * (phi_xy + a * phi_yy) / jac
+            - c * c * c * phi_yy)
+
+
 def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:
     """Build the full geometric bundle from the vertical map offset."""
     return _assemble(grid, phi, tangential_derivative(phi))
@@ -193,10 +212,7 @@ def _assemble(grid: Grid, phi: np.ndarray, phi_x: np.ndarray) -> MetricBundle:
             f"Jacobian must stay positive, min = {np.min(jac):.3g}"
         )
 
-    # a = -phi_x / J and c = 1 / J, written into one buffer
-    ac = np.empty((2,) + phi.shape)
-    np.negative(np.divide(phi_x, jac, out=ac[0]), out=ac[0])
-    np.divide(1.0, jac, out=ac[1])
+    ac = inverse_gradient(phi_x, jac)
     height = phi[:, 0].copy()
     # row 0 of phi_x is the spectral derivative of the edge row
     dheight = phi_x[:, 0].copy()

@@ -17,34 +17,23 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .numerics import (
-    ConfigurationError,
-    Grid,
-    tangential_derivative,
-    vertical_derivative,
-)
+from .numerics import ConfigurationError, Grid, integrate_interior
 from .geometry import (
     DegenerateMapError,
     InvalidGeometryError,
     check_graph_condition,
-    extend_edge,
-    identity_bundle,
-    metric_bundle,
+    harmonic_drift,
+    inverse_gradient,
 )
 from .elliptic import EllipticSolveError
 from .initdata import DataConstructionError, DataSpec, compat_residuals
-from .operators import (
-    deviation_from_derivatives,
-    flat_laplacian,
-    velocity_from_derivatives,
-)
+from .operators import deviation_from_derivatives, velocity_from_derivatives
 from .stepper import (
     CLASSICAL,
     KAPPA,
@@ -52,7 +41,6 @@ from .stepper import (
     SolverConfig,
     StepDivergedError,
     advance,
-    height_rate,
     init_state,
     initial_data,
     initial_time_derivatives,
@@ -608,32 +596,20 @@ class ManufacturedCase:
     """A manufactured (temperature, height) pair with matching sources.
 
     The fields satisfy the interface and top-wall conditions exactly, so
-    the pinned-temperature scheme needs no boundary sources; the interior
-    and height sources are evaluated on a refined grid and restricted to
-    the run grid.
+    the pinned-temperature scheme needs no boundary sources.  The interior
+    and height sources are the exact residuals of the fields, evaluated in
+    closed form at the run-grid nodes.
 
-    The sources rely on both fields being separable in t:
-    q = amp T(t) P(x, y) and h = S(t) cos x.  The harmonic extension is
-    linear, so the map offset is S(t) E and the map velocity R(t) E with
-    E the extension of cos x and R = S'; the velocity and the expanded
-    Laplacian are linear in q.  A field that is not separable in t would
-    need the direct evaluation again.
+    Both fields are separable in t: q = amp T(t) P(x, y) with
+    P = vert(y) (1 + cos(x) / 2), and h = S(t) cos x.  The harmonic
+    extension is linear, so the map offset is S(t) E and the map velocity
+    R(t) E, with E = cos x sinh(1 - y) / sinh 1 and R = S'.
 
-    Precomputed once (``_separable_factors``): P, its flat Laplacian and
-    the derivatives P_x, P_y, P_yy, P_xy, taken on the fine grid and kept at
-    the run-grid nodes, plus E and the interface rows of P_x and P_y on the
-    fine grid.  Per time level: one fine-grid metric bundle of
-    S(t) E and its drift a_x + a a_y + c c_y (a flat case has S = 0, so
-    one identity bundle serves every level); then a, c and the drift are
-    restricted, and the velocity, the gauge deviation, the Laplacian and
-    ``source_q`` are formed at the run-grid nodes only.  The height source
-    uses the interface row of the fine bundle and velocity.
-
-    Restricting first is exact: every derivative is taken on the fine grid
-    before restriction, and everything after it is pointwise arithmetic,
-    which gives the same floating-point result at a node whether or not the
-    other nodes are computed.  The sources are therefore bitwise equal to
-    forming everything on the fine grid and restricting at the end.
+    Built once (``_separable_factors``): P, P_x, P_y, P_yy, P_xy, the flat
+    Laplacian P_xx + P_yy, and E_x, E_y, E_xy and E (= E_yy).  Per time
+    level, pointwise arithmetic only: J, a and c of the map and its drift
+    (``geometry.inverse_gradient``, ``geometry.harmonic_drift``), then the
+    velocity, the gauge deviation (none when S = 0) and the sources.
     """
 
     def __init__(self, grid: Grid, flat: bool = True, amp: float = 0.05,
@@ -642,22 +618,26 @@ class ManufacturedCase:
         self.flat = flat
         self.amp = amp
         self.rate = rate
-        self.fine = grid.refined()
         # the time-independent factors of the sources, built on first use
         self._factors = None
-        # (t, restricted source_q, restricted source_h) of the last level:
-        # the stepper asks for source_q(t) in one step and source_h(t) in
-        # the next
+        # (t, source_q, source_h) of the last level: the stepper asks for
+        # source_q(t) in one step and source_h(t) in the next
         self._level = None
 
     # the vertical factor vanishes at the interface and has zero slope at
     # the top wall; the flat case uses the quadratic the stencils reproduce
     # exactly (isolating the time error), the curved case a sine with
     # genuine fourth-derivative content (isolating the space error)
+    def _vertical(self, y):
+        """vert(y) and its first two derivatives."""
+        if self.flat:
+            return y - 0.5 * y * y, 1.0 - y, np.full_like(y, -1.0)
+        k = 0.5 * np.pi
+        return np.sin(k * y), k * np.cos(k * y), -k * k * np.sin(k * y)
+
     def _profile(self, grid: Grid):
         x, y = grid.mesh()
-        vert = (y - 0.5 * y * y) if self.flat else np.sin(0.5 * np.pi * y)
-        return vert * (1.0 + 0.5 * np.cos(x))
+        return self._vertical(y)[0] * (1.0 + 0.5 * np.cos(x))
 
     def _tfac(self, t: float) -> float:
         return 1.0 + 0.5 * np.sin(self.rate * t)
@@ -688,59 +668,48 @@ class ManufacturedCase:
 
     def _separable_factors(self):
         if self._factors is None:
-            fine = self.fine
-            prof = self._profile(fine)
-            px = tangential_derivative(prof)
-            py = vertical_derivative(prof, fine.hy, 1)
-            # sup|(cos x)'|^2 = 1 exceeds the graph bound; the gate is applied
-            # to h(t) itself in _sources
-            ext = extend_edge(fine, np.cos(fine.xs))
-            coarse = [f[::2, ::2].copy() for f in (
-                prof, flat_laplacian(fine, prof), px, py,
-                vertical_derivative(prof, fine.hy, 2), tangential_derivative(py),
-            )]
-            self._factors = (ext, *coarse, px[:, :1].copy(), py[:, :1].copy())
+            x, y = self.grid.mesh()
+            vert, dvert, d2vert = self._vertical(y)
+            horiz, dhoriz = 1.0 + 0.5 * np.cos(x), -0.5 * np.sin(x)
+            prof = vert * horiz
+            lap_flat = vert * (-0.5 * np.cos(x)) + d2vert * horiz
+            decay = np.sinh(1.0 - y) / np.sinh(1.0)
+            ddecay = -np.cosh(1.0 - y) / np.sinh(1.0)
+            ext = np.cos(x) * decay
+            self._factors = (
+                prof, lap_flat, vert * dhoriz, dvert * horiz, d2vert * horiz,
+                dvert * dhoriz, ext, -np.sin(x) * decay, np.cos(x) * ddecay,
+                -np.sin(x) * ddecay,
+            )
         return self._factors
 
     def _sources(self, t: float):
-        """Restricted (source_q, source_h) at time t from one fine-grid bundle."""
+        """(source_q, source_h) at time t, cached for one level."""
         if self._level is not None and self._level[0] == t:
-            return self._level[1:3]
-        fine = self.fine
-        ext, prof, lap_flat, px, py, pyy, pxy, edge_px, edge_py = \
+            return self._level[1:]
+        prof, lap_flat, px, py, pyy, pxy, ext, ext_x, ext_y, ext_xy = \
             self._separable_factors()
-        if self.flat:
-            bundle = self._flat_bundle
+        hfac = self._hfac(t)
+        if hfac:
+            check_graph_condition(self.height(self.grid, t))
+            jac = 1.0 + hfac * ext_y
+            a, c = ac = inverse_gradient(hfac * ext_x, jac)
+            drift = harmonic_drift(ac, jac, hfac * ext_xy, hfac * ext)
+            lap = lap_flat + deviation_from_derivatives(a, c, drift, py, pyy,
+                                                        pxy)
         else:
-            h = self.height(fine, t)
-            check_graph_condition(h)
-            phi = self._hfac(t) * ext
-            phi[:, 0] = h
-            bundle = metric_bundle(fine, phi)
-        a, c = bundle.a[::2, ::2], bundle.c[::2, ::2]
+            # the identity map: a = 0, c = 1 and no gauge deviation
+            a, c, lap = 0.0, 1.0, lap_flat
         scale = self.amp * self._tfac(t)
         v = scale * velocity_from_derivatives(a, c, px, py)
-        lap = lap_flat
-        if not bundle.is_flat:
-            lap = lap + deviation_from_derivatives(
-                a, c, bundle.drift[::2, ::2], py, pyy, pxy)
-        w = self._dhfac(t) * ext[::2, ::2]
+        w = self._dhfac(t) * ext
         src_q = self.amp * self._dtfac(t) * prof - scale * lap + v[1] * w
-        # height_rate reads the edge traces of the fine bundle
-        edge_v = scale * velocity_from_derivatives(
-            bundle.a[:, :1], bundle.c[:, :1], edge_px, edge_py)
-        src_h = self.height_rate_exact(fine, t) - height_rate(bundle, edge_v)
-        # the fine bundle stays referenced until the next level's is built:
-        # released first, its arrays would end at the top of the heap, which
-        # glibc returns to the system, and the next level would fault them in
-        # again (about 430 more minor faults per step at 64 x 129)
-        self._level = (t, src_q, src_h[::2].copy(), bundle)
-        return self._level[1:3]
-
-    @cached_property
-    def _flat_bundle(self):
-        # S = 0 keeps a flat case's map at zero on every level
-        return identity_bundle(self.fine)
+        # height law h_t = g (v . n) = v0 h' - v1 on the interface row
+        dheight = hfac * ext_x[:, 0]
+        src_h = (self.height_rate_exact(self.grid, t)
+                 - (v[0, :, 0] * dheight - v[1, :, 0]))
+        self._level = (t, src_q, src_h)
+        return self._level[1:]
 
     def source_q(self, t: float):
         return self._sources(t)[0].copy()
@@ -764,8 +733,6 @@ class ManufacturedCase:
         for _ in range(cfg.n_steps):
             state = advance(state, cfg)
         dq = state.q - case.temperature(grid, cfg.t_end)
-        from .numerics import integrate_interior
-
         return float(np.sqrt(integrate_interior(dq * dq, grid)))
 
 

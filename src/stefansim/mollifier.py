@@ -32,11 +32,15 @@ from .numerics import (
 KERNEL_SAMPLES = 257
 
 
-def _simpson(*args, **kwargs):
-    # scipy.integrate is most of the package's import time and only the
-    # regularized mode builds kernels, so it loads on the first build
-    from scipy.integrate import simpson
-    return simpson(*args, **kwargs)
+def _simpson(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson rule along the last axis of f, sampled at x.
+
+    x holds an odd number of equally spaced points.
+    """
+    weights = np.full(x.size, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    return np.sum(f * weights, axis=-1) * ((x[-1] - x[0]) / (3 * (x.size - 1)))
 
 
 def bump(u: np.ndarray) -> np.ndarray:
@@ -63,19 +67,24 @@ class Kernel:
             raise ConfigurationError("kernel width must be positive")
         if samples < 64:
             raise ConfigurationError("kernel must be sampled at >= 64 points")
-        offsets = np.linspace(-width, width, samples)
-        values = bump(offsets / width) / width
-        mass = _simpson(values, x=offsets)
+        if samples % 2 == 0:
+            raise ConfigurationError("Simpson's rule needs an odd sample count")
+        # the samples of [-1, 1] mirror each other bit for bit, so the
+        # kernel is exactly even (linspace alone is off by a few ulps)
+        u = np.linspace(-1.0, 1.0, samples)
+        u = 0.5 * (u - u[::-1])
+        offsets = width * u
+        values = bump(u) / width
+        mass = _simpson(values, offsets)
         return cls(width=width, offsets=offsets, values=values / mass)
 
     def mass(self) -> float:
-        return float(_simpson(self.values, x=self.offsets))
+        return float(_simpson(self.values, self.offsets))
 
     def transform(self, k: np.ndarray) -> np.ndarray:
         """Fourier symbol c(k) = integral rho_width(s) cos(ks) ds, |c| <= 1."""
-        c = _simpson(self.values[None, :] * np.cos(np.outer(k, self.offsets)),
-                     x=self.offsets, axis=1)
-        return c
+        return _simpson(self.values * np.cos(np.outer(k, self.offsets)),
+                        self.offsets)
 
 
 @lru_cache(maxsize=64)
@@ -136,8 +145,8 @@ def _planar_rows(width: float, nx: int, hy: float):
             continue
         s = np.linspace(-half, half, KERNEL_SAMPLES)
         vals = bump(np.sqrt(s * s + u * u) / width)
-        symbols.append(_simpson(vals[None, :] * np.cos(np.outer(k, s)), x=s, axis=1))
-        masses.append(_simpson(vals, x=s))
+        symbols.append(_simpson(vals * np.cos(np.outer(k, s)), s))
+        masses.append(_simpson(vals, s))
     total = float(np.sum(masses)) * hy
     symbols = np.array(symbols) * hy / total
     return layers, symbols

@@ -81,10 +81,6 @@ class Grid:
         """Broadcastable (x, y) coordinate arrays of shape (nx, 1), (1, ny)."""
         return self.xs[:, None], self.ys[None, :]
 
-    def refined(self) -> "Grid":
-        """Grid with both spacings halved; coarse nodes are a subset."""
-        return Grid(2 * self.nx, 2 * self.ny - 1)
-
 
 def wavenumbers(nx: int) -> np.ndarray:
     """Integer wavenumbers 0..nx/2 matching numpy's rfft layout."""

@@ -7,7 +7,7 @@ used as the implicit part of the splitting, and the gauge curl.  All of
 them use the graph-gauge inverse-gradient entries ``a`` and ``c`` of the
 metric bundle.  The velocity and deviation formulas are also exposed as
 pointwise kernels on given derivatives, for callers that hold those
-already (the manufactured sources restricted to coarse nodes).
+already (the step, and the manufactured sources in closed form).
 """
 
 from __future__ import annotations

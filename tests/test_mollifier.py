@@ -35,6 +35,9 @@ def test_kernel_mass_evenness_support():
 def test_kernel_too_few_samples_rejected():
     with pytest.raises(ConfigurationError):
         Kernel.build(0.1, samples=32)
+    # Simpson's rule pairs the sample intervals
+    with pytest.raises(ConfigurationError):
+        Kernel.build(0.1, samples=256)
 
 
 def test_constants_preserved():
@@ -176,9 +179,8 @@ def test_commutator_ratio_uniform_over_widths():
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
-    # the quadrature behind the kernels loads on the first kernel build
-    # only, and the strip solver is numpy: importing the package and running
-    # the classical and surface-tension modes load no scipy module at all
+    # the strip solver is numpy and the kernels integrate by a numpy Simpson
+    # rule: importing the package and running each mode load no scipy module
     code = """
 import sys
 import stefansim
@@ -188,10 +190,12 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 assert not scipy_modules(), scipy_modules()
-for extra in ({}, {"mode": "surface_tension", "sigma": 0.01}):
-    simulate(build_config({"grid.nx": 16, "grid.ny": 33, "t_end": 1e-3,
-                           "snapshot_every": 10, "data.h0_amplitude": 0.05,
-                           **extra}))
+for extra in ({}, {"mode": "surface_tension", "sigma": 0.01},
+              {"mode": "kappa", "kappa": 0.05}):
+    traj = simulate(build_config({"grid.nx": 16, "grid.ny": 33, "t_end": 1e-3,
+                                  "snapshot_every": 10, "data.h0_amplitude": 0.05,
+                                  **extra}))
+    assert traj.status == "completed", (extra, traj.status)
 assert not scipy_modules(), scipy_modules()
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -106,7 +106,7 @@ def test_transformed_laplacian_mms_order():
     # away from the walls (the boundary rows carry lower-order coefficient
     # truncation that the solve does not inherit)
     def residual(grid):
-        fine = grid.refined()
+        fine = Grid(2 * grid.nx, 2 * grid.ny - 1)
         hf = 0.06 * np.cos(fine.xs)
         bf = metric_bundle(fine, harmonic_extend(fine, hf))
         xf, yf = fine.mesh()

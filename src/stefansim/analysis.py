@@ -17,7 +17,7 @@ flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,7 +77,10 @@ class Trajectory:
     def bundle_at(self, idx: int):
         idx = idx % len(self.times)
         if idx not in self._bundles:
-            self._bundles[idx] = metric_bundle(self.grid, self.snaps[idx]["phi"])
+            # row 0 of the stored phi is the (smoothed) height the step used;
+            # the rebuild reproduces phi bitwise, so the bundle shares the array
+            phi = self.snaps[idx]["phi"]
+            self._bundles[idx] = replace(metric_bundle(self.grid, phi[:, 0]), phi=phi)
         return self._bundles[idx]
 
     def rates(self) -> list:

@@ -4,7 +4,9 @@ The interface is the graph ``y = h(x)`` over the lower edge of the
 reference strip.  The strip is mapped onto the physical liquid domain by
 the harmonic extension of the boundary data ``(x, h(x))`` with the top
 edge pinned to the identity.  Everything downstream (Jacobian, inverse
-gradient, edge metric, normals) derives from that map.
+gradient, edge metric, normals) derives from that map, and one builder,
+``metric_bundle(grid, h)``, forms all of it from the edge height: the
+step, the data and the analysis share it.
 
 Graph gauge: the map is ``Id + (0, phi)`` because the horizontal edge
 data are the identity, so its gradient is ``[[1, 0], [phi_x, J]]`` with
@@ -40,12 +42,6 @@ class DegenerateMapError(NumericsError):
 
 #: Squared-slope bound below which the interface is treated as a graph.
 GRAPH_BOUND = 0.5
-
-
-def graph_margin(h: np.ndarray) -> float:
-    """sup |h'|^2; the graph condition requires this <= GRAPH_BOUND."""
-    dh = tangential_derivative(h)
-    return float(np.max(dh * dh))
 
 
 def _require_graph(dh: np.ndarray) -> None:
@@ -182,18 +178,13 @@ def harmonic_drift(ac, jac, phi_xy, phi_yy) -> np.ndarray:
             - c * c * c * phi_yy)
 
 
-def metric_bundle(grid: Grid, phi: np.ndarray) -> MetricBundle:
-    """Build the full geometric bundle from the vertical map offset."""
-    return _assemble(grid, phi, tangential_derivative(phi))
-
-
-def gauge_bundle(grid: Grid, h: np.ndarray) -> MetricBundle:
-    """``metric_bundle(grid, harmonic_extend(grid, h))`` from one modal extension.
+def metric_bundle(grid: Grid, h: np.ndarray) -> MetricBundle:
+    """The bundle of the gauge map whose edge height is ``h``.
 
     phi and phi_x come from one stacked inverse transform of the extension's
     modes, so phi is never transformed back.  Row 0 of phi_x is the edge
-    slope h': the graph gate and the edge fields both read it.  Equal to the
-    two-call form up to rounding.
+    slope h': the graph gate and the edge fields both read it.  J takes one
+    y-derivative of phi.
     """
     phi, phi_x = field_and_slope(_extension_modes(grid, h), grid.nx)
     _require_graph(phi_x[:, 0])
@@ -201,10 +192,6 @@ def gauge_bundle(grid: Grid, h: np.ndarray) -> MetricBundle:
     phi = phi.copy()
     phi[:, 0] = h
     phi[:, -1] = 0.0
-    return _assemble(grid, phi, phi_x)
-
-
-def _assemble(grid: Grid, phi: np.ndarray, phi_x: np.ndarray) -> MetricBundle:
     jac = vertical_derivative(phi, grid.hy, 1)
     jac += 1.0
     if np.min(jac) <= 0.0:
@@ -214,7 +201,6 @@ def _assemble(grid: Grid, phi: np.ndarray, phi_x: np.ndarray) -> MetricBundle:
 
     ac = inverse_gradient(phi_x, jac)
     height = phi[:, 0].copy()
-    # row 0 of phi_x is the spectral derivative of the edge row
     dheight = phi_x[:, 0].copy()
     line_el = np.sqrt(1.0 + dheight * dheight)
     normal = np.stack((dheight, -np.ones_like(dheight))) / line_el
@@ -237,7 +223,7 @@ def _assemble(grid: Grid, phi: np.ndarray, phi_x: np.ndarray) -> MetricBundle:
 
 def identity_bundle(grid: Grid) -> MetricBundle:
     """Bundle of the identity map (flat interface)."""
-    return metric_bundle(grid, np.zeros((grid.nx, grid.ny)))
+    return metric_bundle(grid, np.zeros(grid.nx))
 
 
 def mean_curvature(h: np.ndarray) -> np.ndarray:

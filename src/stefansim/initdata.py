@@ -24,7 +24,7 @@ from .numerics import (
     edge_derivative,
     tangential_derivative,
 )
-from .geometry import MetricBundle, gauge_bundle, mean_curvature
+from .geometry import MetricBundle, mean_curvature, metric_bundle
 from .mollifier import smooth_2d, smooth_double
 from .elliptic import DIRICHLET, NEUMANN, EdgeCondition, solve_transformed_poisson
 from .operators import transformed_laplacian_expanded
@@ -274,9 +274,9 @@ def build_regularized_datum(
     """
     if not 0.0 < width <= 0.2:
         raise ConfigurationError("regularization width must lie in (0, 0.2]")
-    bundle0 = gauge_bundle(grid, h0)
+    bundle0 = metric_bundle(grid, h0)
     h_smooth = smooth_double(h0, width)
-    bundle_k = gauge_bundle(grid, h_smooth)
+    bundle_k = metric_bundle(grid, h_smooth)
 
     lap_q0 = transformed_laplacian_expanded(grid, bundle0, q0)
     source = smooth_2d(transformed_laplacian_expanded(grid, bundle0, lap_q0), width, grid)
@@ -309,7 +309,7 @@ def compat_residuals(
     with the unsquared variant recorded alongside.
     """
     if bundle is None:
-        bundle = gauge_bundle(grid, h0)
+        bundle = metric_bundle(grid, h0)
     curv = mean_curvature(h0)
     r_dir = float(np.max(np.abs(q0[:, 0] - sigma * curv)))
 

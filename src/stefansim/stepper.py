@@ -14,7 +14,7 @@ the monitors of ``analysis`` to consecutive states.
 Data flow of one step, with the transforms it makes (x is spectral, y is
 finite-difference, and the two commute up to rounding):
 
-1. h_new from the old interface speed.  ``gauge_bundle`` forms the
+1. h_new from the old interface speed.  ``metric_bundle`` forms the
    extension's modes and inverts [phi_hat, ik phi_hat] in one transform:
    phi, phi_x, and in row 0 the edge slope h' for the graph gate and the
    edge fields.  One y-derivative gives J; the drift a_x + a a_y + c c_y
@@ -36,7 +36,7 @@ step, in every mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +54,8 @@ from .geometry import (
     MetricBundle,
     check_graph_condition,
     extend_edge,
-    gauge_bundle,
     mean_curvature,
+    metric_bundle,
 )
 from .mollifier import smooth_double
 from .operators import (
@@ -133,6 +133,17 @@ class SolverConfig:
         # built once per config; replace() makes a new config with its own
         return Grid(self.nx, self.ny)
 
+    @cached_property
+    def heat_solver(self) -> StripSolver:
+        """The factored implicit heat solve, built once per config."""
+        if self.mode == KAPPA:
+            # penalized interface condition q - kappa^2 q_y = kappa^2 (beta + corr);
+            # the sign is the one the weak form dictates (dissipative penalty)
+            bottom = EdgeCondition(ROBIN, coef=-self.kappa**2)
+        else:
+            bottom = EdgeCondition(DIRICHLET)
+        return StripSolver(self.grid, 1.0 / self.dt, bottom, EdgeCondition(NEUMANN))
+
     @property
     def n_steps(self) -> int:
         n = round(self.t_end / self.dt)
@@ -186,17 +197,6 @@ def _smoothed(edge: np.ndarray, config: SolverConfig) -> np.ndarray:
     return edge
 
 
-@lru_cache(maxsize=16)
-def _heat_solver(nx: int, ny: int, dt: float, mode: str, kappa: float) -> StripSolver:
-    if mode == KAPPA:
-        # penalized interface condition q - kappa^2 q_y = kappa^2 (beta + corr);
-        # the sign is the one the weak form dictates (dissipative penalty)
-        bottom = EdgeCondition(ROBIN, coef=-kappa**2)
-    else:
-        bottom = EdgeCondition(DIRICHLET)
-    return StripSolver(Grid(nx, ny), 1.0 / dt, bottom, EdgeCondition(NEUMANN))
-
-
 def _bottom_condition(config: SolverConfig, state: SolverState,
                       bundle_new: MetricBundle, h_new: np.ndarray,
                       t_new: float) -> np.ndarray:
@@ -229,7 +229,7 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     if config.mode == KAPPA:
         check_graph_condition(h_new)
 
-    bundle_new = gauge_bundle(grid, _smoothed(h_new, config))
+    bundle_new = metric_bundle(grid, _smoothed(h_new, config))
     w_new = bundle_new.phi - state.bundle.phi
     w_new /= dt
 
@@ -247,8 +247,8 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         rhs += config.source_q(t_new)
 
     bottom = _bottom_condition(config, state, bundle_new, h_new, t_new)
-    solver = _heat_solver(config.nx, config.ny, dt, config.mode, config.kappa)
-    fields = field_and_slope(solver.solve_to_modes(rhs, bottom, None), grid.nx)
+    modes = config.heat_solver.solve_to_modes(rhs, bottom, None)
+    fields = field_and_slope(modes, grid.nx)
     if not np.all(np.isfinite(fields[0])):
         raise StepDivergedError(f"non-finite temperature at t={t_new:.6g}")
     # a copy, so that a snapshot of q does not keep q_x alive
@@ -313,7 +313,7 @@ def _state_of(config: SolverConfig, q: np.ndarray, h: np.ndarray,
               alpha: np.ndarray | None = None) -> SolverState:
     """The t = 0 state of data (q, h): gauge map, velocities and margin."""
     grid = config.grid
-    bundle = gauge_bundle(grid, _smoothed(h, config))
+    bundle = metric_bundle(grid, _smoothed(h, config))
     q_x, q_y = gradient(grid, q)
     v = velocity_from_derivatives(bundle.a, bundle.c, q_x, q_y)
     rate = height_rate(bundle, v)
@@ -333,7 +333,7 @@ def _alpha_forcing(grid, q0, h0, bundle_k):
     a^2 + c^2 = (1 + phi_x^2)/J^2 extends the edge metric g^2/J^2 into the
     strip.
     """
-    bundle0 = gauge_bundle(grid, h0)
+    bundle0 = metric_bundle(grid, h0)
     q2 = vertical_derivative(q0, grid.hy, 1)
     return ((bundle0.a**2 + bundle0.c**2) - (bundle_k.a**2 + bundle_k.c**2)) * q2 * q2
 

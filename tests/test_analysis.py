@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stefansim.numerics import Grid, boundary_norm, interior_norm
-from stefansim.geometry import harmonic_extend, metric_bundle
+from stefansim.geometry import metric_bundle
 from stefansim.operators import compute_velocity
 from stefansim.initdata import DataSpec, taylor_margin
 from stefansim.stepper import SolverConfig
@@ -34,8 +34,8 @@ def _zero_derivs(grid):
 
 def _static_trajectory(config, q, h, n_snaps=5):
     grid = config.grid
-    phi = harmonic_extend(grid, h)
-    bundle = metric_bundle(grid, phi)
+    bundle = metric_bundle(grid, h)
+    phi = bundle.phi
     v = compute_velocity(grid, bundle, q)
     w = np.zeros_like(phi)
     dt = config.dt * config.snapshot_every
@@ -248,3 +248,20 @@ def test_interface_speed_records_present():
     assert rep.interface_speed_mean == rep.interface_speed_mean
     assert rep.interface_flux_mean == rep.interface_flux_mean
     assert np.sign(rep.interface_speed_mean) == np.sign(rep.interface_flux_mean)
+
+
+def test_bundle_at_rebuilds_the_map_of_the_step():
+    # in kappa mode the map extends the smoothed height while the snapshot
+    # keeps the raw one; the analysis must rebuild the map the step used
+    cfg = SolverConfig(mode="kappa", kappa=0.05, t_end=5e-4, snapshot_every=10,
+                       data=DataSpec(alpha=1.0, h0_amplitude=0.05))
+    traj = simulate(cfg)
+    assert len(traj) == 3
+    for i, snap in enumerate(traj.snaps):
+        bundle = traj.bundle_at(i)
+        # the bundle keeps the stored map, which the rebuild reproduces
+        assert bundle.phi is snap["phi"]
+        assert np.array_equal(metric_bundle(cfg.grid, snap["phi"][:, 0]).phi,
+                              snap["phi"])
+        assert np.array_equal(bundle.height, snap["phi"][:, 0])
+        assert not np.array_equal(bundle.height, snap["h"])

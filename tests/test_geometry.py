@@ -16,6 +16,7 @@ from stefansim.numerics import (
 )
 from stefansim.elliptic import NEUMANN, EdgeCondition, solve_transformed_poisson
 from stefansim.geometry import (
+    GRAPH_BOUND,
     InvalidGeometryError,
     _extension_profiles,
     extend_edge,
@@ -89,7 +90,7 @@ def test_bundle_flat_reference_values():
 
 def test_bundle_invariants_curved():
     h = 0.1 * np.cos(GRID.xs)
-    b = metric_bundle(GRID, harmonic_extend(GRID, h))
+    b = metric_bundle(GRID, h)
     assert np.min(b.jac) > 0.0
     mag_n = np.hypot(b.normal[0], b.normal[1])
     mag_t = np.hypot(b.tangent[0], b.tangent[1])
@@ -101,13 +102,17 @@ def test_bundle_invariants_curved():
     assert b.line_el[0] == pytest.approx(1.0, abs=1e-12)
     idx = GRID.nx // 4
     assert b.line_el[idx] == pytest.approx(np.sqrt(1.0 + 0.01), abs=1e-10)
+    # a and c are views of one stack; phi owns its buffer, so a snapshot of
+    # it keeps no phi_x alive
+    assert b.a.base is b.c.base is b.ac
+    assert b.phi.flags.owndata
 
 
 def test_normal_crosscheck_against_pullback():
     # n = J g^-1 (A^T N) with N = (0, -1); the second row of the inverse
     # gradient is (a, c), so A^T N = -(a, c)
     h = 0.1 * np.cos(GRID.xs) + 0.03 * np.sin(2 * GRID.xs)
-    b = metric_bundle(GRID, harmonic_extend(GRID, h))
+    b = metric_bundle(GRID, h)
     pulled = -np.stack((b.a[:, 0], b.c[:, 0]))
     n_check = pulled * b.jac_edge / b.line_el
     assert np.max(np.abs(n_check - b.normal)) <= 1e-8
@@ -123,7 +128,7 @@ def test_jacobian_positive_in_safety_region():
             -amp * mode * np.sin(mode * GRID.xs)))
         if sup > 0.3:
             continue
-        b = metric_bundle(GRID, harmonic_extend(GRID, h))
+        b = metric_bundle(GRID, h)
         assert np.min(b.jac) > 0.0
 
 
@@ -169,7 +174,7 @@ def test_poisson_solve_with_cached_drift_matches_recomputed_drift(monkeypatch):
     bottom = 0.2 * np.sin(GRID.xs)
 
     def solve():
-        b = metric_bundle(GRID, harmonic_extend(GRID, h))
+        b = metric_bundle(GRID, h)
         return b, solve_transformed_poisson(GRID, b, rhs, bottom,
                                             EdgeCondition(NEUMANN))
 
@@ -194,34 +199,14 @@ def test_poisson_solve_with_cached_drift_matches_recomputed_drift(monkeypatch):
     assert its == its_ref
 
 
-def test_gauge_bundle_is_the_two_call_bundle():
-    from stefansim.geometry import gauge_bundle
-
-    h = 0.05 * np.cos(GRID.xs) + 0.01 * np.sin(3 * GRID.xs)
-    one = gauge_bundle(GRID, h)
-    two = metric_bundle(GRID, harmonic_extend(GRID, h))
-    # the edge fields come from the same edge slope, bit for bit
-    for name in ("phi", "jac", "height", "dheight", "line_el", "normal",
-                 "tangent", "jac_edge"):
-        assert np.array_equal(getattr(one, name), getattr(two, name)), name
-    # phi_x differs at rounding; the drift differentiates a in y, which
-    # scales that rounding by about 1/hy
-    for name, tol in (("a", 1e-14), ("c", 1e-14), ("drift", 1e-12)):
-        ref = getattr(two, name)
-        assert np.max(np.abs(getattr(one, name) - ref)) <= tol * np.max(np.abs(ref))
-    assert one.a.base is one.c.base is one.ac
-    assert one.phi.flags.owndata
-
-
 def test_gauge_bundle_gate_at_the_graph_bound():
-    from stefansim.geometry import GRAPH_BOUND, gauge_bundle, graph_margin
-
     slope = np.sqrt(GRAPH_BOUND)
     for scale, ok in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
         h = scale * slope * np.sin(GRID.xs)
-        assert (graph_margin(h) <= GRAPH_BOUND) == ok
+        dh = tangential_derivative(h)
+        assert (np.max(dh * dh) <= GRAPH_BOUND) == ok
         if ok:
-            gauge_bundle(GRID, h)
+            metric_bundle(GRID, h)
         else:
             with pytest.raises(InvalidGeometryError):
-                gauge_bundle(GRID, h)
+                metric_bundle(GRID, h)

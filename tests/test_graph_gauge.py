@@ -6,7 +6,9 @@ below keeps the general formulas for an arbitrary map gradient: the
 literal matrix inverse, the pulled-back gradient, the expanded Laplacian
 with its metric W and drift, and the gauge curl.  On graph-gauge maps the
 two must agree, bitwise wherever the package evaluates the same
-floating-point expression.
+floating-point expression.  The package takes phi_x from the extension's
+modes and the oracle from a transform of phi, so a, and everything built
+from a, agree to rounding only.
 """
 
 from __future__ import annotations
@@ -102,6 +104,10 @@ def oracle_curl(grid: Grid, ainv: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(curl)))
 
 
+def _assert_close(got, ref, rel: float) -> None:
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -136,13 +142,14 @@ def cases(draw):
 def test_graph_gauge_matches_general_formulas(case):
     grid, h, q = case
     phi = harmonic_extend(grid, h)
-    b = metric_bundle(grid, phi)
+    b = metric_bundle(grid, h)
     grad = oracle_map_gradient(grid, phi)
     jac, ainv = oracle_inverse(grad)
 
+    assert np.array_equal(b.phi, phi)
     assert np.array_equal(b.jac, jac)
-    assert np.array_equal(b.a, ainv[1, 0])
     assert np.array_equal(b.c, ainv[1, 1])
+    _assert_close(b.a, ainv[1, 0], 1e-13)
     assert np.min(b.jac) > 0.0
 
     # [[1, 0], [a, c]] inverts the full map gradient
@@ -155,10 +162,11 @@ def test_graph_gauge_matches_general_formulas(case):
 
     dq = np.stack((tangential_derivative(q), vertical_derivative(q, grid.hy, 1)))
     v = compute_velocity(grid, b, q)
-    assert np.array_equal(v, -oracle_pullback(ainv, dq))
-    assert np.array_equal(gauge_deviation(grid, b, q),
-                          oracle_expanded(grid, ainv, q, minus_flat=True))
-    assert curl_residual(grid, b, v) == oracle_curl(grid, ainv, v)
+    _assert_close(v, -oracle_pullback(ainv, dq), 1e-14)
+    # the derivatives of a in the drift scale its rounding by about 1/hy
+    _assert_close(gauge_deviation(grid, b, q),
+                  oracle_expanded(grid, ainv, q, minus_flat=True), 1e-10)
+    _assert_close(curl_residual(grid, b, v), oracle_curl(grid, ainv, v), 1e-9)
 
     lap = transformed_laplacian_expanded(grid, b, q)
     ref = oracle_expanded(grid, ainv, q)

@@ -339,7 +339,7 @@ def _direct_sources(case, t, r):
     the exact height rate for the map velocity, then keep the run-grid
     nodes.
     """
-    from stefansim.geometry import extend_edge, harmonic_extend, metric_bundle
+    from stefansim.geometry import extend_edge, metric_bundle
     from stefansim.operators import (
         compute_velocity,
         transformed_laplacian_expanded,
@@ -349,7 +349,7 @@ def _direct_sources(case, t, r):
     fine = Grid(r * case.grid.nx, r * (case.grid.ny - 1) + 1)
     q = case.temperature(fine, t)
     qt = case.amp * case._dtfac(t) * case._profile(fine)
-    bundle = metric_bundle(fine, harmonic_extend(fine, case.height(fine, t)))
+    bundle = metric_bundle(fine, case.height(fine, t))
     v = compute_velocity(fine, bundle, q)
     w = extend_edge(fine, case.height_rate_exact(fine, t))
     src_q = qt - transformed_laplacian_expanded(fine, bundle, q) + v[1] * w

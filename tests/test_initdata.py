@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from stefansim.numerics import Grid, edge_derivative, interior_norm
-from stefansim.geometry import identity_bundle, harmonic_extend, metric_bundle
+from stefansim.geometry import identity_bundle, metric_bundle
 from stefansim.initdata import (
     DataConstructionError,
     DataSpec,
@@ -140,13 +140,12 @@ def test_regularized_datum_curved_interface():
     qr = build_regularized_datum(GRID, q0, h0, 0.1)
     assert np.max(np.abs(qr[:, 0])) <= 1e-8
     assert np.all(np.isfinite(qr))
-    bundle = metric_bundle(GRID, harmonic_extend(GRID, h0))
+    bundle = metric_bundle(GRID, h0)
     wgt = bundle.line_el**2 / bundle.jac_edge**2
     q2 = edge_derivative(q0, GRID.hy, 1)
     from stefansim.mollifier import smooth_double
 
-    bundle_k = metric_bundle(
-        GRID, harmonic_extend(GRID, smooth_double(h0, 0.1)))
+    bundle_k = metric_bundle(GRID, smooth_double(h0, 0.1))
     trace_b = transformed_laplacian_edge(GRID, bundle_k, qr) + wgt * q2 * q2
     # curved geometry: trace evaluator vs interior rows differ at the
     # second-order level scaled by the gauge deviation

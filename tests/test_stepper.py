@@ -62,7 +62,7 @@ def test_velocity_slab_profile_hand_oracle():
 def test_velocity_curl_free_residual_refines():
     def residual(grid):
         h = 0.08 * np.cos(grid.xs)
-        bundle = metric_bundle(grid, harmonic_extend(grid, h))
+        bundle = metric_bundle(grid, h)
         x, y = grid.mesh()
         q = np.sin(x) * (y - 0.5 * y * y) + 0.3 * (y**2 - y**3 / 3)
         v = compute_velocity(grid, bundle, q)
@@ -92,7 +92,7 @@ def test_transformed_laplacian_pullback_of_harmonic():
     def residual(grid):
         h = 0.1 * np.cos(grid.xs)
         phi = harmonic_extend(grid, h)
-        bundle = metric_bundle(grid, phi)
+        bundle = metric_bundle(grid, h)
         q = grid.ys[None, :] + phi
         lap = transformed_laplacian(grid, bundle, q)
         return float(np.max(np.abs(lap[:, 1:-1])))
@@ -108,12 +108,12 @@ def test_transformed_laplacian_mms_order():
     def residual(grid):
         fine = Grid(2 * grid.nx, 2 * grid.ny - 1)
         hf = 0.06 * np.cos(fine.xs)
-        bf = metric_bundle(fine, harmonic_extend(fine, hf))
+        bf = metric_bundle(fine, hf)
         xf, yf = fine.mesh()
         qf = np.cos(xf) * np.sin(0.5 * np.pi * yf)
         src = transformed_laplacian_expanded(fine, bf, qf)[::2, ::2]
         h = 0.06 * np.cos(grid.xs)
-        b = metric_bundle(grid, harmonic_extend(grid, h))
+        b = metric_bundle(grid, h)
         x, y = grid.mesh()
         q = np.cos(x) * np.sin(0.5 * np.pi * y)
         lap = transformed_laplacian_expanded(grid, b, q)
@@ -320,7 +320,7 @@ def _two_call_step(state, cfg):
     dt = cfg.dt
     h = state.h + dt * height_rate(state.bundle, state.v)
     phi = harmonic_extend(GRID, h)
-    bundle = metric_bundle(GRID, phi)
+    bundle = metric_bundle(GRID, h)
     w = (phi - state.bundle.phi) / dt
     rhs = state.q / dt + gauge_deviation(GRID, bundle, state.q) - state.v[1] * w
     solver = StripSolver(GRID, 1.0 / dt, EdgeCondition(DIRICHLET),
@@ -347,3 +347,25 @@ def test_snapshot_fields_own_their_memory(extra):
     for snap in traj.snaps:
         for name, value in snap.items():
             assert value.flags.owndata, name
+
+
+def test_config_owns_its_heat_solver(monkeypatch):
+    from stefansim.elliptic import StripSolver
+
+    built = []
+    init = StripSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StripSolver, "__init__", counting_init)
+    cfg = _short_config(data=DataSpec(alpha=1.0, h0_amplitude=0.05))
+    state = init_state(cfg)
+    for _ in range(3):
+        state = advance(state, cfg)
+    assert built == [cfg.heat_solver]
+    other = replace(cfg, dt=cfg.dt / 2)
+    assert other.heat_solver is not cfg.heat_solver
+    assert other.heat_solver is other.heat_solver
+    assert len(built) == 2

@@ -10,9 +10,12 @@ Time derivatives at the initial instant come from equation substitution;
 at later snapshots from second-order finite differences over the stored
 snapshots.  The interface speed is differentiated as its own stored
 series, so no stored field needs more than two time derivatives.
-Interior Sobolev norms above third order in y compose first/second
-difference stencils, and rows embedding them carry a lower-confidence
-flag.
+Interior Sobolev norms, the velocity families included, come from
+discrete Parseval in x (``numerics.mixed_squares``): one x-transform per
+field, the y-stencils applied to its modes, the trapezoid rule in y.
+Those above third order in y compose first/second difference stencils,
+and rows embedding them carry a lower-confidence flag.  Each snapshot's
+metric bundle is rebuilt once per table row and not kept.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from .numerics import (
     Grid,
     NeedsMoreStepsError,
     NumericsError,
-    boundary_norm,
+    boundary_norms,
     edge_derivative,
     integrate_boundary,
     integrate_interior,
     interior_norms,
+    mixed_squares,
     tangential_derivative,
     tangential_derivatives_upto,
     time_derivative,
@@ -67,7 +71,6 @@ class Trajectory:
     flags: tuple = ()
 
     def __post_init__(self):
-        self._bundles: dict = {}
         self._rates: list | None = None
 
     @property
@@ -75,13 +78,11 @@ class Trajectory:
         return self.config.grid
 
     def bundle_at(self, idx: int):
-        idx = idx % len(self.times)
-        if idx not in self._bundles:
-            # row 0 of the stored phi is the (smoothed) height the step used;
-            # the rebuild reproduces phi bitwise, so the bundle shares the array
-            phi = self.snaps[idx]["phi"]
-            self._bundles[idx] = replace(metric_bundle(self.grid, phi[:, 0]), phi=phi)
-        return self._bundles[idx]
+        """The snapshot's metric bundle, rebuilt on every call (not cached)."""
+        # row 0 of the stored phi is the (smoothed) height the step used;
+        # the rebuild reproduces phi bitwise, so the bundle shares the array
+        phi = self.snaps[idx % len(self.times)]["phi"]
+        return replace(metric_bundle(self.grid, phi[:, 0]), phi=phi)
 
     def rates(self) -> list:
         """The height's time-derivative series (h_t at every snapshot).
@@ -156,10 +157,8 @@ class _DerivativeProvider:
             return None
 
 
-def _boundary_sq(grid: Grid, phi: np.ndarray, weight=None) -> float:
+def _boundary_sq(grid: Grid, phi: np.ndarray, weight=1.0) -> float:
     """Squared edge L^2 norm (Fourier convention) with optional weight."""
-    if weight is None:
-        return boundary_norm(phi, 0.0) ** 2
     return integrate_boundary(weight * phi * phi, grid) / (2.0 * np.pi)
 
 
@@ -269,7 +268,7 @@ class EnergyReport:
         return out
 
 
-def geometric_identities(traj: Trajectory, idx: int = -1) -> dict:
+def geometric_identities(traj: Trajectory, idx: int = -1, bundle=None) -> dict:
     """Curl, slip, curvature-identity, and interface-speed records.
 
     The curvature identity compares the second tangential derivative of
@@ -277,12 +276,14 @@ def geometric_identities(traj: Trajectory, idx: int = -1) -> dict:
     edge points whose normal speed clears a tenth of the stability margin
     enter.  For a positive interface temperature (surface tension) the
     slip value is a record, not a residual: the identity's hypothesis
-    fails there.
+    fails there.  ``bundle`` is the snapshot's ``bundle_at``, built here
+    when not passed.
     """
     grid = traj.grid
     idx = idx % len(traj)
     snap = traj.snaps[idx]
-    bundle = traj.bundle_at(idx)
+    if bundle is None:
+        bundle = traj.bundle_at(idx)
     v = snap["v"]
     curl = curl_residual(grid, bundle, v)
     ve = v[:, :, 0]
@@ -314,8 +315,11 @@ def geometric_identities(traj: Trajectory, idx: int = -1) -> dict:
     }
 
 
-def _instant_norms(traj: Trajectory, idx: int, kappa: float) -> dict:
-    """All squared norms entering the functionals, at one snapshot."""
+def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
+    """All squared norms entering the functionals, at one snapshot.
+
+    ``bundle`` is the snapshot's ``bundle_at``.
+    """
     grid = traj.grid
     get = _DerivativeProvider(traj, idx)
     out = {}
@@ -327,8 +331,9 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float) -> dict:
             for a in range(amax + 1):
                 out[("v", a, b)] = None
             continue
-        for a, va in enumerate(_derivative_ladder(vb, amax)):
-            out[("v", a, b)] = _interior_sq(grid, va[0]) + _interior_sq(grid, va[1])
+        sq = mixed_squares(vb, grid, amax, y_top=0)
+        for a in range(amax + 1):
+            out[("v", a, b)] = sq[a, 0]
 
     # temperature Sobolev families: H^{4-2b} and H^{5-2b} enter the energy,
     # H^{2-2b} and H^{3-2b} the lower-order monitor
@@ -340,7 +345,6 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float) -> dict:
         out.update({("qH", s, b): sq for s, sq in zip(orders, norms)})
 
     # edge geometry weights at this instant
-    bundle = traj.bundle_at(idx)
     jac_e = bundle.jac_edge
     g_e = bundle.line_el
     margin = traj.margins[idx]
@@ -356,9 +360,11 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float) -> dict:
         h = np.zeros(grid.nx) if hb is None else hb
         hs = smooth_horizontal(h, kappa) if kappa > 0 else h
         amax = 4 - 2 * b
-        fam = {("hB", s, b): boundary_norm(h, s) ** 2 for s in (amax, amax + 1)}
-        for s in range(max(amax - 2, 0), amax + 1):
-            fam[("hBs", s, b)] = boundary_norm(hs, s) ** 2
+        fam = {}
+        for name, g, orders in (("hB", h, (amax, amax + 1)),
+                                ("hBs", hs, range(max(amax - 2, 0), amax + 1))):
+            for s, n in zip(orders, boundary_norms(g, orders)):
+                fam[(name, s, b)] = n ** 2
         fam[("wh", amax, b)] = (
             None if flux_w is None else _boundary_sq(grid, _dx(hs, amax), flux_w)
         )
@@ -390,8 +396,9 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float) -> dict:
         out.update(dict.fromkeys(fam) if rb is None else fam)
         # the speed's Sobolev norms are left out, not None, where unsupported
         if rb is not None and b < 2:
-            for s in (3 - 2 * b, 4 - 2 * b):
-                out[("htB", s, b)] = boundary_norm(rb, s) ** 2
+            orders = (3 - 2 * b, 4 - 2 * b)
+            for s, n in zip(orders, boundary_norms(rb, orders)):
+                out[("htB", s, b)] = n ** 2
 
     # gauge-combination interior families at the identity orders
     v = get("v")
@@ -448,7 +455,9 @@ def energy_table(traj: Trajectory) -> list:
     dis_next = next(dis_iter, None)
 
     for idx, t in enumerate(traj.times):
-        vals = _instant_norms(traj, idx, kappa)
+        # one bundle per snapshot, shared by the norms and the identities
+        bundle = traj.bundle_at(idx)
+        vals = _instant_norms(traj, idx, kappa, bundle)
         acc.update(t, vals)
         while dis_next is not None and dis_next[0] <= t + 1e-15:
             dis_max = max(dis_max, abs(dis_next[1]))
@@ -508,8 +517,7 @@ def energy_table(traj: Trajectory) -> list:
                 [("sigh",) + ab for ab in leq4]
             ) + sigma * acc.sum_int([("sight",) + ab for ab in leq3])
 
-        idents = geometric_identities(traj, idx)
-        bundle = traj.bundle_at(idx)
+        idents = geometric_identities(traj, idx, bundle)
         graph_sup = float(np.max(bundle.dheight**2))
         ratio = e_kap / f_kap if kappa > 0 and f_kap > 0 else float("nan")
 
@@ -543,7 +551,7 @@ def natural_edge_terms(traj: Trajectory, idx: int = -1) -> list:
     separately so that coercivity can be checked term by term.
     """
     idx = idx % len(traj)
-    vals = _instant_norms(traj, idx, traj.config.kappa)
+    vals = _instant_norms(traj, idx, traj.config.kappa, traj.bundle_at(idx))
     out = []
     for ab in _orders_eq(4):
         out.append(vals[("wh",) + ab])

@@ -5,6 +5,12 @@ second-order finite differences in the wall-normal direction, quadrature,
 Sobolev norms, and time-derivative estimation from uniformly spaced
 snapshots.
 
+Quadrature is the rectangle rule in x (exact for the resolved modes) and
+the trapezoid rule in y, applied as a product with cached y-weights.
+Interior Sobolev norms come from discrete Parseval in x: one transform per
+field, the y-stencils applied to its modes, and each mixed derivative's
+square read off as a weighted sum over the modes.
+
 Conventions
 -----------
 Interior scalar fields are arrays of shape ``(nx, ny)`` with axis 0 the
@@ -249,9 +255,35 @@ def edge_derivative(f: np.ndarray, hy: float, order: int, top: bool = False) -> 
     return sgn * np.tensordot(cols, coeffs, axes=([-1], [0])) / hy**order
 
 
+@lru_cache(maxsize=32)
+def _trapezoid_weights(ny: int) -> np.ndarray:
+    """Trapezoid weights on the ny nodes of [0, 1], built once and read-only."""
+    w = np.full(ny, 1.0 / (ny - 1))
+    w[[0, -1]] *= 0.5
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=32)
+def _parseval_weights(nx: int) -> np.ndarray:
+    """Row a = 0..5: hx/nx * m_k * k^(2a) over the rfft modes, read-only.
+
+    m_k counts the modes +-k one rfft mode stands for: 1 at k = 0 and at
+    Nyquist, 2 in between.  Odd a weigh the Nyquist mode 0, as the odd
+    spectral multipliers zero it.
+    """
+    k2 = wavenumbers(nx) ** 2
+    m = np.full(k2.size, 2.0)
+    m[[0, -1]] = 1.0
+    w = (TWO_PI / nx**2) * m * k2 ** np.arange(6)[:, None]
+    w[1::2, -1] = 0.0
+    w.flags.writeable = False
+    return w
+
+
 def integrate_interior(f: np.ndarray, grid: Grid) -> float:
     """Integral over the strip: exact mean in x, trapezoid in y."""
-    return float(np.trapezoid(f, dx=grid.hy, axis=-1).sum(axis=-1) * grid.hx)
+    return float((f @ _trapezoid_weights(grid.ny)).sum() * grid.hx)
 
 
 def integrate_boundary(phi: np.ndarray, grid: Grid) -> float:
@@ -261,15 +293,50 @@ def integrate_boundary(phi: np.ndarray, grid: Grid) -> float:
 
 def boundary_norm(phi: np.ndarray, s: float) -> float:
     """H^s norm on the periodic edge via Fourier weights (1 + k^2)^s."""
-    if s < 0:
+    return boundary_norms(phi, (s,))[0]
+
+
+def boundary_norms(phi: np.ndarray, orders) -> list:
+    """``boundary_norm`` for each s in ``orders``, from one transform of phi."""
+    if any(s < 0 for s in orders):
         raise ValueError("s must be >= 0")
-    nx = phi.shape[0]
-    coef = fourier_coefficients(phi)
-    k = wavenumbers(nx)
-    w = (1.0 + k * k) ** s
-    mags = np.abs(coef) ** 2
-    total = w[0] * mags[0] + 2.0 * np.dot(w[1:-1], mags[1:-1]) + w[-1] * mags[-1]
-    return float(np.sqrt(total))
+    mags = np.abs(fourier_coefficients(phi)) ** 2
+    k = wavenumbers(phi.shape[0])
+    out = []
+    for s in orders:
+        w = (1.0 + k * k) ** s
+        total = w[0] * mags[0] + 2.0 * np.dot(w[1:-1], mags[1:-1]) + w[-1] * mags[-1]
+        out.append(float(np.sqrt(total)))
+    return out
+
+
+def mixed_squares(f: np.ndarray, grid: Grid, top: int, y_top: int | None = None) -> dict:
+    """``{(a, b): integral of (d_x^a d_y^b f)^2}`` for a + b <= top, b <= y_top.
+
+    Discrete Parseval in x: one rfft of f, the y-derivatives taken on its
+    modes (the stencils act along y only, so they commute with the
+    transform), and each square summed as k^(2a) |mode|^2 against the
+    trapezoid weights in y.  This is the quadrature of ``integrate_interior``
+    applied to the spectrally differentiated field, up to rounding.  Odd b
+    take one first difference after (b - 1)/2 composed second differences.
+    Stacked fields (x on axis -2) sum their components; top is at most 5.
+    """
+    y_top = top if y_top is None else min(y_top, top)
+    w_x = _parseval_weights(grid.nx)
+    w_y = _trapezoid_weights(grid.ny)
+    coef = np.fft.rfft(f, axis=-2)
+    # the stencils run faster on real arrays: real and imaginary parts stacked
+    dy = [np.stack((coef.real, coef.imag))]
+    sq = {}
+    for b in range(y_top + 1):
+        if b:
+            dy.append(vertical_derivative(dy[b - 1], grid.hy, 1) if b % 2
+                      else vertical_derivative(dy[b - 2], grid.hy, 2))
+        power = (dy[b] * dy[b]) @ w_y
+        power = power.reshape(-1, power.shape[-1]).sum(axis=0)
+        for a in range(top + 1 - b):
+            sq[a, b] = float(w_x[a] @ power)
+    return sq
 
 
 def interior_norm(f: np.ndarray, grid: Grid, s: int) -> float:
@@ -278,7 +345,7 @@ def interior_norm(f: np.ndarray, grid: Grid, s: int) -> float:
 
 
 def interior_norms(f: np.ndarray, grid: Grid, orders) -> list:
-    """``interior_norm`` for each s in ``orders``, each integral computed once.
+    """``interior_norm`` for each s in ``orders``, from one ``mixed_squares``.
 
     y-derivatives above second order compose the first/second difference
     stencils, so accuracy degrades near the walls.
@@ -288,17 +355,7 @@ def interior_norms(f: np.ndarray, grid: Grid, orders) -> list:
     top = max(orders)
     if top > 5:
         raise ConfigurationError("interior norms above H^5 are unsupported")
-    ladder = [f] + tangential_derivatives_upto(f, range(1, top + 1))
-    sq = {}
-    for a, fa in enumerate(ladder):
-        # dy[b] = d^b fa / dy^b: second differences composed, then one first
-        # difference for odd b
-        dy = [fa]
-        for b in range(top + 1 - a):
-            if b:
-                dy.append(vertical_derivative(dy[b - 1], grid.hy, 1) if b % 2
-                          else vertical_derivative(dy[b - 2], grid.hy, 2))
-            sq[a, b] = integrate_interior(dy[b] * dy[b], grid)
+    sq = mixed_squares(f, grid, top)
     return [float(np.sqrt(sum(sq[a, b] for a in range(s + 1)
                               for b in range(s + 1 - a))))
             for s in orders]

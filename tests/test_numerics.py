@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from stefansim.numerics import (
     ConfigurationError,
@@ -15,8 +16,10 @@ from stefansim.numerics import (
     edge_derivative,
     fourier_coefficients,
     integrate_boundary,
+    integrate_interior,
     interior_norm,
     interior_norms,
+    mixed_squares,
     tangential_derivative,
     time_derivative,
     vertical_derivative,
@@ -180,8 +183,86 @@ def test_interior_norms_match_single_norms():
 
 
 def test_interior_norm_unsupported_order():
+    zero = np.zeros((GRID.nx, GRID.ny))
     with pytest.raises(ConfigurationError):
-        interior_norm(np.zeros((GRID.nx, GRID.ny)), GRID, 6)
+        interior_norm(zero, GRID, 6)
+    with pytest.raises(ConfigurationError):
+        interior_norms(zero, GRID, (2, 6))
+    for bad in ((-1,), (2, -1), (1.0,), (2.5,), (np.float64(2.0),)):
+        with pytest.raises(ValueError):
+            interior_norms(zero, GRID, bad)
+
+
+@pytest.mark.parametrize("shape", [(64, 129), (128, 257)])
+def test_integrate_interior_matches_trapezoid(shape):
+    grid = Grid(*shape)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        f = rng.standard_normal(shape) + rng.uniform(-1.0, 1.0)
+        ref = float(np.trapezoid(f, dx=grid.hy, axis=-1).sum() * grid.hx)
+        # relative to the integral of |f|, the conditioning of any sum of f
+        scale = float(np.trapezoid(np.abs(f), dx=grid.hy, axis=-1).sum() * grid.hx)
+        assert abs(integrate_interior(f, grid) - ref) <= 1e-14 * scale
+
+
+def _ladder_squares(f, grid, top):
+    """The physical-space ladder: each x-derivative by its own inverse
+    transform, each y-derivative of it by the stencils, each square by
+    np.trapezoid in y and the rectangle rule in x."""
+    sq = {}
+    for a in range(top + 1):
+        dy = [tangential_derivative(f, a) if a else f]
+        for b in range(top + 1 - a):
+            if b:
+                dy.append(vertical_derivative(dy[b - 1], grid.hy, 1) if b % 2
+                          else vertical_derivative(dy[b - 2], grid.hy, 2))
+            sq[a, b] = float(np.trapezoid(dy[b] * dy[b], dx=grid.hy, axis=-1).sum()
+                             * grid.hx)
+    return sq
+
+
+@st.composite
+def _trig_poly_fields(draw):
+    nx = draw(st.sampled_from((16, 32, 64)))
+    grid = Grid(nx, draw(st.sampled_from((17, nx + 1, 2 * nx + 1))))
+    x, y = grid.mesh()
+    comps = draw(st.sampled_from((1, 2)))
+
+    def poly():
+        coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+        return sum(cf * y**p for p, cf in enumerate(coeffs))
+
+    fields = []
+    for _ in range(comps):
+        # a Nyquist mode, (-1)^j in x, of amplitude at least 1/2 at y = 0
+        lead = draw(st.floats(0.5, 1.0))
+        f = np.cos(np.pi * np.arange(nx))[:, None] * (lead + y * poly())
+        for _ in range(draw(st.integers(1, 3))):
+            m = draw(st.integers(0, nx // 2))
+            ph = draw(st.floats(0.0, 2.0 * np.pi))
+            f = f + np.cos(m * x + ph) * poly()
+        fields.append(f)
+    return grid, fields[0] if comps == 1 else np.stack(fields)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_trig_poly_fields())
+def test_mixed_squares_match_the_physical_ladder(case):
+    grid, f = case
+    got = mixed_squares(f, grid, 5)
+    ref = _ladder_squares(f, grid, 5)
+    assert got.keys() == ref.keys()
+    eps = np.finfo(float).eps
+    for (a, b), val in got.items():
+        # both sides round the x-transform at eps times the norm of the a-th
+        # x-derivative field, and the b-th y-stencil amplifies that by about
+        # hy^-b: a square whose exact value is near that floor (a high
+        # y-derivative of a low-degree polynomial) agrees only to it
+        floor = 64.0 * eps * grid.hy ** -b * np.sqrt(ref[a, b] * ref[a, 0])
+        assert abs(val - ref[a, b]) <= 1e-12 * ref[a, b] + floor, (a, b)
+    # the velocity families' y-order-0 call is the b = 0 column bitwise
+    assert mixed_squares(f, grid, 4, y_top=0) == {
+        (a, 0): got[a, 0] for a in range(5)}
 
 
 def test_interior_norm_convergence_order():

@@ -42,7 +42,7 @@ from .numerics import (
 from .geometry import metric_bundle
 from .mollifier import smooth_horizontal
 from .operators import curl_residual, gradient
-from .stepper import CLASSICAL, SolverConfig
+from .stepper import CLASSICAL, SolverConfig, height_rate
 
 
 class UsageError(NumericsError):
@@ -162,10 +162,6 @@ def _boundary_sq(grid: Grid, phi: np.ndarray, weight=1.0) -> float:
     return integrate_boundary(weight * phi * phi, grid) / (2.0 * np.pi)
 
 
-def _interior_sq(grid: Grid, f: np.ndarray) -> float:
-    return float(integrate_interior(f * f, grid))
-
-
 def _derivative_ladder(f: np.ndarray, amax: int) -> list:
     if amax == 0:
         return [f]
@@ -271,13 +267,14 @@ class EnergyReport:
 def geometric_identities(traj: Trajectory, idx: int = -1, bundle=None) -> dict:
     """Curl, slip, curvature-identity, and interface-speed records.
 
-    The curvature identity compares the second tangential derivative of
-    the effective height against the tangential-velocity quotient; only
-    edge points whose normal speed clears a tenth of the stability margin
-    enter.  For a positive interface temperature (surface tension) the
-    slip value is a record, not a residual: the identity's hypothesis
-    fails there.  ``bundle`` is the snapshot's ``bundle_at``, built here
-    when not passed.
+    Graph form: the scaled normal and tangent are (h', -1) and (1, h'), so
+    the speed is v0 h' - v1 and the slip (v0 + v1 h') / g.  The curvature
+    identity compares the second tangential derivative of the effective
+    height against the tangential-velocity quotient; only edge points
+    whose normal speed clears a tenth of the stability margin enter.  For
+    a positive interface temperature (surface tension) the slip value is a
+    record, not a residual: the identity's hypothesis fails there.
+    ``bundle`` is the snapshot's ``bundle_at``, built here when not passed.
     """
     grid = traj.grid
     idx = idx % len(traj)
@@ -287,24 +284,23 @@ def geometric_identities(traj: Trajectory, idx: int = -1, bundle=None) -> dict:
     v = snap["v"]
     curl = curl_residual(grid, bundle, v)
     ve = v[:, :, 0]
-    vn = ve[0] * bundle.normal[0] + ve[1] * bundle.normal[1]
-    vt = ve[0] * bundle.tangent[0] + ve[1] * bundle.tangent[1]
-    slip = float(np.max(np.abs(vt)))
+    g, dh = bundle.line_el, bundle.dheight
+    rate = height_rate(bundle, v)
+    vn = rate / g
+    slip = float(np.max(np.abs((ve[0] + ve[1] * dh) / g)))
 
     margin = traj.margins[idx]
     d2h = tangential_derivative(bundle.height, 2)
     dv = tangential_derivative(ve, 1, axis=-1)
-    dv_tau = dv[0] * bundle.tangent[0] + dv[1] * bundle.tangent[1]
     mask = np.abs(vn) >= 0.1 * max(margin, 0.0)
     if margin > 0.0 and np.any(mask):
-        rhs = bundle.line_el**2 * dv_tau / vn
+        rhs = g**2 * (dv[0] + dh * dv[1]) / rate
         num = float(np.max(np.abs((d2h - rhs)[mask])))
         den = max(float(np.max(np.abs(d2h[mask]))), 1e-14)
         curv_err = num / den
     else:
         curv_err = float("nan")
 
-    rate = bundle.line_el * vn
     flux = bundle.jac_edge * edge_derivative(snap["q"], grid.hy, 1)
     return {
         "curl_residual": curl,
@@ -400,41 +396,25 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
             for s, n in zip(orders, boundary_norms(rb, orders)):
                 out[("htB", s, b)] = n ** 2
 
-    # gauge-combination interior families at the identity orders
-    v = get("v")
-    x = grid.xs[:, None]
-    y = grid.ys[None, :]
+    # gauge-combination interior families at the identity orders: the map's
+    # derivative d^a_x d^b_t is (0, d^a_x phi_b), since b = 0 only with
+    # a >= 2 and the identity's horizontal part has no such derivative
+    v1 = get("v")[1]
     for fam, shift, orders in (("combo", 0, _orders_eq(4)),
                                ("combot", 1, _orders_eq(3))):
         for a, b in orders:
             qab = get.try_call("q", b + shift)
-            pb = get.try_call("phi", b + shift) if b + shift else get("phi")
+            pb = get.try_call("phi", b + shift)
             if qab is None or pb is None:
                 out[(fam, a, b)] = None
                 continue
-            psi = _map_derivative(get, a, b + shift, x, y)
-            out[(fam, a, b)] = _interior_sq(
-                grid, _dx(qab, a) + psi[0] * v[0] + psi[1] * v[1]
-            )
+            out[(fam, a, b)] = integrate_interior(
+                (_dx(qab, a) + _dx(pb, a) * v1) ** 2, grid)
     return out
 
 
 def _dx(f: np.ndarray, a: int) -> np.ndarray:
     return tangential_derivative(f, a) if a else f
-
-
-def _map_derivative(get, a, b, x, y):
-    """(horizontal, vertical) parts of d^a_x d^b_t of the map Id + (0, phi).
-
-    The horizontal part is the identity's alone: x, 1 or 0 for a = 0, 1 or
-    more at b = 0, and 0 for every time derivative.
-    """
-    if b == 0:
-        pa = _dx(get("phi"), a)
-        if a == 0:
-            return x, y + pa
-        return (1.0 if a == 1 else 0.0), pa
-    return 0.0, _dx(get("phi", b), a)
 
 
 def energy_table(traj: Trajectory) -> list:

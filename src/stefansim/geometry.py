@@ -4,7 +4,7 @@ The interface is the graph ``y = h(x)`` over the lower edge of the
 reference strip.  The strip is mapped onto the physical liquid domain by
 the harmonic extension of the boundary data ``(x, h(x))`` with the top
 edge pinned to the identity.  Everything downstream (Jacobian, inverse
-gradient, edge metric, normals) derives from that map, and one builder,
+gradient, edge metric) derives from that map, and one builder,
 ``metric_bundle(grid, h)``, forms all of it from the edge height: the
 step, the data and the analysis share it.
 
@@ -12,7 +12,8 @@ Graph gauge: the map is ``Id + (0, phi)`` because the horizontal edge
 data are the identity, so its gradient is ``[[1, 0], [phi_x, J]]`` with
 ``J = 1 + phi_y`` and its inverse is ``[[1, 0], [a, c]]`` with
 ``a = -phi_x / J`` and ``c = 1 / J``.  The pulled-back gradient of a
-scalar q is ``(q_x + a q_y, c q_y)``.
+scalar q is ``(q_x + a q_y, c q_y)``.  On the interface the scaled normal
+and tangent are ``(h', -1)`` and ``(1, h')``; no unit vectors are stored.
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ class MetricBundle:
     ``a = -phi_x / J`` and ``c = 1 / J`` stacked as (2, nx, ny); ``a`` and
     ``c`` are views of it.
 
-    Edge fields on the interface row: ``height``, ``dheight``, ``line_el``
-    (sqrt(1 + h'^2)), unit ``normal`` and ``tangent``, ``jac_edge``.
+    Edge fields on the interface row: ``height``, ``dheight`` (h'),
+    ``line_el`` (g = sqrt(1 + h'^2)), ``jac_edge``; the scaled normal and
+    tangent are (h', -1) and (1, h').
 
     ``drift`` is computed on first use and kept with the bundle.
     """
@@ -130,8 +132,6 @@ class MetricBundle:
     height: np.ndarray
     dheight: np.ndarray
     line_el: np.ndarray
-    normal: np.ndarray
-    tangent: np.ndarray
     jac_edge: np.ndarray
     is_flat: bool = False
 
@@ -203,8 +203,6 @@ def metric_bundle(grid: Grid, h: np.ndarray) -> MetricBundle:
     height = phi[:, 0].copy()
     dheight = phi_x[:, 0].copy()
     line_el = np.sqrt(1.0 + dheight * dheight)
-    normal = np.stack((dheight, -np.ones_like(dheight))) / line_el
-    tangent = np.stack((np.ones_like(dheight), dheight)) / line_el
 
     return MetricBundle(
         grid=grid,
@@ -214,8 +212,6 @@ def metric_bundle(grid: Grid, h: np.ndarray) -> MetricBundle:
         height=height,
         dheight=dheight,
         line_el=line_el,
-        normal=normal,
-        tangent=tangent,
         jac_edge=jac[:, 0].copy(),
         is_flat=not np.any(phi),
     )

@@ -58,7 +58,8 @@ from . import _svg
 STATUS_COMPLETED = "completed"
 STATUS_TAYLOR = "taylor-flag"
 STATUS_ABORTED = "aborted"
-EXIT_CODES = {STATUS_COMPLETED: 0, STATUS_TAYLOR: 2}
+STATUS_CONFIG = "config-error"
+EXIT_CODES = {STATUS_COMPLETED: 0, STATUS_TAYLOR: 2, STATUS_CONFIG: 4}
 #: steps a run may continue with a nonpositive stability margin
 TAYLOR_GRACE_STEPS = 10
 
@@ -395,7 +396,8 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     no exactly compatible explicit datum).  ``settings`` are checked as in
     ``build_config``.
     A numerical failure before the first step (data construction, geometry,
-    elliptic solve) writes an aborted manifest and is re-raised.
+    elliptic solve) writes an aborted manifest, a configuration error (the
+    compatibility gate, the cadence) a config-error one; both are re-raised.
     """
     settings = settings or {}
     _check_settings(settings)
@@ -427,9 +429,10 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
                     "compat.override to run anyway: " + report.summary()
                 )
         traj = simulate(config, q0=q0, h0=h0)
-    except (DataConstructionError, DegenerateMapError, InvalidGeometryError,
-            EllipticSolveError) as exc:
-        manifest.status = STATUS_ABORTED
+    except (ConfigurationError, DataConstructionError, DegenerateMapError,
+            InvalidGeometryError, EllipticSolveError) as exc:
+        manifest.status = (STATUS_CONFIG if isinstance(exc, ConfigurationError)
+                           else STATUS_ABORTED)
         manifest.reason = f"{type(exc).__name__}: {exc}"
         manifest.wall_time = time.perf_counter() - t0
         if outdir is not None:

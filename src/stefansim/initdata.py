@@ -242,16 +242,15 @@ def _compat_rhs_sigma(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.nda
     """
     q_e, q1, q2, _, _, _ = _edge_traces(grid, q)
     a, c = bundle.a[:, 0], bundle.c[:, 0]
-    g = bundle.line_el
-    n = bundle.normal
-    # pulled-back gradient trace (q_x + a q_y, c q_y) against the normal
-    flux = g * ((q1 + a * q2) * n[0] + c * q2 * n[1])
+    g, dh = bundle.line_el, bundle.dheight
+    # pulled-back gradient trace (q_x + a q_y, c q_y) against the scaled
+    # normal (h', -1)
+    flux = (q1 + a * q2) * dh - c * q2
     curv = mean_curvature(bundle.height)
     dcurv = tangential_derivative(curv)
-    dh = bundle.dheight
     term1 = -(g**-3) * tangential_derivative(flux, 2)
     term2 = -3.0 * q_e * g**-2 * tangential_derivative(flux) * dh
-    term3 = -dcurv * (g * n[0] * c * q2)
+    term3 = -dcurv * (dh * c * q2)
     return term1 + term2 + term3
 
 

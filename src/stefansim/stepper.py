@@ -180,9 +180,8 @@ class SolverState:
 
 
 def height_rate(bundle: MetricBundle, v: np.ndarray) -> np.ndarray:
-    """Interface speed g * (v . n) from the edge traces of the bundle."""
-    ve = v[:, :, 0]
-    return bundle.line_el * (ve[0] * bundle.normal[0] + ve[1] * bundle.normal[1])
+    """Interface speed g (v . n) = v0 h' - v1, since g n = (h', -1)."""
+    return v[0, :, 0] * bundle.dheight - v[1, :, 0]
 
 
 def beta_value(beta_poly, t: float) -> np.ndarray:
@@ -398,17 +397,9 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     flux_t = np.stack((qt_x + a * qt_y + a_t * q_y, c * qt_y + c_t * q_y))
     v_t = -flux_t
 
-    # interface speed rate: differentiate g (v . n) on the edge
+    # interface speed rate: differentiate v0 h' - v1 on the edge
     dh_t = tangential_derivative(_smoothed(h_t, config))
-    g, n = b.line_el, b.normal
-    g_t = b.dheight * dh_t / g
-    n_t = np.stack((dh_t, np.zeros_like(dh_t))) / g - n * (g_t / g)
-    ve, vte = v[:, :, 0], v_t[:, :, 0]
-    h_tt = (
-        g_t * (ve[0] * n[0] + ve[1] * n[1])
-        + g * (vte[0] * n[0] + vte[1] * n[1])
-        + g * (ve[0] * n_t[0] + ve[1] * n_t[1])
-    )
+    h_tt = height_rate(b, v_t) + v[0, :, 0] * dh_t
 
     w_t = extend_edge(grid, _smoothed(h_tt, config))
 

@@ -134,6 +134,43 @@ def test_static_trajectory_lower_order_term_by_term_oracle():
     assert rep.lower_order == pytest.approx(expected, rel=1e-12)
 
 
+def test_static_trajectory_natural_energy_oracle():
+    # frozen curved fields: every time derivative vanishes, so of the gauge
+    # combinations only the top one, d^4_x q + v1 d^4_x phi, survives, and of
+    # the flux-weighted edge terms only (q_y / J) (d^4_x h)^2; cross-check
+    # both and the velocity sums against direct physical-space evaluation
+    from stefansim.numerics import (
+        integrate_boundary,
+        integrate_interior,
+        tangential_derivative,
+    )
+
+    x, y = GRID.mesh()
+    q = (y - 0.5 * y * y) * (1.0 + 0.1 * np.sin(x))
+    h = 0.02 * np.cos(GRID.xs) + 0.005 * np.sin(2 * GRID.xs)
+    traj = _static_trajectory(CFG, q, h)
+    assert traj.margins[0] == pytest.approx(0.9, rel=1e-12)
+    rep = energy_report(traj)
+    T = traj.times[-1]
+    v = traj.snaps[0]["v"]
+    bundle = metric_bundle(GRID, h)
+
+    combo = integrate_interior(
+        (tangential_derivative(q, 4)
+         + v[1] * tangential_derivative(bundle.phi, 4)) ** 2, GRID)
+    # q_y on the edge is 1 + 0.1 sin x
+    flux_w = (1.0 + 0.1 * np.sin(GRID.xs)) / bundle.jac_edge
+    edge = integrate_boundary(flux_w * tangential_derivative(h, 4) ** 2,
+                              GRID) / (2.0 * np.pi)
+    expected = (
+        T * sum(interior_norm_sq_of_component(v, a, GRID) for a in range(5))
+        + 0.5 * sum(interior_norm_sq_of_component(v, a, GRID) for a in range(4))
+        + 0.5 * combo
+        + 0.5 * edge
+    )
+    assert rep.natural_energy == pytest.approx(expected, rel=1e-12)
+
+
 def interior_norm_sq_of_component(v, a, grid):
     from stefansim.numerics import integrate_interior, tangential_derivative
 

@@ -83,8 +83,9 @@ def test_graph_condition_gate():
 def test_bundle_flat_reference_values():
     b = identity_bundle(GRID)
     assert np.max(np.abs(b.jac - 1.0)) == 0.0
-    assert np.allclose(b.normal[:, 0], (0.0, -1.0))
-    assert np.allclose(b.tangent[:, 0], (1.0, 0.0))
+    # the scaled normal (h', -1) and tangent (1, h') are exactly the axes
+    assert np.all(b.dheight == 0.0)
+    assert np.all(b.line_el == 1.0)
     assert b.is_flat
 
 
@@ -92,12 +93,6 @@ def test_bundle_invariants_curved():
     h = 0.1 * np.cos(GRID.xs)
     b = metric_bundle(GRID, h)
     assert np.min(b.jac) > 0.0
-    mag_n = np.hypot(b.normal[0], b.normal[1])
-    mag_t = np.hypot(b.tangent[0], b.tangent[1])
-    assert np.max(np.abs(mag_n - 1.0)) <= 1e-10
-    assert np.max(np.abs(mag_t - 1.0)) <= 1e-10
-    dot = b.normal[0] * b.tangent[0] + b.normal[1] * b.tangent[1]
-    assert np.max(np.abs(dot)) <= 1e-10
     # line element at the critical point and the quarter period
     assert b.line_el[0] == pytest.approx(1.0, abs=1e-12)
     idx = GRID.nx // 4
@@ -106,16 +101,6 @@ def test_bundle_invariants_curved():
     # it keeps no phi_x alive
     assert b.a.base is b.c.base is b.ac
     assert b.phi.flags.owndata
-
-
-def test_normal_crosscheck_against_pullback():
-    # n = J g^-1 (A^T N) with N = (0, -1); the second row of the inverse
-    # gradient is (a, c), so A^T N = -(a, c)
-    h = 0.1 * np.cos(GRID.xs) + 0.03 * np.sin(2 * GRID.xs)
-    b = metric_bundle(GRID, h)
-    pulled = -np.stack((b.a[:, 0], b.c[:, 0]))
-    n_check = pulled * b.jac_edge / b.line_el
-    assert np.max(np.abs(n_check - b.normal)) <= 1e-8
 
 
 def test_jacobian_positive_in_safety_region():

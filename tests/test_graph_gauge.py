@@ -14,9 +14,14 @@ from a, agree to rounding only.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from stefansim.geometry import GRAPH_BOUND, harmonic_extend, metric_bundle
+from stefansim.geometry import (
+    GRAPH_BOUND,
+    DegenerateMapError,
+    harmonic_extend,
+    metric_bundle,
+)
 from stefansim.numerics import Grid, tangential_derivative, vertical_derivative
 from stefansim.operators import (
     compute_velocity,
@@ -24,6 +29,7 @@ from stefansim.operators import (
     gauge_deviation,
     transformed_laplacian_expanded,
 )
+from stefansim.stepper import height_rate
 
 #: total slope budget sum_k k |A_k|; it bounds sup|h'| and keeps
 #: J >= 1 - 0.6 coth(1) > 0.2 for every drawn height
@@ -171,3 +177,34 @@ def test_graph_gauge_matches_general_formulas(case):
     lap = transformed_laplacian_expanded(grid, b, q)
     ref = oracle_expanded(grid, ainv, q)
     assert np.max(np.abs(lap - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@st.composite
+def steep_edges(draw):
+    """A height up to the graph bound and a random velocity field."""
+    nx = draw(st.sampled_from((32, 48, 64)))
+    grid = Grid(nx, nx + 1)
+    modes = draw(st.lists(st.tuples(st.integers(1, 6), st.floats(0.1, 1.0), _phase),
+                          min_size=1, max_size=4))
+    h = sum(amp * np.cos(k * grid.xs + ph) for k, amp, ph in modes)
+    # rescale so that sup|h'| is a drawn share of sqrt(GRAPH_BOUND)
+    slope = np.max(np.abs(tangential_derivative(h)))
+    h = h * (draw(st.floats(0.05, 0.999)) * np.sqrt(GRAPH_BOUND) / slope)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal((2, grid.nx, grid.ny))
+    return grid, h, v
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(steep_edges())
+def test_height_rate_is_the_pulled_back_normal_speed(case):
+    # the scaled normal g n = J A^T N with N = (0, -1) and the second row of
+    # the inverse gradient (a, c), so g (v . n) = -J (a v0 + c v1)
+    grid, h, v = case
+    try:
+        b = metric_bundle(grid, h)
+    except DegenerateMapError:
+        # a steep many-mode height can fold the map before it leaves the graph
+        assume(False)
+    ref = -b.jac_edge * (b.a[:, 0] * v[0, :, 0] + b.c[:, 0] * v[1, :, 0])
+    _assert_close(height_rate(b, v), ref, 1e-14)

@@ -205,6 +205,24 @@ def test_cli_init_abort_writes_manifest(tmp_path):
     assert payload["reason"].startswith("InvalidGeometryError")
 
 
+@pytest.mark.parametrize("override, passed", [
+    # curved data fail the compatibility check
+    ("data.h0_amplitude=0.05", False),
+    # 4 steps at a cadence of 3
+    ("snapshot_every=3", True),
+])
+def test_cli_config_error_writes_manifest(tmp_path, override, passed):
+    out = tmp_path / "d"
+    code = cli_main(["run", "--out", str(out), "--override", "t_end=1e-4",
+                     "--override", "snapshot_every=4", "--override", override])
+    assert code == 4
+    payload = json.loads((out / "manifest.json").read_text())
+    assert payload["status"] == "config-error"
+    assert payload["exit_code"] == 4
+    assert payload["reason"].startswith("ConfigurationError")
+    assert payload["compat"]["passed"] is passed
+
+
 @pytest.mark.parametrize("mode, extra, expected", [
     ("classical", {}, True),
     ("surface_tension", {"sigma": 0.01}, False),

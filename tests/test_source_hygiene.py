@@ -1,0 +1,91 @@
+"""Source hygiene of the package: no dead imports, no orphaned private helpers.
+
+Parsed with ``ast`` only, so the check costs milliseconds and imports
+nothing.  An import must be used in its module or re-exported through
+``__all__``; a module-level ``_private`` function or class must be named
+somewhere else in the package (another module may import it, as the CLI
+does ``_ladder``).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "stefansim"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _used_names(tree: ast.Module, skip=(), imports=False) -> set:
+    """Every Name and attribute name outside the ``skip`` nodes.
+
+    With ``imports`` the names a module imports count as used too.
+    """
+    skipped = {id(node) for node in skip}
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif imports and isinstance(node, ast.alias):
+            used.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_import_is_used_or_exported():
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        used = _used_names(tree) | _exported(tree)
+        for name, line in _imported_names(tree):
+            if name not in used:
+                unused.append(f"{path.name}:{line} {name}")
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            # references in the defining module, the definition itself aside,
+            # and in every other module of the package, imports included
+            used = _used_names(tree, skip=(node,))
+            for other, other_tree in trees.items():
+                if other != name:
+                    used |= _used_names(other_tree, imports=True)
+            if node.name not in used:
+                orphans.append(f"{name}:{node.lineno} {node.name}")
+    assert not orphans, "unreferenced private helpers: " + ", ".join(orphans)

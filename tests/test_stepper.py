@@ -174,8 +174,9 @@ def test_boundary_slip_machine_zero_classical():
     st = init_state(cfg)
     for _ in range(5):
         st = advance(st, cfg)
+    # tangential velocity: v against the unit tangent (1, h') / g
     ve = st.v[:, :, 0]
-    vt = ve[0] * st.bundle.tangent[0] + ve[1] * st.bundle.tangent[1]
+    vt = (ve[0] + ve[1] * st.bundle.dheight) / st.bundle.line_el
     assert np.max(np.abs(vt)) <= 1e-12
 
 

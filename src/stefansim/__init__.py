@@ -2,9 +2,10 @@
 
 The moving melting interface is a graph over the lower edge of the
 reference strip; a harmonic-gauge map fixes the domain, and the coupled
-temperature/height system is advanced with an IMEX splitting in three
-interface modes (melting temperature pinned to zero, curvature-coupled
-surface tension, or a penalized regularization with smoothed geometry).
+temperature/height system is advanced with an IMEX splitting under one
+of three interface laws, selected by sigma and kappa (melting temperature
+pinned to zero, curvature-coupled surface tension for sigma > 0, or a
+penalized regularization with smoothed geometry for kappa > 0).
 Energy functionals, stability-margin and geometric-identity diagnostics,
 and sweep harnesses live alongside the solver.
 """

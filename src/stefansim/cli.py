@@ -3,8 +3,9 @@
 Subcommands: ``run`` (one simulation with full reporting), ``sweep-sigma``
 and ``sweep-kappa`` (parameter ladders), ``check-data`` (compatibility
 report for the configured initial data), ``mms`` (manufactured-solution
-convergence study).  Exit codes: 0 completed, 2 stability-margin flag or
-failed data check, 3 aborted, 4 configuration error.
+convergence study).  Exit codes (``harness.EXIT_CODES``): 0 completed, 2
+stability-margin flag or failed data check, 3 aborted, 4 configuration
+error.
 """
 
 from __future__ import annotations
@@ -12,12 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .numerics import ConfigurationError, NumericsError
 from .initdata import compat_residuals
 from .stepper import initial_data
 from .harness import (
+    EXIT_ABORTED,
+    EXIT_CONFIG,
+    EXIT_FLAGGED,
+    EXIT_OK,
     apply_overrides,
     build_config,
     mms_convergence,
@@ -28,12 +34,6 @@ from .harness import (
     write_sweep,
     _ladder,
 )
-
-EXIT_OK = 0
-EXIT_FLAGGED = 2
-EXIT_ABORTED = 3
-EXIT_CONFIG = 4
-
 
 def _add_common(parser):
     parser.add_argument("--config", type=Path, default=None,
@@ -61,29 +61,17 @@ def _cmd_run(args) -> int:
     return manifest.exit_code
 
 
-def _cmd_sweep_sigma(args) -> int:
+def _cmd_sweep(ladder_key, sweep, verdict, args) -> int:
+    """A parameter ladder: passes if monotone and ``verdict`` holds."""
     settings = _settings(args)
     config = build_config(settings)
-    ladder = _ladder(settings, "sweep.sigma_ladder")
+    ladder = _ladder(settings, ladder_key)
     workers = int(settings.get("sweep.workers", 1))
-    result = sweep_sigma(config, ladder, workers=workers)
+    result = sweep(config, ladder, workers=workers)
     if args.out is not None:
         write_sweep(args.out, result)
     print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    ok = result.monotone and result.extras.get("same_horizon", False)
-    return EXIT_OK if ok else EXIT_FLAGGED
-
-
-def _cmd_sweep_kappa(args) -> int:
-    settings = _settings(args)
-    config = build_config(settings)
-    ladder = _ladder(settings, "sweep.kappa_ladder")
-    workers = int(settings.get("sweep.workers", 1))
-    result = sweep_kappa(config, ladder, workers=workers)
-    if args.out is not None:
-        write_sweep(args.out, result)
-    print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    ok = result.monotone and all(result.extras.get("uniform_bound", []))
+    ok = result.monotone and verdict(result.extras)
     return EXIT_OK if ok else EXIT_FLAGGED
 
 
@@ -116,8 +104,10 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (
         ("run", _cmd_run),
-        ("sweep-sigma", _cmd_sweep_sigma),
-        ("sweep-kappa", _cmd_sweep_kappa),
+        ("sweep-sigma", partial(_cmd_sweep, "sweep.sigma_ladder", sweep_sigma,
+                                lambda extras: extras["same_horizon"])),
+        ("sweep-kappa", partial(_cmd_sweep, "sweep.kappa_ladder", sweep_kappa,
+                                lambda extras: all(extras["uniform_bound"]))),
         ("check-data", _cmd_check_data),
         ("mms", _cmd_mms),
     ):

@@ -37,7 +37,6 @@ from .operators import deviation_from_derivatives, velocity_from_derivatives
 from .stepper import (
     CLASSICAL,
     KAPPA,
-    SURFACE_TENSION,
     SolverConfig,
     StepDivergedError,
     advance,
@@ -59,7 +58,13 @@ STATUS_COMPLETED = "completed"
 STATUS_TAYLOR = "taylor-flag"
 STATUS_ABORTED = "aborted"
 STATUS_CONFIG = "config-error"
-EXIT_CODES = {STATUS_COMPLETED: 0, STATUS_TAYLOR: 2, STATUS_CONFIG: 4}
+#: process exit codes; a failed data check or sweep verdict is "flagged"
+EXIT_OK = 0
+EXIT_FLAGGED = 2
+EXIT_ABORTED = 3
+EXIT_CONFIG = 4
+EXIT_CODES = {STATUS_COMPLETED: EXIT_OK, STATUS_TAYLOR: EXIT_FLAGGED,
+              STATUS_ABORTED: EXIT_ABORTED, STATUS_CONFIG: EXIT_CONFIG}
 #: steps a run may continue with a nonpositive stability margin
 TAYLOR_GRACE_STEPS = 10
 
@@ -71,7 +76,6 @@ TAYLOR_GRACE_STEPS = 10
 def default_config() -> dict:
     """Flat key/value defaults for the baseline desk-scale run."""
     return {
-        "mode": "classical",
         "sigma": 0.0,
         "kappa": 0.0,
         "grid.nx": 64,
@@ -177,7 +181,6 @@ def build_config(settings: dict) -> SolverConfig:
         blend_window=float(merged["data.blend_window"]),
     )
     return SolverConfig(
-        mode=str(merged["mode"]),
         sigma=float(merged["sigma"]),
         kappa=float(merged["kappa"]),
         nx=int(merged["grid.nx"]),
@@ -224,7 +227,7 @@ class RunManifest:
 
     @property
     def exit_code(self) -> int:
-        return EXIT_CODES.get(self.status, 3)
+        return EXIT_CODES[self.status]
 
     def write(self, outdir: Path) -> Path:
         path = outdir / "manifest.json"
@@ -413,7 +416,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     )
     grid = config.grid
     try:
-        if q0 is None and config.mode in (CLASSICAL, SURFACE_TENSION):
+        if q0 is None and config.mode != KAPPA:
             q0, h0 = initial_data(config)
             report = compat_residuals(grid, q0, h0, sigma=config.sigma)
             manifest.compat = {
@@ -442,7 +445,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
         raise
     manifest.status = traj.status
     manifest.flags = list(traj.flags)
-    if traj.status not in EXIT_CODES:
+    if traj.status == STATUS_ABORTED:
         manifest.reason = traj.flags[-1] if traj.flags else "aborted"
     reports = energy_table(traj)
     manifest.wall_time = time.perf_counter() - t0
@@ -474,15 +477,15 @@ def _map_points(point, jobs, workers: int) -> list:
 
 def _sigma_point(args):
     config, sigma = args
-    mode = SURFACE_TENSION if sigma > 0.0 else CLASSICAL
-    return simulate(replace(config, mode=mode, sigma=float(sigma), kappa=0.0))
+    return simulate(replace(config, sigma=float(sigma), kappa=0.0))
 
 
 def sweep_sigma(config: SolverConfig, ladder=None, workers: int = 1) -> SweepResult:
     """Vanishing-surface-tension sweep against the zero-tension reference.
 
-    Every ladder point runs the same horizon with the well-prepared data
-    family; distances are trajectory max-norm distances to the reference.
+    Every ladder point runs the same horizon from the one data family, so
+    the reference is its sigma = 0 member on the same initial interface;
+    distances are trajectory max-norm distances to the reference.
     """
     ladder = [float(s) for s in (ladder or (0.1, 0.01, 0.001, 0.0001, 0.0))]
     if 0.0 not in ladder:
@@ -517,7 +520,7 @@ def sweep_sigma(config: SolverConfig, ladder=None, workers: int = 1) -> SweepRes
 
 def _kappa_point(args):
     config, kappa = args
-    cfg = replace(config, mode=KAPPA, kappa=float(kappa), sigma=0.0)
+    cfg = replace(config, kappa=float(kappa), sigma=0.0)
     traj = simulate(cfg)
     table = energy_table(traj)
     sup_e = max(r.energy_kappa for r in table)
@@ -725,7 +728,7 @@ class ManufacturedCase:
         case = ManufacturedCase(Grid(nx, ny), flat=self.flat, amp=self.amp,
                                 rate=self.rate)
         cfg = SolverConfig(
-            mode=CLASSICAL, nx=nx, ny=ny, dt=dt, t_end=t_end,
+            nx=nx, ny=ny, dt=dt, t_end=t_end,
             snapshot_every=max(1, round(t_end / dt)),
             source_q=case.source_q, source_h=case.source_h,
         )

@@ -1,8 +1,8 @@
 """Initial data construction, compatibility checks, and the regularized datum.
 
-The explicit data families live in a slab above the interface where the
-temperature is the quadratic profile  alpha*y - alpha^2*y^2/2  (classical)
-optionally augmented by  sigma*b(x)*y^3  (surface-tension family).  A C^2
+The explicit data family lives in a slab above the interface where the
+temperature is the quadratic profile  alpha*y - alpha^2*y^2/2  (the
+classical datum, sigma = 0) augmented by  sigma*b(x)*y^3.  A C^2
 polynomial cutoff in y blends the profile to zero well below the top wall
 so the homogeneous Neumann condition there holds identically.
 
@@ -13,7 +13,7 @@ families), so the analytic zeros of the explicit data survive discretely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,20 +139,19 @@ def build_classical_data(grid: Grid, spec: DataSpec):
 
 
 def build_sigma_data(grid: Grid, spec: DataSpec, sigma: float):
-    """Surface-tension family (q0, h0): flat interface, sigma*b(x)*y^3 term.
+    """The data family (q0, h0): the classical datum plus sigma*b(x)*y^3.
 
-    Reduces exactly to the flat classical datum of ``spec`` when sigma = 0;
-    the extra term vanishes to second order at the interface, so every
-    trace entering the flat compatibility conditions is unchanged and the
-    family's energy distance to the sigma = 0 member scales linearly in
-    sigma.
+    At sigma = 0 it is the classical datum of ``spec`` bit for bit, so
+    every interface law starts from this one family.  The extra term
+    vanishes to second order at the interface, so every trace entering
+    the flat compatibility conditions is unchanged and the family's energy
+    distance to the sigma = 0 member scales linearly in sigma.
     """
     if sigma < 0:
         raise ConfigurationError("sigma must be >= 0")
-    q0, _ = build_classical_data(grid, replace(spec, h0_amplitude=0.0))
+    q0, h0 = build_classical_data(grid, spec)
     y = grid.ys
-    q0 = q0 + sigma * spec.b_profile(grid)[:, None] * (y**3 * blend_cutoff(spec, y))[None, :]
-    h0 = np.zeros(grid.nx)
+    q0 += sigma * spec.b_profile(grid)[:, None] * (y**3 * blend_cutoff(spec, y))[None, :]
     return q0, h0
 
 

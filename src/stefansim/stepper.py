@@ -4,11 +4,12 @@ One step is an operator split: explicit interface update from the height
 law, rebuild of the harmonic gauge map, backward-difference map velocity,
 then a first-order IMEX heat update in which the flat Laplacian is
 implicit per Fourier mode and the gauge-deviation part, the transport
-term, and any forcing are explicit.  Three interface conditions are
-supported: melting temperature pinned to zero (classical), pinned to
-sigma times the interface curvature (surface tension), and a penalized
-width^2-weighted Robin condition with consistency forcings (regularized
-mode).  A step computes no diagnostic: the run loop in ``harness`` applies
+term, and any forcing are explicit.  sigma and kappa select the
+interface law (``SolverConfig.mode``): melting temperature pinned to zero
+(classical, sigma = kappa = 0), pinned to sigma times the interface
+curvature (surface tension, sigma > 0), or a penalized width^2-weighted
+Robin condition with consistency forcings (regularized, kappa > 0).  A
+step computes no diagnostic: the run loop in ``harness`` applies
 the monitors of ``analysis`` to consecutive states.
 
 Data flow of one step, with the transforms it makes (x is spectral, y is
@@ -67,7 +68,6 @@ from .operators import (
 from .elliptic import DIRICHLET, NEUMANN, ROBIN, EdgeCondition, StripSolver
 from .initdata import (
     DataSpec,
-    build_classical_data,
     build_regularized_datum,
     build_sigma_data,
     taylor_margin,
@@ -76,7 +76,6 @@ from .initdata import (
 CLASSICAL = "classical"
 SURFACE_TENSION = "surface_tension"
 KAPPA = "kappa"
-MODES = (CLASSICAL, SURFACE_TENSION, KAPPA)
 
 #: dt may be at most this multiple of min(hx, hy)^2
 CFL_SAFETY = 0.5
@@ -90,9 +89,8 @@ class StepDivergedError(NumericsError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters for one simulation."""
+    """Run parameters for one simulation; sigma and kappa select the law."""
 
-    mode: str = CLASSICAL
     sigma: float = 0.0
     kappa: float = 0.0
     nx: int = 64
@@ -106,16 +104,10 @@ class SolverConfig:
     source_h: object = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.mode == SURFACE_TENSION and self.sigma <= 0:
-            raise ConfigurationError("surface-tension mode requires sigma > 0")
-        if self.mode == KAPPA and self.kappa <= 0:
-            raise ConfigurationError("regularized mode requires kappa > 0")
-        if self.sigma != 0 and self.mode != SURFACE_TENSION:
-            raise ConfigurationError("sigma applies only in surface_tension mode")
-        if self.kappa != 0 and self.mode != KAPPA:
-            raise ConfigurationError("kappa applies only in kappa mode")
+        if not (self.sigma >= 0 and self.kappa >= 0):
+            raise ConfigurationError("sigma and kappa must be >= 0")
+        if self.sigma > 0 and self.kappa > 0:
+            raise ConfigurationError("sigma and kappa cannot both be positive")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
         if self.snapshot_every < 1:
@@ -127,6 +119,15 @@ class SolverConfig:
             raise ConfigurationError(
                 f"dt={self.dt:.3e} exceeds the diffusive limit {limit:.3e}"
             )
+
+    @property
+    def mode(self) -> str:
+        """The interface law: kappa if kappa > 0, surface tension if sigma > 0."""
+        if self.kappa > 0:
+            return KAPPA
+        if self.sigma > 0:
+            return SURFACE_TENSION
+        return CLASSICAL
 
     @cached_property
     def grid(self) -> Grid:
@@ -282,14 +283,12 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
 
 
 def initial_data(config: SolverConfig):
-    """The explicit datum (q0, h0) of the mode's data family.
+    """The explicit datum (q0, h0): the sigma family at the config's sigma.
 
-    The sigma family in surface-tension mode, the classical one otherwise;
-    kappa mode lifts it through the regularized datum in ``init_state``.
+    At sigma = 0 it is the classical datum; a kappa run lifts it through
+    the regularized datum in ``init_state``.
     """
-    if config.mode == SURFACE_TENSION:
-        return build_sigma_data(config.grid, config.data, config.sigma)
-    return build_classical_data(config.grid, config.data)
+    return build_sigma_data(config.grid, config.data, config.sigma)
 
 
 def init_state(config: SolverConfig, q0: np.ndarray | None = None,
@@ -347,9 +346,10 @@ def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
     those yields the second coefficient.
     """
     micro_dt = config.dt / 100.0
+    # sigma is 0 beside a positive kappa, so kappa = 0 is the classical law
     micro = replace(
-        config, mode=CLASSICAL, sigma=0.0, kappa=0.0, dt=micro_dt,
-        t_end=3 * micro_dt, source_q=None, source_h=None,
+        config, kappa=0.0, dt=micro_dt, t_end=3 * micro_dt,
+        source_q=None, source_h=None,
     )
     s0 = init_state(micro, q0=q0.copy(), h0=h0.copy())
     s1 = advance(s0, micro)

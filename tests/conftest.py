@@ -10,7 +10,7 @@ from stefansim.harness import simulate, sweep_kappa, sweep_sigma
 
 
 def _baseline(**kw):
-    base = dict(mode="classical", nx=64, ny=129, dt=2.5e-5, t_end=0.05,
+    base = dict(nx=64, ny=129, dt=2.5e-5, t_end=0.05,
                 snapshot_every=40, data=DataSpec(alpha=1.0))
     base.update(kw)
     return SolverConfig(**base)

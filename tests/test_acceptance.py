@@ -98,14 +98,14 @@ def test_criterion_04_initial_data_suite():
     sig_ok = True
     sigmas = (1e-1, 1e-2, 1e-3, 1e-4)
     dists = []
-    base_cfg = SolverConfig(mode="classical", data=DataSpec(alpha=1.0))
+    base_cfg = SolverConfig(data=DataSpec(alpha=1.0))
     st0 = init_state(base_cfg)
     d0 = initial_time_derivatives(st0, base_cfg)
     for s in sigmas:
         q0, h0 = build_sigma_data(GRID, DataSpec(alpha=1.0), s)
         rs = compat_residuals(GRID, q0, h0, sigma=s)
         sig_ok = sig_ok and rs.r_second <= 1e-9
-        cfg = SolverConfig(mode="surface_tension", sigma=s,
+        cfg = SolverConfig(sigma=s,
                            data=DataSpec(alpha=1.0))
         st = init_state(cfg)
         ds = initial_time_derivatives(st, cfg)
@@ -196,7 +196,7 @@ def test_criterion_07_invariant_suite(invariant_run, invariant_probe_pair,
 
 def test_criterion_08_taylor_persistence(baseline_run):
     margin_ok = min(baseline_run.margins) >= 0.5
-    config = SolverConfig(mode="classical", t_end=50 * 2.5e-5,
+    config = SolverConfig(t_end=50 * 2.5e-5,
                           snapshot_every=1, data=DataSpec(alpha=1.0))
     y = GRID.ys
     bad_q = np.broadcast_to(-0.3 * y, (GRID.nx, GRID.ny)).copy()
@@ -240,7 +240,7 @@ def test_criterion_11_energy_order_echoes(kappa_sweep_result):
     order_ok = all(res.extras["order_ok"])
     ratios = [r for pair in res.extras["ratio_ranges"] for r in pair]
     band_ok = max(ratios) / min(ratios) <= 10.0
-    cfg = SolverConfig(mode="kappa", kappa=0.1, t_end=2e-3,
+    cfg = SolverConfig(kappa=0.1, t_end=2e-3,
                        snapshot_every=20, data=DataSpec(alpha=1.0))
     traj = simulate(cfg)
     terms = natural_edge_terms(traj, -1)

@@ -71,7 +71,7 @@ def _roll_trajectory(traj, shift):
     )
 
 
-CFG = SolverConfig(mode="classical", t_end=2e-3, snapshot_every=20,
+CFG = SolverConfig(t_end=2e-3, snapshot_every=20,
                    data=DataSpec(alpha=1.0))
 
 
@@ -227,7 +227,7 @@ def test_mixed_cnorm_height_perturbation_direct_oracle():
 def test_mixed_cnorm_mismatch_errors():
     traj = _static_trajectory(CFG, np.zeros((GRID.nx, GRID.ny)),
                               np.zeros(GRID.nx))
-    other_cfg = SolverConfig(mode="classical", t_end=2e-3, dt=5e-6,
+    other_cfg = SolverConfig(t_end=2e-3, dt=5e-6,
                              snapshot_every=20, nx=128, ny=257,
                              data=DataSpec(alpha=1.0))
     other = _static_trajectory(other_cfg, np.zeros((128, 257)), np.zeros(128))
@@ -246,7 +246,7 @@ def test_geometric_identities_flat_linear_field():
 
 
 def test_geometric_identities_on_run():
-    cfg = SolverConfig(mode="classical", t_end=2e-3, snapshot_every=20,
+    cfg = SolverConfig(t_end=2e-3, snapshot_every=20,
                        data=DataSpec(alpha=1.0, h0_amplitude=0.05))
     traj = simulate(cfg)
     ids = geometric_identities(traj, -1)
@@ -256,7 +256,7 @@ def test_geometric_identities_on_run():
 
 
 def test_natural_energy_edge_terms_nonnegative():
-    cfg = SolverConfig(mode="classical", t_end=2e-3, snapshot_every=20,
+    cfg = SolverConfig(t_end=2e-3, snapshot_every=20,
                        data=DataSpec(alpha=1.0, h0_amplitude=0.05))
     traj = simulate(cfg)
     for term in natural_edge_terms(traj, -1):
@@ -267,7 +267,7 @@ def test_dissipation_zero_and_mode_guard():
     traj = _static_trajectory(CFG, np.zeros((GRID.nx, GRID.ny)),
                               np.zeros(GRID.nx))
     assert dissipation_residual(traj) == 0.0
-    scfg = SolverConfig(mode="surface_tension", sigma=0.1, t_end=2e-3,
+    scfg = SolverConfig(sigma=0.1, t_end=2e-3,
                         snapshot_every=20, data=DataSpec(alpha=1.0))
     straj = _static_trajectory(scfg, np.zeros((GRID.nx, GRID.ny)),
                                np.zeros(GRID.nx))
@@ -276,7 +276,7 @@ def test_dissipation_zero_and_mode_guard():
 
 
 def test_interface_speed_records_present():
-    cfg = SolverConfig(mode="classical", t_end=2e-3, snapshot_every=20,
+    cfg = SolverConfig(t_end=2e-3, snapshot_every=20,
                        data=DataSpec(alpha=1.0))
     traj = simulate(cfg)
     rep = energy_report(traj)
@@ -290,7 +290,7 @@ def test_interface_speed_records_present():
 def test_bundle_at_rebuilds_the_map_of_the_step():
     # in kappa mode the map extends the smoothed height while the snapshot
     # keeps the raw one; the analysis must rebuild the map the step used
-    cfg = SolverConfig(mode="kappa", kappa=0.05, t_end=5e-4, snapshot_every=10,
+    cfg = SolverConfig(kappa=0.05, t_end=5e-4, snapshot_every=10,
                        data=DataSpec(alpha=1.0, h0_amplitude=0.05))
     traj = simulate(cfg)
     assert len(traj) == 3

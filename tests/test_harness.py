@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from stefansim.numerics import ConfigurationError, Grid
 from stefansim.elliptic import EllipticSolveError
@@ -16,6 +17,7 @@ from stefansim import harness, initdata, stepper
 from stefansim.stepper import SolverConfig
 from stefansim.harness import (
     ManufacturedCase,
+    _config_dict,
     apply_overrides,
     build_config,
     parse_config_file,
@@ -41,14 +43,14 @@ def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# comment\n"
-        "mode = classical\n"
+        "sigma = 0.0\n"
         "dt = 2.5e-5\n"
         "grid.nx = 64\n"
         "data.alpha = 0.75\n"
         "output.svg = off\n"
     )
     settings = parse_config_file(cfg)
-    assert settings["mode"] == "classical"
+    assert settings["sigma"] == 0.0
     assert settings["grid.nx"] == 64
     assert settings["data.alpha"] == 0.75
     assert settings["output.svg"] is False
@@ -72,6 +74,10 @@ def test_config_errors(tmp_path):
     assert str(err.value) == "unknown config keys: dT, grid.nX"
     with pytest.raises(ConfigurationError, match="unknown config keys"):
         build_config({"compat.require": False})
+    # sigma and kappa select the interface law; there is no mode setting
+    with pytest.raises(ConfigurationError) as err:
+        build_config({"mode": "kappa", "kappa": 0.05})
+    assert str(err.value) == "unknown config keys: mode"
     # a value must have its default's type: "flase" is no boolean
     for key, raw in (("compat.override", "flase"), ("output.svg", "nope"),
                      ("grid.nx", "abc"), ("dt", "fast"), ("kappa", "true")):
@@ -185,7 +191,8 @@ def test_cli_run_and_exit_codes(tmp_path):
                      "--override", "snapshot_every=0",
                      "--override", "t_end=1e-4"])
     assert code == 4
-    for override in ("grid.nx=abc", "dt=fast", "compat.override=flase"):
+    for override in ("grid.nx=abc", "dt=fast", "compat.override=flase",
+                     "mode=kappa"):
         assert cli_main(["run", "--config", str(cfg),
                          "--override", override]) == 4
     assert cli_main(["sweep-sigma",
@@ -229,8 +236,9 @@ def test_cli_config_error_writes_manifest(tmp_path, override, passed):
     ("kappa", {"kappa": 0.1}, False),
 ])
 def test_simulate_records_one_dissipation_entry_per_step(mode, extra, expected):
-    config = build_config(_fast_settings(mode=mode, t_end=1e-4,
-                                         snapshot_every=2, **extra))
+    config = build_config(_fast_settings(t_end=1e-4, snapshot_every=2,
+                                         **extra))
+    assert config.mode == mode
     traj = simulate(config)
     if not expected:
         assert traj.dissipation == []
@@ -242,6 +250,65 @@ def test_simulate_records_one_dissipation_entry_per_step(mode, extra, expected):
         t += config.dt
         assert stamp == t and np.isfinite(defect)
     assert traj.dissipation[-1][0] == traj.times[-1]
+
+
+def test_cli_sigma_alone_selects_surface_tension(tmp_path):
+    out = tmp_path / "d"
+    code = cli_main(["run", "--out", str(out), "--override", "sigma=0.01",
+                     "--override", "t_end=1e-4", "--override", "snapshot_every=4",
+                     "--override", "output.svg=false"])
+    assert code == 0
+    payload = json.loads((out / "manifest.json").read_text())
+    assert payload["mode"] == "surface_tension"
+    assert payload["sigma"] == 0.01 and payload["config"]["sigma"] == 0.01
+    assert "mode" not in payload["config"]
+
+
+@st.composite
+def _valid_settings(draw):
+    """Settings that build a config, with the law sigma and kappa select:
+    dt under the CFL limit, the data bounds, at most one of sigma and kappa
+    positive."""
+    nx = 2 * draw(st.integers(8, 64))
+    ny = draw(st.integers(17, 257))
+    limit = 0.5 * min(2 * np.pi / nx, 1.0 / (ny - 1)) ** 2
+    eps_slab = draw(st.floats(min_value=0.01, max_value=0.49))
+    law = draw(st.sampled_from(["classical", "surface_tension", "kappa"]))
+    positive = st.floats(min_value=1e-6, max_value=1.0)
+    return {
+        "sigma": draw(positive) if law == "surface_tension" else 0.0,
+        "kappa": draw(positive) if law == "kappa" else 0.0,
+        "grid.nx": nx,
+        "grid.ny": ny,
+        "dt": draw(st.floats(min_value=1e-3, max_value=1.0)) * limit,
+        "t_end": draw(st.floats(min_value=1e-4, max_value=1.0)),
+        "snapshot_every": draw(st.integers(1, 100)),
+        "data.alpha": draw(st.floats(min_value=0.1, max_value=3.0)),
+        "data.eps_slab": eps_slab,
+        "data.blend_window": draw(st.floats(min_value=0.01,
+                                            max_value=0.99 - eps_slab)),
+        "data.b_amplitude": draw(st.floats(min_value=-2.0, max_value=2.0)),
+        "data.b_mode": draw(st.integers(0, 8)),
+        "data.h0_amplitude": draw(st.floats(min_value=-0.1, max_value=0.1)),
+        "data.h0_mode": draw(st.integers(0, 8)),
+    }, law
+
+
+@hyp_settings(max_examples=60, derandomize=True, deadline=None)
+@given(_valid_settings())
+def test_settings_roundtrip_through_config(case):
+    settings, law = case
+    # through the text form of an override, as the CLI reads it
+    parsed = apply_overrides({}, [f"{k}={v!r}" for k, v in settings.items()])
+    config = build_config(parsed)
+    out = _config_dict(config)
+    for key, value in settings.items():
+        section, _, name = key.rpartition(".")
+        got = out["data"][name] if section == "data" else out[
+            {"grid.nx": "nx", "grid.ny": "ny"}.get(key, key)]
+        assert got == value, key
+    assert config.mode == law
+    assert "mode" not in out
 
 
 def test_cli_data_construction_abort_writes_manifest(tmp_path):
@@ -261,7 +328,7 @@ def test_kappa_init_abort_writes_manifest(tmp_path, monkeypatch):
         stepper, "build_regularized_datum",
         functools.partial(stepper.build_regularized_datum, max_iter=1),
     )
-    config = SolverConfig(mode="kappa", kappa=0.1, t_end=1e-3,
+    config = SolverConfig(kappa=0.1, t_end=1e-3,
                           snapshot_every=10,
                           data=DataSpec(h0_amplitude=0.05))
     with pytest.raises(EllipticSolveError):
@@ -295,14 +362,14 @@ def test_manifest_wall_time_monotonic(tmp_path, monkeypatch):
 def test_classical_run_builds_its_datum_once(monkeypatch):
     # the compatibility probe's datum is the one the run starts from
     calls = []
-    build = initdata.build_classical_data
+    build = initdata.build_sigma_data
 
     def counted(*args, **kwargs):
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(initdata, "build_classical_data", counted)
-    monkeypatch.setattr(stepper, "build_classical_data", counted)
+    monkeypatch.setattr(initdata, "build_sigma_data", counted)
+    monkeypatch.setattr(stepper, "build_sigma_data", counted)
     settings = _fast_settings()
     run_simulation(build_config(settings), settings=settings)
     assert len(calls) == 1
@@ -322,6 +389,17 @@ def test_sweep_sigma_smoke(tmp_path):
     assert result.distances[-1] == 0.0
     assert result.distances[0] >= result.distances[1] > 0.0
     assert result.extras["same_horizon"]
+
+
+def test_sweep_sigma_curved_reference():
+    # every ladder point starts from the same curved interface, so the
+    # distances to the sigma = 0 reference shrink linearly in sigma
+    config = build_config(_fast_settings(**{
+        "grid.nx": 16, "grid.ny": 33, "t_end": 2.5e-3, "snapshot_every": 20,
+        "data.h0_amplitude": 0.05}))
+    result = sweep_sigma(config, ladder=[1e-2, 1e-3, 1e-4, 0.0])
+    assert result.statuses == ["completed"] * 4
+    assert abs(result.fit_exponent - 1.0) <= 0.1, result.distances
 
 
 def test_sweep_kappa_smoke():

@@ -69,6 +69,10 @@ def test_sigma_zero_reduces_to_classical(blend_window):
     qs, hs = build_sigma_data(GRID, spec, 0.0)
     assert np.max(np.abs(qc - qs)) == 0.0
     assert np.max(np.abs(hs)) == 0.0
+    # one family: the sigma data keep the spec's interface
+    curved = DataSpec(alpha=1.0, blend_window=blend_window, h0_amplitude=0.05)
+    assert np.array_equal(build_sigma_data(GRID, curved, 0.01)[1],
+                          build_classical_data(GRID, curved)[1])
 
 
 @pytest.mark.parametrize("sigma", [1e-1, 1e-2, 1e-3, 1e-4])

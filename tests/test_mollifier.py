@@ -190,8 +190,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 assert not scipy_modules(), scipy_modules()
-for extra in ({}, {"mode": "surface_tension", "sigma": 0.01},
-              {"mode": "kappa", "kappa": 0.05}):
+for extra in ({}, {"sigma": 0.01}, {"kappa": 0.05}):
     traj = simulate(build_config({"grid.nx": 16, "grid.ny": 33, "t_end": 1e-3,
                                   "snapshot_every": 10, "data.h0_amplitude": 0.05,
                                   **extra}))

@@ -30,7 +30,7 @@ GRID = Grid(64, 129)
 
 
 def _short_config(**kw):
-    base = dict(mode="classical", t_end=2.5e-4, snapshot_every=10,
+    base = dict(t_end=2.5e-4, snapshot_every=10,
                 data=DataSpec(alpha=1.0))
     base.update(kw)
     return SolverConfig(**base)
@@ -192,22 +192,21 @@ def test_margin_flag_raised_on_sign_violation():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        SolverConfig(mode="surface_tension", sigma=0.0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(mode="kappa", kappa=0.0)
-    with pytest.raises(ConfigurationError):
         SolverConfig(dt=1e-3)
     with pytest.raises(ConfigurationError):
-        SolverConfig(mode="melt")
-    with pytest.raises(ConfigurationError):
         SolverConfig(snapshot_every=0)
-    # sigma and kappa act only in their own modes
-    with pytest.raises(ConfigurationError):
-        SolverConfig(mode="classical", sigma=0.1)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(mode="classical", kappa=0.1)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(mode="surface_tension", sigma=0.1, kappa=0.1)
+    # sigma and kappa select the interface law: both nonnegative, at most
+    # one of them positive
+    with pytest.raises(ConfigurationError, match="must be >= 0"):
+        SolverConfig(sigma=-0.1)
+    with pytest.raises(ConfigurationError, match="must be >= 0"):
+        SolverConfig(kappa=-0.1)
+    with pytest.raises(ConfigurationError, match="cannot both be positive"):
+        SolverConfig(sigma=0.1, kappa=0.1)
+    assert SolverConfig().mode == "classical"
+    assert SolverConfig(sigma=0.1).mode == "surface_tension"
+    assert SolverConfig(kappa=0.1).mode == "kappa"
+    assert "mode" not in asdict(SolverConfig())
 
 
 def test_config_grid_built_once():
@@ -239,7 +238,7 @@ def test_initial_derivatives_match_early_differences():
 
 
 def test_sigma_mode_trace_follows_curvature():
-    cfg = _short_config(mode="surface_tension", sigma=0.05,
+    cfg = _short_config(sigma=0.05,
                         data=DataSpec(alpha=1.0))
     st = init_state(cfg)
     for _ in range(8):
@@ -251,7 +250,7 @@ def test_sigma_mode_trace_follows_curvature():
 
 
 def test_kappa_mode_trace_small_and_beta_consistent():
-    cfg = _short_config(mode="kappa", kappa=0.1)
+    cfg = _short_config(kappa=0.1)
     st = init_state(cfg)
     assert np.max(np.abs(st.q[:, 0])) <= 1e-6
     b0 = beta_value(st.beta_poly, 0.0)
@@ -339,7 +338,7 @@ def test_step_matches_the_two_call_oracle():
         assert _relative(got[name], value) <= 1e-13, name
 
 
-@pytest.mark.parametrize("extra", [{}, {"mode": "surface_tension", "sigma": 0.01}])
+@pytest.mark.parametrize("extra", [{}, {"sigma": 0.01}])
 def test_snapshot_fields_own_their_memory(extra):
     from stefansim.harness import simulate
 

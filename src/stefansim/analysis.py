@@ -14,7 +14,10 @@ Interior Sobolev norms, the velocity families included, come from
 discrete Parseval in x (``numerics.mixed_squares``): one x-transform per
 field, the y-stencils applied to its modes, the trapezoid rule in y.
 Those above third order in y compose first/second difference stencils,
-and rows embedding them carry a lower-confidence flag.  Each snapshot's
+and rows embedding them carry a lower-confidence flag.  Every other
+field is also transformed once per time order: its raw or layer-smoothed
+modes give its edge norms (``numerics.edge_squares``) and every
+x-derivative taken of it (``numerics.x_derivatives``).  Each snapshot's
 metric bundle is rebuilt once per table row and not kept.
 """
 
@@ -28,19 +31,19 @@ from .numerics import (
     Grid,
     NeedsMoreStepsError,
     NumericsError,
-    boundary_norms,
     edge_derivative,
+    edge_squares,
     integrate_boundary,
     integrate_interior,
     interior_norms,
     mixed_squares,
     tangential_derivative,
-    tangential_derivatives_upto,
     time_derivative,
     vertical_derivative,
+    x_derivatives,
 )
 from .geometry import metric_bundle
-from .mollifier import smooth_horizontal
+from .mollifier import _layer_symbol
 from .operators import curl_residual, gradient
 from .stepper import CLASSICAL, SolverConfig, height_rate
 
@@ -160,12 +163,6 @@ class _DerivativeProvider:
 def _boundary_sq(grid: Grid, phi: np.ndarray, weight=1.0) -> float:
     """Squared edge L^2 norm (Fourier convention) with optional weight."""
     return integrate_boundary(weight * phi * phi, grid) / (2.0 * np.pi)
-
-
-def _derivative_ladder(f: np.ndarray, amax: int) -> list:
-    if amax == 0:
-        return [f]
-    return [f] + tangential_derivatives_upto(f, range(1, amax + 1))
 
 
 class _Accumulator:
@@ -348,25 +345,29 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
     flux_w = q2_edge / jac_e if margin > 0.0 else None
     sig_w = g_e**-3 / jac_e
 
+    # each edge field is transformed once: its raw or layer-smoothed modes
+    # give the Sobolev norms and every x-derivative the families take
+    nx = grid.nx
+    layer = _layer_symbol(float(kappa), nx) if kappa > 0 else 1.0
+
     # height families: raw H^{4-2b}, H^{5-2b}; layer-smoothed H^{4-2b} and,
     # for the lower-order monitor, H^{2-2b}, H^{3-2b}; the flux-weighted top
     # order and the sigma-weighted ones (all None where unsupported)
     for b in range(3):
         hb = get.try_call("h", b)
-        h = np.zeros(grid.nx) if hb is None else hb
-        hs = smooth_horizontal(h, kappa) if kappa > 0 else h
+        coef = np.fft.rfft(np.zeros(nx) if hb is None else hb)
+        coef_s = coef * layer
         amax = 4 - 2 * b
         fam = {}
-        for name, g, orders in (("hB", h, (amax, amax + 1)),
-                                ("hBs", hs, range(max(amax - 2, 0), amax + 1))):
-            for s, n in zip(orders, boundary_norms(g, orders)):
-                fam[(name, s, b)] = n ** 2
-        fam[("wh", amax, b)] = (
-            None if flux_w is None else _boundary_sq(grid, _dx(hs, amax), flux_w)
-        )
-        sig_ladder = _derivative_ladder(h, amax + 1)
+        for name, c, orders in (("hB", coef, (amax, amax + 1)),
+                                ("hBs", coef_s, range(max(amax - 2, 0), amax + 1))):
+            for s, sq in zip(orders, edge_squares(c, orders)):
+                fam[(name, s, b)] = sq
+        fam[("wh", amax, b)] = None if flux_w is None else _boundary_sq(
+            grid, x_derivatives(coef_s, (amax,), nx)[0], flux_w)
+        ladder = x_derivatives(coef, range(1, amax + 2), nx)
         for a in range(amax + 1):
-            fam[("sigh", a, b)] = _boundary_sq(grid, sig_ladder[a + 1], sig_w)
+            fam[("sigh", a, b)] = _boundary_sq(grid, ladder[a], sig_w)
         out.update(dict.fromkeys(fam) if hb is None else fam)
 
     # interface-speed families (the stored h_t law and its derivatives):
@@ -374,8 +375,8 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
     # and sigma-weighted ones, the flux-weighted top order a + 2b = 3
     for b, amax in ((0, 4), (1, 2), (2, 0)):
         rb = get.try_call("rate", b)
-        r = np.zeros(grid.nx) if rb is None else rb
-        ladder = _derivative_ladder(r, amax)
+        coef = np.fft.rfft(np.zeros(nx) if rb is None else rb)
+        ladder = x_derivatives(coef, range(amax + 1), nx)
         fam = {}
         for a in range(amax + 1):
             fam[("ht", a, b)] = _boundary_sq(grid, ladder[a])
@@ -384,37 +385,36 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
             fam[("htJ2", a, b)] = _boundary_sq(grid, ladder[a], 1.0 / jac_e**2)
             fam[("sight", a, b)] = _boundary_sq(grid, ladder[a + 1], sig_w)
         if amax:
-            rs = smooth_horizontal(r, kappa) if kappa > 0 else r
-            fam[("wht", amax - 1, b)] = (
-                None if flux_w is None
-                else _boundary_sq(grid, _dx(rs, amax - 1), flux_w)
-            )
+            fam[("wht", amax - 1, b)] = None if flux_w is None else _boundary_sq(
+                grid, x_derivatives(coef * layer, (amax - 1,), nx)[0], flux_w)
         out.update(dict.fromkeys(fam) if rb is None else fam)
         # the speed's Sobolev norms are left out, not None, where unsupported
         if rb is not None and b < 2:
             orders = (3 - 2 * b, 4 - 2 * b)
-            for s, n in zip(orders, boundary_norms(rb, orders)):
-                out[("htB", s, b)] = n ** 2
+            for s, sq in zip(orders, edge_squares(coef, orders)):
+                out[("htB", s, b)] = sq
 
-    # gauge-combination interior families at the identity orders: the map's
-    # derivative d^a_x d^b_t is (0, d^a_x phi_b), since b = 0 only with
-    # a >= 2 and the identity's horizontal part has no such derivative
+    # gauge-combination interior families at the identity orders a + 2b = 4
+    # (combo) and, one time order up, a + 2b = 3 (combot): time order c
+    # enters at x-orders 4 - 2c and 5 - 2c, from one transform per field.
+    # The map's derivative d^a_x d^c_t is (0, d^a_x phi_c), since c = 0
+    # only with a = 4 and the identity's horizontal part has no such one
     v1 = get("v")[1]
-    for fam, shift, orders in (("combo", 0, _orders_eq(4)),
-                               ("combot", 1, _orders_eq(3))):
-        for a, b in orders:
-            qab = get.try_call("q", b + shift)
-            pb = get.try_call("phi", b + shift)
-            if qab is None or pb is None:
-                out[(fam, a, b)] = None
-                continue
-            out[(fam, a, b)] = integrate_interior(
-                (_dx(qab, a) + _dx(pb, a) * v1) ** 2, grid)
+    for c in range(3):
+        keys = [("combo", 4 - 2 * c, c)]
+        if c:
+            keys.append(("combot", 5 - 2 * c, c - 1))
+        qc = get.try_call("q", c)
+        pc = get.try_call("phi", c)
+        if qc is None or pc is None:
+            out.update(dict.fromkeys(keys))
+            continue
+        orders = [a for _, a, _ in keys]
+        dq = x_derivatives(np.fft.rfft(qc, axis=0), orders, nx)
+        dp = x_derivatives(np.fft.rfft(pc, axis=0), orders, nx)
+        for key, dqa, dpa in zip(keys, dq, dp):
+            out[key] = integrate_interior((dqa + dpa * v1) ** 2, grid)
     return out
-
-
-def _dx(f: np.ndarray, a: int) -> np.ndarray:
-    return tangential_derivative(f, a) if a else f
 
 
 def energy_table(traj: Trajectory) -> list:
@@ -570,7 +570,7 @@ def mixed_cnorm(traj_a: Trajectory, traj_b: Trajectory) -> float:
         best_q = max(best_q, float(np.max(pointwise)))
         dh = ga("h") - gb("h")
         dht = ga("h", 1) - gb("h", 1)
-        d1h, d2h = tangential_derivatives_upto(dh, (1, 2))
+        d1h, d2h = x_derivatives(np.fft.rfft(dh), (1, 2), grid.nx)
         edge = np.abs(dh) + np.abs(dht) + np.abs(d1h) + np.abs(d2h)
         best_h = max(best_h, float(np.max(edge)))
     return best_q + best_h

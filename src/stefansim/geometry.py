@@ -26,10 +26,10 @@ import numpy as np
 from .numerics import (
     Grid,
     NumericsError,
-    field_and_slope,
     tangential_derivative,
     vertical_derivative,
     wavenumbers,
+    x_derivatives,
 )
 
 
@@ -186,7 +186,7 @@ def metric_bundle(grid: Grid, h: np.ndarray) -> MetricBundle:
     slope h': the graph gate and the edge fields both read it.  J takes one
     y-derivative of phi.
     """
-    phi, phi_x = field_and_slope(_extension_modes(grid, h), grid.nx)
+    phi, phi_x = x_derivatives(_extension_modes(grid, h), (0, 1), grid.nx)
     _require_graph(phi_x[:, 0])
     # a copy, so that a snapshot of phi does not keep phi_x alive
     phi = phi.copy()

@@ -66,7 +66,8 @@ class DataSpec:
         return self.b_amplitude * np.cos(self.b_mode * grid.xs)
 
     def h0_profile(self, grid: Grid) -> np.ndarray:
-        return self.h0_amplitude * np.cos(self.h0_mode * grid.xs)
+        # + 0.0 makes the -0.0 of a zero amplitude +0.0; all else is unchanged
+        return self.h0_amplitude * np.cos(self.h0_mode * grid.xs) + 0.0
 
 
 #: degree-11 polynomial step: 0 -> 1 on [0, 1] with five vanishing

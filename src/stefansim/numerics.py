@@ -7,6 +7,8 @@ snapshots.
 
 Quadrature is the rectangle rule in x (exact for the resolved modes) and
 the trapezoid rule in y, applied as a product with cached y-weights.
+From a field's rfft modes, ``x_derivatives`` gives several x-derivative
+orders in one inverse transform and ``edge_squares`` its H^s edge norms.
 Interior Sobolev norms come from discrete Parseval in x: one transform per
 field, the y-stencils applied to its modes, and each mixed derivative's
 square read off as a weighted sum over the modes.
@@ -93,17 +95,6 @@ def wavenumbers(nx: int) -> np.ndarray:
     return np.fft.rfftfreq(nx, d=1.0 / nx)
 
 
-def fourier_coefficients(phi: np.ndarray) -> np.ndarray:
-    """Coefficients phi_hat_k, k = 0..nx/2, under the (1/2pi)-integral convention."""
-    return np.fft.rfft(phi, axis=0) / phi.shape[0]
-
-
-def _x_axis(f: np.ndarray) -> int:
-    # boundary fields (nx,) carry x on axis 0; everything else on axis -2,
-    # which lets stacked component/matrix fields go through one batched FFT
-    return 0 if f.ndim == 1 else f.ndim - 2
-
-
 @lru_cache(maxsize=32)
 def _spectral_multiplier(nx: int, order: int) -> np.ndarray:
     """(ik)^order over the rfft modes, Nyquist zeroed for odd orders.
@@ -132,7 +123,7 @@ def tangential_derivative(f: np.ndarray, order: int = 1, axis: int | None = None
     """
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    ax = _x_axis(f) if axis is None else axis % f.ndim
+    ax = (0 if f.ndim == 1 else f.ndim - 2) if axis is None else axis % f.ndim
     nx = f.shape[ax]
     mult = _spectral_multiplier(nx, order)
     coef = np.fft.rfft(f, axis=ax)
@@ -142,34 +133,22 @@ def tangential_derivative(f: np.ndarray, order: int = 1, axis: int | None = None
     return np.fft.irfft(coef, n=nx, axis=ax)
 
 
-def field_and_slope(coef: np.ndarray, nx: int) -> np.ndarray:
-    """A field and its spectral x-derivative from its rfft modes (x on axis 0).
+def x_derivatives(coef: np.ndarray, orders, nx: int) -> np.ndarray:
+    """d_x^a of a field for each a in ``orders``, from its rfft modes (x on axis 0).
 
-    One batched inverse transform of the stacked modes (coef, ik coef);
-    returns shape (2, nx, ...).  The slope is the one ``tangential_derivative``
-    gives of the field, up to rounding.
+    One batched inverse transform of the stacked modes (ik)^a coef; returns
+    shape (len(orders), nx, ...).  Order 0 copies the modes, so its row is
+    the field's own inverse transform; the others are the ones
+    ``tangential_derivative`` gives of the field, up to rounding.
     """
-    mult = _spectral_multiplier(nx, 1).reshape((-1,) + (1,) * (coef.ndim - 1))
-    pair = np.empty((2,) + coef.shape, dtype=complex)
-    pair[0] = coef
-    np.multiply(coef, mult, out=pair[1])
-    return np.fft.irfft(pair, n=nx, axis=1)
-
-
-def tangential_derivatives_upto(f: np.ndarray, orders, axis: int | None = None) -> list:
-    """Several x-derivative orders of one field, reusing the forward FFT."""
-    ax = _x_axis(f) if axis is None else axis % f.ndim
-    nx = f.shape[ax]
-    coef = np.fft.rfft(f, axis=ax)
-    shape = [1] * f.ndim
-    shape[ax] = -1
-    buf = np.empty_like(coef)
-    out = []
-    for order in orders:
-        mult = _spectral_multiplier(nx, order)
-        np.multiply(coef, mult.reshape(shape), out=buf)
-        out.append(np.fft.irfft(buf, n=nx, axis=ax))
-    return out
+    shape = (-1,) + (1,) * (coef.ndim - 1)
+    stack = np.empty((len(orders),) + coef.shape, dtype=complex)
+    for row, a in zip(stack, orders):
+        if a:
+            np.multiply(coef, _spectral_multiplier(nx, a).reshape(shape), out=row)
+        else:
+            row[...] = coef
+    return np.fft.irfft(stack, n=nx, axis=1)
 
 
 #: One-sided first derivative at a wall, in units of 1/(2h), from the wall
@@ -291,23 +270,21 @@ def integrate_boundary(phi: np.ndarray, grid: Grid) -> float:
     return float(phi.sum(axis=-1) * grid.hx)
 
 
-def boundary_norm(phi: np.ndarray, s: float) -> float:
-    """H^s norm on the periodic edge via Fourier weights (1 + k^2)^s."""
-    return boundary_norms(phi, (s,))[0]
-
-
-def boundary_norms(phi: np.ndarray, orders) -> list:
-    """``boundary_norm`` for each s in ``orders``, from one transform of phi."""
+def edge_squares(coef: np.ndarray, orders) -> list:
+    """Squared H^s edge norms, Fourier weights (1 + k^2)^s, for each s in
+    ``orders``, from the rfft modes of one edge field of even length."""
     if any(s < 0 for s in orders):
         raise ValueError("s must be >= 0")
-    mags = np.abs(fourier_coefficients(phi)) ** 2
-    k = wavenumbers(phi.shape[0])
-    out = []
-    for s in orders:
-        w = (1.0 + k * k) ** s
-        total = w[0] * mags[0] + 2.0 * np.dot(w[1:-1], mags[1:-1]) + w[-1] * mags[-1]
-        out.append(float(np.sqrt(total)))
-    return out
+    nx = 2 * (coef.shape[0] - 1)
+    # row 0 of the Parseval weights is hx/nx * m_k: the squares' mode weights
+    power = _parseval_weights(nx)[0] * (coef.real**2 + coef.imag**2) / TWO_PI
+    k2 = wavenumbers(nx) ** 2
+    return [float(power @ (1.0 + k2) ** s) for s in orders]
+
+
+def boundary_norm(phi: np.ndarray, s: float) -> float:
+    """H^s norm on the periodic edge via Fourier weights (1 + k^2)^s."""
+    return float(np.sqrt(edge_squares(np.fft.rfft(phi), (s,))[0]))
 
 
 def mixed_squares(f: np.ndarray, grid: Grid, top: int, y_top: int | None = None) -> dict:

@@ -45,11 +45,11 @@ from .numerics import (
     ConfigurationError,
     Grid,
     NumericsError,
-    field_and_slope,
     tangential_derivative,
     time_derivative,
     vertical_derivative,
     wall_slope,
+    x_derivatives,
 )
 from .geometry import (
     MetricBundle,
@@ -104,12 +104,13 @@ class SolverConfig:
     source_h: object = None
 
     def __post_init__(self):
-        if not (self.sigma >= 0 and self.kappa >= 0):
-            raise ConfigurationError("sigma and kappa must be >= 0")
+        # chained comparisons are False on NaN, so NaN fails them too
+        if not (0 <= self.sigma < np.inf and 0 <= self.kappa < np.inf):
+            raise ConfigurationError("sigma and kappa must be >= 0 and finite")
         if self.sigma > 0 and self.kappa > 0:
             raise ConfigurationError("sigma and kappa cannot both be positive")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ConfigurationError("dt and t_end must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise ConfigurationError("dt and t_end must be positive and finite")
         if self.snapshot_every < 1:
             raise ConfigurationError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}"
@@ -248,7 +249,7 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
 
     bottom = _bottom_condition(config, state, bundle_new, h_new, t_new)
     modes = config.heat_solver.solve_to_modes(rhs, bottom, None)
-    fields = field_and_slope(modes, grid.nx)
+    fields = x_derivatives(modes, (0, 1), grid.nx)
     if not np.all(np.isfinite(fields[0])):
         raise StepDivergedError(f"non-finite temperature at t={t_new:.6g}")
     # a copy, so that a snapshot of q does not keep q_x alive

@@ -5,14 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stefansim.numerics import Grid, boundary_norm, interior_norm
+from stefansim.numerics import (
+    Grid,
+    boundary_norm,
+    edge_derivative,
+    integrate_boundary,
+    integrate_interior,
+    interior_norm,
+    tangential_derivative,
+    vertical_derivative,
+)
 from stefansim.geometry import metric_bundle
+from stefansim.mollifier import smooth_horizontal
 from stefansim.operators import compute_velocity
 from stefansim.initdata import DataSpec, taylor_margin
 from stefansim.stepper import SolverConfig
 from stefansim.analysis import (
     Trajectory,
     UsageError,
+    _DerivativeProvider,
+    _instant_norms,
     dissipation_residual,
     energy_report,
     energy_table,
@@ -139,12 +151,6 @@ def test_static_trajectory_natural_energy_oracle():
     # combinations only the top one, d^4_x q + v1 d^4_x phi, survives, and of
     # the flux-weighted edge terms only (q_y / J) (d^4_x h)^2; cross-check
     # both and the velocity sums against direct physical-space evaluation
-    from stefansim.numerics import (
-        integrate_boundary,
-        integrate_interior,
-        tangential_derivative,
-    )
-
     x, y = GRID.mesh()
     q = (y - 0.5 * y * y) * (1.0 + 0.1 * np.sin(x))
     h = 0.02 * np.cos(GRID.xs) + 0.005 * np.sin(2 * GRID.xs)
@@ -172,8 +178,6 @@ def test_static_trajectory_natural_energy_oracle():
 
 
 def interior_norm_sq_of_component(v, a, grid):
-    from stefansim.numerics import integrate_interior, tangential_derivative
-
     va = tangential_derivative(v, a) if a else v
     return float(integrate_interior(va[0] ** 2 + va[1] ** 2, grid))
 
@@ -302,3 +306,139 @@ def test_bundle_at_rebuilds_the_map_of_the_step():
                               snap["phi"])
         assert np.array_equal(bundle.height, snap["phi"][:, 0])
         assert not np.array_equal(bundle.height, snap["h"])
+
+
+def _dy(f, b, hy):
+    # the y-stencil composition of the interior norms: odd b take one first
+    # difference after (b - 1) / 2 second differences
+    if b == 0:
+        return f
+    if b % 2:
+        return vertical_derivative(_dy(f, b - 1, hy), hy, 1)
+    return vertical_derivative(_dy(f, b - 2, hy), hy, 2)
+
+
+def _moving_trajectory(config, seed, n_snaps=6, tau=0.01):
+    """Fields quadratic in t with random smooth x-profiles (fixed seed).
+
+    The map extends the layer-smoothed height in kappa mode, as the step
+    does; one snapshot has a negative margin, so its flux-weighted edge
+    families are None.
+    """
+    grid = config.grid
+    rng = np.random.default_rng(seed)
+    x, y = grid.mesh()
+
+    def profile(scale):
+        k = np.arange(1, 5)[:, None, None]
+        c, s = scale * rng.standard_normal((2, 4, 1, 1)) / k**2
+        return (c * np.cos(k * x) + s * np.sin(k * x)).sum(axis=0)
+
+    heights = [profile(0.01)[:, 0] for _ in range(3)]
+    temps = [(y - 0.5 * y * y) * (1.0 + profile(0.1)) for _ in range(3)]
+    times = [i * tau for i in range(n_snaps)]
+    snaps = []
+    for t in times:
+        h = sum(t**m * f for m, f in enumerate(heights))
+        q = sum(t**m * f for m, f in enumerate(temps))
+        edge = smooth_horizontal(h, config.kappa) if config.kappa > 0 else h
+        bundle = metric_bundle(grid, edge)
+        snaps.append({"q": q, "h": h, "phi": bundle.phi,
+                      "v": compute_velocity(grid, bundle, q)})
+    for prev, snap in zip([None] + snaps, snaps):
+        snap["w"] = (rng.standard_normal() * snap["phi"] if prev is None
+                     else (snap["phi"] - prev["phi"]) / tau)
+    initial = {"q_t": temps[1], "q_tt": 2.0 * temps[2], "h_t": heights[1],
+               "h_tt": 2.0 * heights[2],
+               "v_t": (snaps[1]["v"] - snaps[0]["v"]) / tau,
+               "w_t": (snaps[1]["w"] - snaps[0]["w"]) / tau}
+    margins = [0.5] * n_snaps
+    margins[2] = -0.1
+    return Trajectory(config=config, times=times, snaps=snaps, margins=margins,
+                      initial_derivatives=initial)
+
+
+def _instant_norms_oracle(traj, idx):
+    """Every family by its own formula: x-derivatives by
+    tangential_derivative, smoothing by smooth_horizontal, edge squares by
+    integrate_boundary / 2 pi, Sobolev edge norms by boundary_norm."""
+    grid = traj.grid
+    kappa = traj.config.kappa
+    get = _DerivativeProvider(traj, idx)
+    bundle = traj.bundle_at(idx)
+
+    def dx(f, a):
+        return tangential_derivative(f, a) if a else f
+
+    def smooth(f):
+        return smooth_horizontal(f, kappa) if kappa > 0 else f
+
+    def edge(f, weight=1.0):
+        return integrate_boundary(weight * f * f, grid) / (2.0 * np.pi)
+
+    jac = bundle.jac_edge
+    sig_w = bundle.line_el**-3 / jac
+    flux_w = edge_derivative(traj.snaps[idx]["q"], grid.hy, 1) / jac
+
+    def flux(f):
+        return edge(f, flux_w) if traj.margins[idx] > 0 else None
+
+    out = {}
+    for b in range(3):
+        amax = 4 - 2 * b
+        v = get("v", b)
+        for a in range(amax + 1):
+            out["v", a, b] = sum(integrate_interior(dx(c, a) ** 2, grid)
+                                 for c in v)
+        q = get("q", b)
+        top = 5 - 2 * b
+        sq = {(a, c): integrate_interior(dx(_dy(q, c, grid.hy), a) ** 2, grid)
+              for a in range(top + 1) for c in range(top + 1 - a)}
+        for s in range(max(2 - 2 * b, 0), top + 1):
+            out["qH", s, b] = sum(val for (a, c), val in sq.items() if a + c <= s)
+        h, r = get("h", b), get("rate", b)
+        for s in (amax, amax + 1):
+            out["hB", s, b] = boundary_norm(h, s) ** 2
+        for s in range(max(amax - 2, 0), amax + 1):
+            out["hBs", s, b] = boundary_norm(smooth(h), s) ** 2
+        out["wh", amax, b] = flux(dx(smooth(h), amax))
+        for a in range(amax + 1):
+            out["sigh", a, b] = edge(dx(h, a + 1), sig_w)
+            out["ht", a, b] = edge(dx(r, a))
+            out["htJ", a, b] = edge(dx(r, a), 1.0 / jac)
+        for a in range(amax):
+            out["htJ2", a, b] = edge(dx(r, a), 1.0 / jac**2)
+            out["sight", a, b] = edge(dx(r, a + 1), sig_w)
+        if amax:
+            out["wht", amax - 1, b] = flux(dx(smooth(r), amax - 1))
+        if b < 2:
+            for s in (3 - 2 * b, 4 - 2 * b):
+                out["htB", s, b] = boundary_norm(r, s) ** 2
+    v1 = get("v")[1]
+    for fam, shift, n in (("combo", 0, 4), ("combot", 1, 3)):
+        for b in range(n // 2 + 1):
+            a = n - 2 * b
+            q, p = get("q", b + shift), get("phi", b + shift)
+            out[fam, a, b] = integrate_interior(
+                (dx(q, a) + dx(p, a) * v1) ** 2, grid)
+    return out
+
+
+@pytest.mark.parametrize("law, seed", [({"kappa": 0.2}, 11), ({"sigma": 0.01}, 12)])
+def test_instant_norms_match_the_per_family_formulas(law, seed):
+    # a moving trajectory reaches every family: the smoothed height, the
+    # speed's ladders and Sobolev norms, the sigma-weighted and the
+    # gauge-combination ones at every time order
+    cfg = SolverConfig(nx=32, ny=33, dt=1e-4, t_end=1e-3, snapshot_every=1,
+                       **law)
+    traj = _moving_trajectory(cfg, seed)
+    for idx in range(len(traj)):
+        got = _instant_norms(traj, idx, cfg.kappa, traj.bundle_at(idx))
+        want = _instant_norms_oracle(traj, idx)
+        assert got.keys() == want.keys()
+        for key, val in want.items():
+            if val is None:
+                assert got[key] is None, key
+            else:
+                assert val > 0.0, key
+                assert abs(got[key] - val) <= 1e-12 * val, key

@@ -133,6 +133,15 @@ def test_interface_profiles_roundtrip(tmp_path):
     assert x0 == 0.0
 
 
+def test_flat_initial_interface_prints_no_negative_zero(tmp_path):
+    # a zero amplitude times a negative cosine is -0.0, which prints "-0"
+    settings = _fast_settings(t_end=1e-4, snapshot_every=4)
+    run_simulation(build_config(settings), outdir=tmp_path, settings=settings)
+    rows = (tmp_path / "interface_t0.000000.csv").read_text().splitlines()[1:]
+    assert len(rows) == 64
+    assert all(row.split(",")[1] == "0" for row in rows)
+
+
 def test_determinism_byte_identical(tmp_path):
     settings = _fast_settings()
     config = build_config(settings)
@@ -197,6 +206,14 @@ def test_cli_run_and_exit_codes(tmp_path):
                          "--override", override]) == 4
     assert cli_main(["sweep-sigma",
                      "--override", "sweep.sigma_ladder=0.1,abc"]) == 4
+
+
+def test_cli_rejects_non_finite_step_and_horizon(capsys):
+    # a NaN step passes any sign test and an infinite horizon has no step
+    # count: both are configuration errors, not tracebacks from n_steps
+    for override in ("dt=nan", "t_end=inf"):
+        assert cli_main(["run", "--override", override]) == 4
+        assert "must be positive and finite" in capsys.readouterr().err
 
 
 def test_cli_init_abort_writes_manifest(tmp_path):

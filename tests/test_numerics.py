@@ -14,7 +14,6 @@ from stefansim.numerics import (
     ResolutionError,
     boundary_norm,
     edge_derivative,
-    fourier_coefficients,
     integrate_boundary,
     integrate_interior,
     interior_norm,
@@ -23,6 +22,7 @@ from stefansim.numerics import (
     tangential_derivative,
     time_derivative,
     vertical_derivative,
+    x_derivatives,
 )
 
 GRID = Grid(64, 129)
@@ -143,14 +143,6 @@ def test_boundary_norm_monotone_in_s():
     phi = sum(rng.standard_normal() * np.cos(k * GRID.xs) for k in range(6))
     values = [boundary_norm(phi, s) for s in (0.0, 0.5, 1.0, 1.5, 3.0)]
     assert all(a <= b + 1e-14 for a, b in zip(values, values[1:]))
-
-
-def test_fourier_cache_roundtrip():
-    rng = np.random.default_rng(3)
-    phi = rng.standard_normal(GRID.nx)
-    coef = fourier_coefficients(phi)
-    back = np.fft.irfft(coef * GRID.nx, n=GRID.nx)
-    assert np.max(np.abs(back - phi)) <= 1e-12 * max(1.0, np.max(np.abs(phi)))
 
 
 def test_interior_norm_examples():
@@ -318,13 +310,16 @@ def test_spectral_multiplier_cached_read_only():
         _spectral_multiplier(16, 7)
 
 
-def test_field_and_slope_matches_tangential_derivative():
-    from stefansim.numerics import field_and_slope
-
+def test_x_derivatives_match_tangential_derivative():
+    # a 2-D field and a 1-D edge field: every order from one inverse
+    # transform of the modes, each against its own tangential_derivative
     rng = np.random.default_rng(3)
-    f = rng.standard_normal((GRID.nx, GRID.ny))
-    pair = field_and_slope(np.fft.rfft(f, axis=0), GRID.nx)
-    assert pair.shape == (2, GRID.nx, GRID.ny)
-    assert np.max(np.abs(pair[0] - f)) <= 1e-14
-    ref = tangential_derivative(f)
-    assert np.max(np.abs(pair[1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    orders = range(5)
+    for f in (rng.standard_normal((GRID.nx, GRID.ny)),
+              rng.standard_normal(GRID.nx)):
+        ladder = x_derivatives(np.fft.rfft(f, axis=0), orders, GRID.nx)
+        assert ladder.shape == (len(orders),) + f.shape
+        assert np.max(np.abs(ladder[0] - f)) <= 1e-14
+        for a in orders[1:]:
+            ref = tangential_derivative(f, a)
+            assert np.max(np.abs(ladder[a] - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -24,7 +24,7 @@ from .initdata import (
     compat_residuals,
     taylor_margin,
 )
-from .operators import compute_velocity, transformed_laplacian
+from .operators import compute_velocity
 from .stepper import SolverConfig, SolverState, advance, init_state
 from .analysis import (
     EnergyReport,
@@ -52,7 +52,7 @@ __all__ = [
     "CompatReport", "DataSpec", "build_classical_data",
     "build_regularized_datum", "build_sigma_data", "compat_residuals",
     "taylor_margin",
-    "compute_velocity", "transformed_laplacian",
+    "compute_velocity",
     "SolverConfig", "SolverState", "advance", "init_state",
     "EnergyReport", "Trajectory", "dissipation_residual", "energy_report",
     "energy_table", "geometric_identities", "mixed_cnorm",

@@ -44,7 +44,7 @@ from .numerics import (
 )
 from .geometry import metric_bundle
 from .mollifier import _layer_symbol
-from .operators import curl_residual, gradient
+from .operators import curl_residual
 from .stepper import CLASSICAL, SolverConfig, height_rate
 
 
@@ -560,13 +560,12 @@ def mixed_cnorm(traj_a: Trajectory, traj_b: Trajectory) -> float:
         gb = _DerivativeProvider(traj_b, idx)
         dq = ga("q") - gb("q")
         dqt = ga("q", 1) - gb("q", 1)
-        grad = gradient(grid, dq)
-        d11 = tangential_derivative(dq, 2)
-        d12 = tangential_derivative(grad[1])
-        d22 = vertical_derivative(grad[1], grid.hy, 1)
+        d1, d11 = x_derivatives(np.fft.rfft(dq, axis=0), (1, 2), grid.nx)
+        d2 = vertical_derivative(dq, grid.hy, 1)
+        d12 = tangential_derivative(d2)
+        d22 = vertical_derivative(d2, grid.hy, 1)
         hess = np.sqrt(d11 * d11 + 2.0 * d12 * d12 + d22 * d22)
-        pointwise = (np.abs(dq) + np.abs(dqt)
-                     + np.hypot(grad[0], grad[1]) + hess)
+        pointwise = np.abs(dq) + np.abs(dqt) + np.hypot(d1, d2) + hess
         best_q = max(best_q, float(np.max(pointwise)))
         dh = ga("h") - gb("h")
         dht = ga("h", 1) - gb("h", 1)

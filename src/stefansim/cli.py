@@ -32,6 +32,7 @@ from .harness import (
     sweep_kappa,
     sweep_sigma,
     write_sweep,
+    _completed,
     _ladder,
 )
 
@@ -45,10 +46,11 @@ def _add_common(parser):
 
 
 def _settings(args) -> dict:
+    """The config file and the overrides, completed with the defaults."""
     settings = {}
     if args.config is not None:
         settings.update(parse_config_file(args.config))
-    return apply_overrides(settings, args.override)
+    return _completed(apply_overrides(settings, args.override))
 
 
 def _cmd_run(args) -> int:
@@ -65,9 +67,8 @@ def _cmd_sweep(ladder_key, sweep, verdict, args) -> int:
     """A parameter ladder: passes if monotone and ``verdict`` holds."""
     settings = _settings(args)
     config = build_config(settings)
-    ladder = _ladder(settings, ladder_key)
-    workers = int(settings.get("sweep.workers", 1))
-    result = sweep(config, ladder, workers=workers)
+    result = sweep(config, _ladder(settings, ladder_key),
+                   workers=int(settings["sweep.workers"]))
     if args.out is not None:
         write_sweep(args.out, result)
     print(json.dumps(result.to_json(), indent=2, sort_keys=True))

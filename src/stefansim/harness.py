@@ -9,14 +9,16 @@ byte-identical CSV files.
 
 Config files are flat key = value text; dotted keys address nested fields
 (``data.alpha = 1.0``), and the same syntax is accepted by the CLI's
-override flag.
+override flag.  Each default has one home: ``default_config()`` takes the
+solver and data keys from the numeric fields of ``SolverConfig`` and
+``DataSpec`` and the run and sweep settings from ``RUN_SETTINGS``.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Real
 from pathlib import Path
 
@@ -73,29 +75,31 @@ TAYLOR_GRACE_STEPS = 10
 # configuration
 
 
+#: settings of the run and the sweeps, beside the solver and data fields
+RUN_SETTINGS = {
+    "compat.override": False,
+    "output.svg": True,
+    "sweep.sigma_ladder": "0.1,0.01,0.001,0.0001,0",
+    "sweep.kappa_ladder": "0.2,0.1,0.05,0.025",
+    "sweep.workers": 1,
+}
+
+
+def _numeric_fields(cls, prefix: str = "") -> list:
+    """(settings key, field name, default) of each field with a number default."""
+    return [(prefix + {"nx": "grid.nx", "ny": "grid.ny"}.get(f.name, f.name),
+             f.name, f.default)
+            for f in fields(cls) if isinstance(f.default, (int, float))]
+
+
+_SOLVER_FIELDS = _numeric_fields(SolverConfig)
+_DATA_FIELDS = _numeric_fields(DataSpec, "data.")
+
+
 def default_config() -> dict:
-    """Flat key/value defaults for the baseline desk-scale run."""
-    return {
-        "sigma": 0.0,
-        "kappa": 0.0,
-        "grid.nx": 64,
-        "grid.ny": 129,
-        "dt": 2.5e-5,
-        "t_end": 0.05,
-        "snapshot_every": 40,
-        "data.alpha": 1.0,
-        "data.eps_slab": 0.25,
-        "data.blend_window": 0.55,
-        "data.b_amplitude": 1.0,
-        "data.b_mode": 1,
-        "data.h0_amplitude": 0.0,
-        "data.h0_mode": 1,
-        "compat.override": False,
-        "output.svg": True,
-        "sweep.sigma_ladder": "0.1,0.01,0.001,0.0001,0",
-        "sweep.kappa_ladder": "0.2,0.1,0.05,0.025",
-        "sweep.workers": 1,
-    }
+    """Flat key/value defaults: the numeric fields, then ``RUN_SETTINGS``."""
+    numeric = {key: default for key, _, default in _SOLVER_FIELDS + _DATA_FIELDS}
+    return numeric | RUN_SETTINGS
 
 
 def _parse_value(raw: str):
@@ -139,10 +143,11 @@ def apply_overrides(settings: dict, overrides) -> dict:
     return out
 
 
-def _check_settings(settings: dict) -> None:
-    """Reject keys outside ``default_config()`` and values of the wrong type.
+def _completed(settings: dict) -> dict:
+    """``default_config()`` updated by ``settings``, once they are checked.
 
-    A misspelt key would leave its default in force without notice; a
+    Keys outside the defaults and values of the wrong type are rejected: a
+    misspelt key would leave its default in force without notice; a
     boolean key takes true or false (``flase`` would pass as truthy), an
     integer key an integral number (64.5 would be truncated to 64).
     """
@@ -164,36 +169,22 @@ def _check_settings(settings: dict) -> None:
         if not ok:
             raise ConfigurationError(
                 f"config key {key} needs {wanted}, got {value!r}")
+    return defaults | settings
 
 
 def build_config(settings: dict) -> SolverConfig:
-    """Turn flat settings, checked by ``_check_settings``, into a config."""
-    _check_settings(settings)
-    merged = default_config()
-    merged.update(settings)
-    data = DataSpec(
-        alpha=float(merged["data.alpha"]),
-        eps_slab=float(merged["data.eps_slab"]),
-        b_amplitude=float(merged["data.b_amplitude"]),
-        b_mode=int(merged["data.b_mode"]),
-        h0_amplitude=float(merged["data.h0_amplitude"]),
-        h0_mode=int(merged["data.h0_mode"]),
-        blend_window=float(merged["data.blend_window"]),
-    )
-    return SolverConfig(
-        sigma=float(merged["sigma"]),
-        kappa=float(merged["kappa"]),
-        nx=int(merged["grid.nx"]),
-        ny=int(merged["grid.ny"]),
-        dt=float(merged["dt"]),
-        t_end=float(merged["t_end"]),
-        snapshot_every=int(merged["snapshot_every"]),
-        data=data,
-    )
+    """Turn flat settings, checked by ``_completed``, into a config; each
+    value is cast to its default's type (64.0 to 64 for an integer field)."""
+    merged = _completed(settings)
+    data, solver = (
+        {name: type(default)(merged[key]) for key, name, default in spec}
+        for spec in (_DATA_FIELDS, _SOLVER_FIELDS))
+    return SolverConfig(data=DataSpec(**data), **solver)
 
 
 def _ladder(settings: dict, key: str) -> list:
-    raw = settings.get(key, default_config()[key])
+    """The ladder of sweep ``key`` in completed ``settings`` (``_completed``)."""
+    raw = settings[key]
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return [float(raw)]
     try:
@@ -402,9 +393,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     elliptic solve) writes an aborted manifest, a configuration error (the
     compatibility gate, the cadence) a config-error one; both are re-raised.
     """
-    settings = settings or {}
-    _check_settings(settings)
-    override = settings.get("compat.override", False)
+    settings = _completed(settings or {})
     t0 = time.perf_counter()
     manifest = RunManifest(
         config=_config_dict(config),
@@ -426,7 +415,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
                 "neumann_top": report.neumann_top,
                 "passed": report.passed,
             }
-            if not report.passed and not override:
+            if not report.passed and not settings["compat.override"]:
                 raise ConfigurationError(
                     "initial data fails compatibility checks; set "
                     "compat.override to run anyway: " + report.summary()
@@ -454,7 +443,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
         outdir.mkdir(parents=True, exist_ok=True)
         manifest.artifacts.append(write_energy_csv(outdir, reports))
         manifest.artifacts.extend(write_interface_csv(outdir, traj))
-        if settings.get("output.svg", True):
+        if settings["output.svg"]:
             manifest.artifacts.extend(_emit_plots(outdir, traj, reports))
         manifest.write(outdir)
     return traj, manifest
@@ -480,14 +469,16 @@ def _sigma_point(args):
     return simulate(replace(config, sigma=float(sigma), kappa=0.0))
 
 
-def sweep_sigma(config: SolverConfig, ladder=None, workers: int = 1) -> SweepResult:
+def sweep_sigma(config: SolverConfig, ladder=None,
+                workers: int = RUN_SETTINGS["sweep.workers"]) -> SweepResult:
     """Vanishing-surface-tension sweep against the zero-tension reference.
 
     Every ladder point runs the same horizon from the one data family, so
     the reference is its sigma = 0 member on the same initial interface;
     distances are trajectory max-norm distances to the reference.
     """
-    ladder = [float(s) for s in (ladder or (0.1, 0.01, 0.001, 0.0001, 0.0))]
+    ladder = [float(s) for s in
+              (ladder or _ladder(RUN_SETTINGS, "sweep.sigma_ladder"))]
     if 0.0 not in ladder:
         raise ConfigurationError("the sigma ladder must include 0")
     trajs = _map_points(_sigma_point, [(config, s) for s in ladder], workers)
@@ -543,9 +534,11 @@ def _kappa_point(args):
     }
 
 
-def sweep_kappa(config: SolverConfig, ladder=None, workers: int = 1) -> SweepResult:
+def sweep_kappa(config: SolverConfig, ladder=None,
+                workers: int = RUN_SETTINGS["sweep.workers"]) -> SweepResult:
     """Smoothing-width sweep: uniform energy bounds and the limit behavior."""
-    ladder = [float(k) for k in (ladder or (0.2, 0.1, 0.05, 0.025))]
+    ladder = [float(k) for k in
+              (ladder or _ladder(RUN_SETTINGS, "sweep.kappa_ladder"))]
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("the kappa ladder must be strictly decreasing")
     results = _map_points(_kappa_point, [(config, k) for k in ladder], workers)

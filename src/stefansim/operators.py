@@ -2,8 +2,8 @@
 
 These are the building blocks shared by the elliptic solves, the time
 stepper, and the diagnostics: the velocity, the gauge deviation, the
-transformed Laplacian in divergence and expanded form, the flat Laplacian
-used as the implicit part of the splitting, and the gauge curl.  All of
+transformed Laplacian, the flat Laplacian used as the implicit part of the
+splitting, and the gauge curl.  All of
 them use the graph-gauge inverse-gradient entries ``a`` and ``c`` of the
 metric bundle.  The velocity and deviation formulas are also exposed as
 pointwise kernels on given derivatives, for callers that hold those
@@ -45,25 +45,12 @@ def compute_velocity(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndar
     return velocity_from_derivatives(bundle.a, bundle.c, tangential_derivative(q), qy)
 
 
-def transformed_laplacian(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
-    """Divergence-form transformed Laplacian.
-
-    The pulled-back flux F = (q_x + a q_y, c q_y) is formed first, then
-    differentiated the same way: F0_x + a F0_y + c F1_y.
-    """
-    flux = -compute_velocity(grid, bundle, q)
-    dflux_y = vertical_derivative(flux, grid.hy, 1)
-    return (tangential_derivative(flux[0]) + bundle.a * dflux_y[0]
-            + bundle.c * dflux_y[1])
-
-
 def transformed_laplacian_expanded(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
-    """Transformed Laplacian in expanded (non-divergence) form.
+    """Transformed Laplacian in expanded form.
 
     The flat Laplacian plus the gauge deviation, so at identity geometry
-    it coincides exactly with the flat Laplacian row by row.  The elliptic
-    solves and the stepper interior use this form; the divergence form
-    above is the diagnostic realization.
+    it coincides exactly with the flat Laplacian row by row.  The initial
+    data and the initial time derivatives use it.
     """
     out = flat_laplacian(grid, q)
     deviation = gauge_deviation(grid, bundle, q)

@@ -81,6 +81,8 @@ KAPPA = "kappa"
 CFL_SAFETY = 0.5
 #: bound on sup|h| + sup|h'| above which a state is flagged "smallness"
 SMALLNESS = 0.3
+#: micro step of the kappa-mode beta bootstrap, independent of the run's dt
+BOOTSTRAP_DT = 2.5e-7
 
 
 class StepDivergedError(NumericsError):
@@ -340,13 +342,15 @@ def _alpha_forcing(grid, q0, h0, bundle_k):
 def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
     """Taylor coefficients of t -> g_k (v . n_k) at t = 0 by micro-stepping.
 
-    Three classical (pinned-temperature) micro-steps at dt/100 provide the
-    sample states; at each, the equation substitution of the initial instant
-    on kappa geometry (far more robust than double differencing) gives the
-    speed and its first derivative, and one more one-sided difference of
-    those yields the second coefficient.
+    Two classical (pinned-temperature) micro-steps of ``BOOTSTRAP_DT``,
+    capped at the grid's diffusive limit, provide three sample states, so
+    beta does not depend on the run's dt.  At each, the equation
+    substitution of the initial instant on kappa geometry (far more robust
+    than double differencing) gives the speed and its first derivative, and
+    one more one-sided difference of those yields the second coefficient.
     """
-    micro_dt = config.dt / 100.0
+    grid = config.grid
+    micro_dt = min(BOOTSTRAP_DT, CFL_SAFETY * min(grid.hx, grid.hy) ** 2)
     # sigma is 0 beside a positive kappa, so kappa = 0 is the classical law
     micro = replace(
         config, kappa=0.0, dt=micro_dt, t_end=3 * micro_dt,

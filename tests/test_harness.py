@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stefansim.harness import (
     _config_dict,
     apply_overrides,
     build_config,
+    default_config,
     parse_config_file,
     run_simulation,
     simulate,
@@ -59,6 +61,19 @@ def test_config_file_parsing(tmp_path):
     config = build_config(merged)
     assert config.data.alpha == 1.25
     assert config.t_end == 1e-3
+
+
+def test_defaults_are_the_dataclass_defaults(tmp_path):
+    assert build_config({}) == SolverConfig()
+    # the README documents every key at its default: same keys, values, types
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text("\n".join(line.partition("#")[0]
+                             for line in block.splitlines()))
+    parsed = parse_config_file(cfg)
+    assert {k: (type(v), v) for k, v in parsed.items()} == {
+        k: (type(v), v) for k, v in default_config().items()}
 
 
 def test_config_errors(tmp_path):

@@ -4,7 +4,8 @@ Parsed with ``ast`` only, so the check costs milliseconds and imports
 nothing.  An import must be used in its module or re-exported through
 ``__all__``; a module-level ``_private`` function or class must be named
 somewhere else in the package (another module may import it, as the CLI
-does ``_ladder``).
+does ``_ladder``); no setting takes its default from a literal at the use
+site.
 """
 
 from __future__ import annotations
@@ -89,3 +90,27 @@ def test_every_private_helper_is_referenced():
             if node.name not in used:
                 orphans.append(f"{name}:{node.lineno} {node.name}")
     assert not orphans, "unreferenced private helpers: " + ", ".join(orphans)
+
+
+def _is_literal(node: ast.AST) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_no_setting_default_at_a_use_site():
+    # settings.get(key, <literal>) would be a second home for the default
+    # that harness.default_config() holds
+    sites = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "settings"
+                    and len(node.args) == 2 and _is_literal(node.args[1])):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert not sites, "literal setting defaults: " + ", ".join(sites)

@@ -19,11 +19,17 @@ field is also transformed once per time order: its raw or layer-smoothed
 modes give its edge norms (``numerics.edge_squares``) and every
 x-derivative taken of it (``numerics.x_derivatives``).  Each snapshot's
 metric bundle is rebuilt once per table row and not kept.
+
+A snapshot keeps the map offset phi and the map velocity w by their edge
+rows only (``SolverState.snapshot``): both are harmonic extensions of those
+rows.  The gauge combinations take phi and its time derivatives from the
+extension modes of the edge series (``geometry._extension_modes``), so no
+interior map field is stored or transformed here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from .numerics import (
     vertical_derivative,
     x_derivatives,
 )
-from .geometry import metric_bundle
+from .geometry import _extension_modes, metric_bundle
 from .mollifier import _layer_symbol
 from .operators import curl_residual
 from .stepper import CLASSICAL, SolverConfig, height_rate
@@ -62,7 +68,12 @@ def _orders_eq(n: int):
 
 @dataclass
 class Trajectory:
-    """Snapshots of one run at uniform cadence, plus run-level records."""
+    """Snapshots of one run at uniform cadence, plus run-level records.
+
+    A snapshot (``SolverState.snapshot``) holds q, h and v and the edge rows
+    ``phi_edge`` and ``w_edge`` of the map and its velocity, which are their
+    harmonic extensions; ``bundle_at`` rebuilds the map from ``phi_edge``.
+    """
 
     config: SolverConfig
     times: list
@@ -81,11 +92,10 @@ class Trajectory:
         return self.config.grid
 
     def bundle_at(self, idx: int):
-        """The snapshot's metric bundle, rebuilt on every call (not cached)."""
-        # row 0 of the stored phi is the (smoothed) height the step used;
-        # the rebuild reproduces phi bitwise, so the bundle shares the array
-        phi = self.snaps[idx % len(self.times)]["phi"]
-        return replace(metric_bundle(self.grid, phi[:, 0]), phi=phi)
+        """The snapshot's metric bundle, rebuilt on every call (not cached);
+        its phi is the step's bit for bit."""
+        snap = self.snaps[idx % len(self.times)]
+        return metric_bundle(self.grid, snap["phi_edge"])
 
     def rates(self) -> list:
         """The height's time-derivative series (h_t at every snapshot).
@@ -111,7 +121,7 @@ class Trajectory:
 
 
 _INITIAL_KEYS = {("q", 1): "q_t", ("q", 2): "q_tt", ("h", 1): "h_t",
-                 ("h", 2): "h_tt", ("v", 1): "v_t", ("w", 1): "w_t",
+                 ("h", 2): "h_tt", ("v", 1): "v_t", ("w_edge", 1): "w_t",
                  ("rate", 1): "h_tt"}
 
 
@@ -132,9 +142,9 @@ class _DerivativeProvider:
         key = (name, b)
         if key in self._cache:
             return self._cache[key]
-        # the map offset's first time derivative is the stored map velocity
-        if name == "phi" and b >= 1:
-            out = self("w", b - 1)
+        # the map's edge row moves at the edge row of the map velocity
+        if name == "phi_edge" and b >= 1:
+            out = self("w_edge", b - 1)
         elif b == 0:
             if name == "rate":
                 out = self._series(name)[self.idx]
@@ -144,6 +154,9 @@ class _DerivativeProvider:
                 out = self.traj.snaps[self.idx][name]
         elif self.idx == 0 and key in _INITIAL_KEYS:
             out = self.traj.initial_derivatives[_INITIAL_KEYS[key]]
+            if name == "w_edge":
+                # the initial map acceleration is stored whole
+                out = out[:, 0]
         else:
             series = self._series(name)
             if any(entry is None for entry in series):
@@ -346,9 +359,15 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
     sig_w = g_e**-3 / jac_e
 
     # each edge field is transformed once: its raw or layer-smoothed modes
-    # give the Sobolev norms and every x-derivative the families take
+    # give the Sobolev norms and every x-derivative the families take; with
+    # no layer (kappa = 0) the smoothed derivatives are rows of the raw ladder
     nx = grid.nx
-    layer = _layer_symbol(float(kappa), nx) if kappa > 0 else 1.0
+    layered = kappa > 0
+    layer = _layer_symbol(float(kappa), nx) if layered else 1.0
+
+    def smoothed(coef, a, raw):
+        # d^a_x of the layer-smoothed field; ``raw`` is d^a_x of the field
+        return x_derivatives(coef * layer, (a,), nx)[0] if layered else raw
 
     # height families: raw H^{4-2b}, H^{5-2b}; layer-smoothed H^{4-2b} and,
     # for the lower-order monitor, H^{2-2b}, H^{3-2b}; the flux-weighted top
@@ -363,11 +382,11 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
                                 ("hBs", coef_s, range(max(amax - 2, 0), amax + 1))):
             for s, sq in zip(orders, edge_squares(c, orders)):
                 fam[(name, s, b)] = sq
+        ladder = x_derivatives(coef, range(amax + 2), nx)
         fam[("wh", amax, b)] = None if flux_w is None else _boundary_sq(
-            grid, x_derivatives(coef_s, (amax,), nx)[0], flux_w)
-        ladder = x_derivatives(coef, range(1, amax + 2), nx)
+            grid, smoothed(coef, amax, ladder[amax]), flux_w)
         for a in range(amax + 1):
-            fam[("sigh", a, b)] = _boundary_sq(grid, ladder[a], sig_w)
+            fam[("sigh", a, b)] = _boundary_sq(grid, ladder[a + 1], sig_w)
         out.update(dict.fromkeys(fam) if hb is None else fam)
 
     # interface-speed families (the stored h_t law and its derivatives):
@@ -386,7 +405,7 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
             fam[("sight", a, b)] = _boundary_sq(grid, ladder[a + 1], sig_w)
         if amax:
             fam[("wht", amax - 1, b)] = None if flux_w is None else _boundary_sq(
-                grid, x_derivatives(coef * layer, (amax - 1,), nx)[0], flux_w)
+                grid, smoothed(coef, amax - 1, ladder[amax - 1]), flux_w)
         out.update(dict.fromkeys(fam) if rb is None else fam)
         # the speed's Sobolev norms are left out, not None, where unsupported
         if rb is not None and b < 2:
@@ -398,20 +417,22 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
     # (combo) and, one time order up, a + 2b = 3 (combot): time order c
     # enters at x-orders 4 - 2c and 5 - 2c, from one transform per field.
     # The map's derivative d^a_x d^c_t is (0, d^a_x phi_c), since c = 0
-    # only with a = 4 and the identity's horizontal part has no such one
+    # only with a = 4 and the identity's horizontal part has no such one;
+    # phi_c extends the edge series' c-th time derivative, so its modes are
+    # the extension modes of that edge row
     v1 = get("v")[1]
     for c in range(3):
         keys = [("combo", 4 - 2 * c, c)]
         if c:
             keys.append(("combot", 5 - 2 * c, c - 1))
         qc = get.try_call("q", c)
-        pc = get.try_call("phi", c)
+        pc = get.try_call("phi_edge", c)
         if qc is None or pc is None:
             out.update(dict.fromkeys(keys))
             continue
         orders = [a for _, a, _ in keys]
         dq = x_derivatives(np.fft.rfft(qc, axis=0), orders, nx)
-        dp = x_derivatives(np.fft.rfft(pc, axis=0), orders, nx)
+        dp = x_derivatives(_extension_modes(grid, pc), orders, nx)
         for key, dqa, dpa in zip(keys, dq, dp):
             out[key] = integrate_interior((dqa + dpa * v1) ** 2, grid)
     return out

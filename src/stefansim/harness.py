@@ -121,10 +121,11 @@ def _parse_value(raw: str):
 
 
 def parse_config_file(path) -> dict:
+    """``key = value`` lines; a ``#`` starts a comment, inline ones too."""
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigurationError(f"{path}:{lineno}: expected key = value")
@@ -149,7 +150,8 @@ def _completed(settings: dict) -> dict:
     Keys outside the defaults and values of the wrong type are rejected: a
     misspelt key would leave its default in force without notice; a
     boolean key takes true or false (``flase`` would pass as truthy), an
-    integer key an integral number (64.5 would be truncated to 64).
+    integer key an integral number (64.5 would be truncated to 64).  A
+    sweep needs at least one worker.
     """
     defaults = default_config()
     unknown = sorted(set(settings) - set(defaults))
@@ -169,7 +171,12 @@ def _completed(settings: dict) -> dict:
         if not ok:
             raise ConfigurationError(
                 f"config key {key} needs {wanted}, got {value!r}")
-    return defaults | settings
+    merged = defaults | settings
+    workers = merged["sweep.workers"]
+    if workers < 1:
+        raise ConfigurationError(
+            f"config key sweep.workers needs at least 1, got {workers!r}")
+    return merged
 
 
 def build_config(settings: dict) -> SolverConfig:
@@ -187,12 +194,26 @@ def _ladder(settings: dict, key: str) -> list:
     raw = settings[key]
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return [float(raw)]
+    tokens = [tok for tok in str(raw).split(",") if tok.strip() != ""]
     try:
-        return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+        return _ladder_values(tokens, key)
     except ValueError:
         raise ConfigurationError(
             f"config key {key} needs comma-separated numbers, got {raw!r}"
         ) from None
+
+
+def _ladder_values(ladder, key: str) -> list:
+    """``ladder`` as floats, the default of sweep ``key`` if it is None.
+
+    An empty ladder is an error, not a request for the default.
+    """
+    if ladder is None:
+        return _ladder(RUN_SETTINGS, key)
+    values = [float(v) for v in ladder]
+    if not values:
+        raise ConfigurationError(f"{key} is empty: a sweep needs a ladder")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +498,7 @@ def sweep_sigma(config: SolverConfig, ladder=None,
     the reference is its sigma = 0 member on the same initial interface;
     distances are trajectory max-norm distances to the reference.
     """
-    ladder = [float(s) for s in
-              (ladder or _ladder(RUN_SETTINGS, "sweep.sigma_ladder"))]
+    ladder = _ladder_values(ladder, "sweep.sigma_ladder")
     if 0.0 not in ladder:
         raise ConfigurationError("the sigma ladder must include 0")
     trajs = _map_points(_sigma_point, [(config, s) for s in ladder], workers)
@@ -537,8 +557,7 @@ def _kappa_point(args):
 def sweep_kappa(config: SolverConfig, ladder=None,
                 workers: int = RUN_SETTINGS["sweep.workers"]) -> SweepResult:
     """Smoothing-width sweep: uniform energy bounds and the limit behavior."""
-    ladder = [float(k) for k in
-              (ladder or _ladder(RUN_SETTINGS, "sweep.kappa_ladder"))]
+    ladder = _ladder_values(ladder, "sweep.kappa_ladder")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("the kappa ladder must be strictly decreasing")
     results = _map_points(_kappa_point, [(config, k) for k in ladder], workers)

@@ -158,7 +158,7 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Immutable-by-convention snapshot of the coupled system.
+    """Immutable-by-convention state of the coupled system.
 
     ``q_y`` and ``q_xy`` are derivatives of ``q`` that the next step's gauge
     deviation reads; they are carried, not part of the snapshot.
@@ -179,8 +179,16 @@ class SolverState:
     flags: tuple = ()
 
     def snapshot(self) -> dict:
-        return {"q": self.q, "h": self.h, "v": self.v, "w": self.w,
-                "phi": self.bundle.phi}
+        """The stored fields: q, h and v whole, the map by its edge rows.
+
+        The map offset phi is the harmonic extension of ``phi_edge``, the
+        (smoothed) height the step extended, and the map velocity w that of
+        its edge row ``w_edge``, so neither is stored in the interior:
+        ``metric_bundle(grid, phi_edge)`` rebuilds phi bit for bit and
+        ``extend_edge(grid, w_edge)`` gives w up to rounding.
+        """
+        return {"q": self.q, "h": self.h, "v": self.v,
+                "phi_edge": self.bundle.height, "w_edge": self.w[:, 0].copy()}
 
 
 def height_rate(bundle: MetricBundle, v: np.ndarray) -> np.ndarray:

@@ -113,7 +113,8 @@ def test_criterion_04_initial_data_suite():
             config=base_cfg, times=[0.0],
             snaps=[{
                 "q": st.q - st0.q, "h": st.h - st0.h, "v": st.v - st0.v,
-                "w": st.w - st0.w, "phi": st.bundle.phi - st0.bundle.phi,
+                "phi_edge": st.bundle.height - st0.bundle.height,
+                "w_edge": st.w[:, 0] - st0.w[:, 0],
             }],
             margins=[taylor_margin(GRID, st.q - st0.q)],
             initial_derivatives={k: ds[k] - d0[k] for k in ds},

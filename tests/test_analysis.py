@@ -15,11 +15,11 @@ from stefansim.numerics import (
     tangential_derivative,
     vertical_derivative,
 )
-from stefansim.geometry import metric_bundle
+from stefansim.geometry import extend_edge, metric_bundle
 from stefansim.mollifier import smooth_horizontal
 from stefansim.operators import compute_velocity
 from stefansim.initdata import DataSpec, taylor_margin
-from stefansim.stepper import SolverConfig
+from stefansim.stepper import SolverConfig, advance, init_state
 from stefansim.analysis import (
     Trajectory,
     UsageError,
@@ -47,11 +47,10 @@ def _zero_derivs(grid):
 def _static_trajectory(config, q, h, n_snaps=5):
     grid = config.grid
     bundle = metric_bundle(grid, h)
-    phi = bundle.phi
     v = compute_velocity(grid, bundle, q)
-    w = np.zeros_like(phi)
     dt = config.dt * config.snapshot_every
-    snaps = [{"q": q, "h": h, "v": v, "w": w, "phi": phi}
+    snaps = [{"q": q, "h": h, "v": v, "phi_edge": bundle.height,
+              "w_edge": np.zeros(grid.nx)}
              for _ in range(n_snaps)]
     return Trajectory(
         config=config,
@@ -69,8 +68,8 @@ def _roll_trajectory(traj, shift):
             "q": np.roll(s["q"], shift, axis=0),
             "h": np.roll(s["h"], shift),
             "v": np.roll(s["v"], shift, axis=1),
-            "w": np.roll(s["w"], shift, axis=0),
-            "phi": np.roll(s["phi"], shift, axis=0),
+            "phi_edge": np.roll(s["phi_edge"], shift),
+            "w_edge": np.roll(s["w_edge"], shift),
         })
     init = {
         k: np.roll(v, shift, axis=1 if v.ndim == 3 else 0)
@@ -298,13 +297,18 @@ def test_bundle_at_rebuilds_the_map_of_the_step():
                        data=DataSpec(alpha=1.0, h0_amplitude=0.05))
     traj = simulate(cfg)
     assert len(traj) == 3
+    # the states the step produced at the snapshot instants
+    state = init_state(cfg)
+    states = [state]
+    for n in range(1, cfg.n_steps + 1):
+        state = advance(state, cfg)
+        if n % cfg.snapshot_every == 0:
+            states.append(state)
     for i, snap in enumerate(traj.snaps):
         bundle = traj.bundle_at(i)
-        # the bundle keeps the stored map, which the rebuild reproduces
-        assert bundle.phi is snap["phi"]
-        assert np.array_equal(metric_bundle(cfg.grid, snap["phi"][:, 0]).phi,
-                              snap["phi"])
-        assert np.array_equal(bundle.height, snap["phi"][:, 0])
+        # the rebuild from the stored edge row is the step's map bit for bit
+        assert np.array_equal(bundle.phi, states[i].bundle.phi)
+        assert np.array_equal(bundle.height, snap["phi_edge"])
         assert not np.array_equal(bundle.height, snap["h"])
 
 
@@ -343,15 +347,16 @@ def _moving_trajectory(config, seed, n_snaps=6, tau=0.01):
         q = sum(t**m * f for m, f in enumerate(temps))
         edge = smooth_horizontal(h, config.kappa) if config.kappa > 0 else h
         bundle = metric_bundle(grid, edge)
-        snaps.append({"q": q, "h": h, "phi": bundle.phi,
+        snaps.append({"q": q, "h": h, "phi_edge": bundle.height,
                       "v": compute_velocity(grid, bundle, q)})
     for prev, snap in zip([None] + snaps, snaps):
-        snap["w"] = (rng.standard_normal() * snap["phi"] if prev is None
-                     else (snap["phi"] - prev["phi"]) / tau)
+        snap["w_edge"] = (rng.standard_normal() * snap["phi_edge"] if prev is None
+                          else (snap["phi_edge"] - prev["phi_edge"]) / tau)
     initial = {"q_t": temps[1], "q_tt": 2.0 * temps[2], "h_t": heights[1],
                "h_tt": 2.0 * heights[2],
                "v_t": (snaps[1]["v"] - snaps[0]["v"]) / tau,
-               "w_t": (snaps[1]["w"] - snaps[0]["w"]) / tau}
+               "w_t": extend_edge(grid, (snaps[1]["w_edge"]
+                                         - snaps[0]["w_edge"]) / tau)}
     margins = [0.5] * n_snaps
     margins[2] = -0.1
     return Trajectory(config=config, times=times, snaps=snaps, margins=margins,
@@ -361,7 +366,8 @@ def _moving_trajectory(config, seed, n_snaps=6, tau=0.01):
 def _instant_norms_oracle(traj, idx):
     """Every family by its own formula: x-derivatives by
     tangential_derivative, smoothing by smooth_horizontal, edge squares by
-    integrate_boundary / 2 pi, Sobolev edge norms by boundary_norm."""
+    integrate_boundary / 2 pi, Sobolev edge norms by boundary_norm, the
+    map and its rates by extend_edge of their edge rows."""
     grid = traj.grid
     kappa = traj.config.kappa
     get = _DerivativeProvider(traj, idx)
@@ -418,7 +424,8 @@ def _instant_norms_oracle(traj, idx):
     for fam, shift, n in (("combo", 0, 4), ("combot", 1, 3)):
         for b in range(n // 2 + 1):
             a = n - 2 * b
-            q, p = get("q", b + shift), get("phi", b + shift)
+            q = get("q", b + shift)
+            p = extend_edge(grid, get("phi_edge", b + shift))
             out[fam, a, b] = integrate_interior(
                 (dx(q, a) + dx(p, a) * v1) ** 2, grid)
     return out

@@ -18,7 +18,9 @@ from stefansim import harness, initdata, stepper
 from stefansim.stepper import SolverConfig
 from stefansim.harness import (
     ManufacturedCase,
+    _completed,
     _config_dict,
+    _ladder,
     apply_overrides,
     build_config,
     default_config,
@@ -47,7 +49,7 @@ def test_config_file_parsing(tmp_path):
         "# comment\n"
         "sigma = 0.0\n"
         "dt = 2.5e-5\n"
-        "grid.nx = 64\n"
+        "grid.nx = 64   # an inline comment is not part of the value\n"
         "data.alpha = 0.75\n"
         "output.svg = off\n"
     )
@@ -69,8 +71,7 @@ def test_defaults_are_the_dataclass_defaults(tmp_path):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = tmp_path / "readme.cfg"
-    cfg.write_text("\n".join(line.partition("#")[0]
-                             for line in block.splitlines()))
+    cfg.write_text(block)
     parsed = parse_config_file(cfg)
     assert {k: (type(v), v) for k, v in parsed.items()} == {
         k: (type(v), v) for k, v in default_config().items()}
@@ -449,6 +450,27 @@ def test_sweep_ladder_validation():
         sweep_sigma(config, ladder=[0.1, 0.01])
     with pytest.raises(ConfigurationError):
         sweep_kappa(config, ladder=[0.1, 0.2])
+    # an empty ladder is an error, not a request for the default ladder
+    for sweep in (sweep_sigma, sweep_kappa):
+        with pytest.raises(ConfigurationError, match="is empty"):
+            sweep(config, ladder=[])
+    for key in ("sweep.sigma_ladder", "sweep.kappa_ladder"):
+        with pytest.raises(ConfigurationError, match=f"{key} is empty"):
+            _ladder(_completed(apply_overrides({}, [f"{key}=,"])), key)
+
+
+def test_sweep_settings_are_checked_before_any_run(monkeypatch):
+    def no_run(config, *args, **kwargs):
+        raise AssertionError("a sweep ran despite a configuration error")
+
+    monkeypatch.setattr(harness, "simulate", no_run)
+    for command, override in (("sweep-sigma", "sweep.sigma_ladder=,"),
+                              ("sweep-kappa", "sweep.kappa_ladder= , "),
+                              ("sweep-kappa", "sweep.workers=-2"),
+                              ("sweep-sigma", "sweep.workers=0")):
+        assert cli_main([command, "--override", override]) == 4, override
+    with pytest.raises(ConfigurationError, match="sweep.workers needs at least 1"):
+        build_config({"sweep.workers": 0})
 
 
 def test_mms_initial_sampling_exact():

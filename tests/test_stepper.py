@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from stefansim.numerics import Grid, ConfigurationError
-from stefansim.geometry import harmonic_extend, identity_bundle, metric_bundle
+from stefansim.geometry import (
+    extend_edge,
+    harmonic_extend,
+    identity_bundle,
+    metric_bundle,
+)
 from stefansim.operators import (
     compute_velocity,
     curl_residual,
@@ -128,16 +133,22 @@ def test_one_step_height_law_and_flux_record():
     assert np.all(np.sign(rate0) == np.sign(flux))
 
 
+def _fields(state):
+    """The state's fields, the map and its velocity in the interior too."""
+    return {"q": state.q, "h": state.h, "v": state.v, "w": state.w,
+            "phi": state.bundle.phi}
+
+
 def test_advance_leaves_input_state_unchanged():
     cfg = _short_config(data=DataSpec(alpha=1.0, h0_amplitude=0.05))
     st = init_state(cfg)
-    before = {k: v.copy() for k, v in st.snapshot().items()}
+    before = {k: v.copy() for k, v in _fields(st).items()}
     a = advance(st, cfg)
     b = advance(st, cfg)
-    for name, value in st.snapshot().items():
+    for name, value in _fields(st).items():
         assert np.array_equal(value, before[name])
-    for name, value in a.snapshot().items():
-        assert np.array_equal(value, b.snapshot()[name])
+    for name, value in _fields(a).items():
+        assert np.array_equal(value, _fields(b)[name])
     assert a.t == b.t == cfg.dt
 
 
@@ -314,9 +325,23 @@ def _two_call_step(state, cfg):
 def test_step_matches_the_two_call_oracle():
     cfg = _curved_config()
     st = advance(init_state(cfg), cfg)
-    got = advance(st, cfg).snapshot()
+    got = _fields(advance(st, cfg))
     for name, value in _two_call_step(st, cfg).items():
         assert _relative(got[name], value) <= 1e-13, name
+
+
+def test_snapshot_keeps_the_map_and_its_velocity_by_edge_rows():
+    # phi and w are harmonic extensions of their edge rows, so a snapshot
+    # stores q and v whole and three edge rows: h, phi_edge and w_edge
+    cfg = _curved_config(kappa=0.05)
+    state = init_state(cfg)
+    for _ in range(4):
+        snap = state.snapshot()
+        assert set(snap) == {"q", "h", "v", "phi_edge", "w_edge"}
+        assert sum(a.nbytes for a in snap.values()) == (
+            state.q.nbytes + state.v.nbytes + 3 * GRID.nx * state.h.itemsize)
+        assert _relative(extend_edge(GRID, snap["w_edge"]), state.w) <= 1e-10
+        state = advance(state, cfg)
 
 
 @pytest.mark.parametrize("extra", [{}, {"sigma": 0.01}])

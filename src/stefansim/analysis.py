@@ -17,18 +17,23 @@ Those above third order in y compose first/second difference stencils,
 and rows embedding them carry a lower-confidence flag.  Every other
 field is also transformed once per time order: its raw or layer-smoothed
 modes give its edge norms (``numerics.edge_squares``) and every
-x-derivative taken of it (``numerics.x_derivatives``).  Each snapshot's
-metric bundle is rebuilt once per table row and not kept.
+x-derivative taken of it (``numerics.x_derivatives``).
 
-A snapshot keeps the map offset phi and the map velocity w by their edge
-rows only (``SolverState.snapshot``): both are harmonic extensions of those
-rows.  The gauge combinations take phi and its time derivatives from the
-extension modes of the edge series (``geometry._extension_modes``), so no
-interior map field is stored or transformed here.
+A snapshot (``stepper.Snapshot``) keeps q and h whole, and the map offset
+phi and the map velocity w by their edge rows only: both are harmonic
+extensions of those rows.  The gauge combinations take phi and its time
+derivatives from the extension modes of the edge series
+(``geometry._extension_modes``), so no interior map field is stored or
+transformed here.  The velocity is not stored either: a table pass derives
+each snapshot's v once, from q on the metric bundle rebuilt from
+``phi_edge``, and keeps the last four (``_Velocities``, the most one time
+stencil reads).  A row's norms and identities share its bundle, and nothing
+is left on the snapshots.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +56,7 @@ from .numerics import (
 from .geometry import _extension_modes, metric_bundle
 from .mollifier import _layer_symbol
 from .operators import curl_residual
-from .stepper import CLASSICAL, SolverConfig, height_rate
+from .stepper import CLASSICAL, SolverConfig, Snapshot, height_rate
 
 
 class UsageError(NumericsError):
@@ -70,9 +75,11 @@ def _orders_eq(n: int):
 class Trajectory:
     """Snapshots of one run at uniform cadence, plus run-level records.
 
-    A snapshot (``SolverState.snapshot``) holds q, h and v and the edge rows
+    A snapshot (``stepper.Snapshot``) stores q and h whole and the edge rows
     ``phi_edge`` and ``w_edge`` of the map and its velocity, which are their
-    harmonic extensions; ``bundle_at`` rebuilds the map from ``phi_edge``.
+    harmonic extensions; ``bundle_at`` rebuilds the map from ``phi_edge``,
+    and ``snap["v"]`` derives the velocity from q on that map.  Synthetic
+    trajectories may hold plain dicts that carry their own ``"v"``.
     """
 
     config: SolverConfig
@@ -120,22 +127,82 @@ class Trajectory:
         return len(self.times)
 
 
+#: the most snapshots one time stencil reads (``numerics.time_derivative``)
+_STENCIL = 4
+
+
+class _Velocities(Sequence):
+    """The velocity series of a trajectory, derived within a bounded window.
+
+    A ``Snapshot`` stores no velocity, so each is derived from q on the
+    snapshot's map; a plain-dict snapshot's own ``"v"`` is read as stored.
+    The last ``_STENCIL`` velocities are kept, the most one time stencil
+    reads, so a pass over the snapshots in order derives each once.
+    ``bundle`` keeps one snapshot's bundle, for the table row being built.
+    A velocity derived ahead of its row, for a time stencil, builds a
+    bundle of its own and drops it: kept until its row, those bundles
+    would cost more memory than the velocities save on fine grids.
+    """
+
+    def __init__(self, traj: Trajectory):
+        self.traj = traj
+        self._kept: dict = {}   # least recently used first
+        self._row: tuple = (None, None)
+
+    def __len__(self) -> int:
+        return len(self.traj.snaps)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return [self[i] for i in range(len(self))[idx]]
+        idx = range(len(self))[idx]
+        v = self._kept.pop(idx, None)
+        if v is None:
+            if len(self._kept) == _STENCIL:
+                del self._kept[next(iter(self._kept))]
+            snap = self.traj.snaps[idx]
+            if isinstance(snap, Snapshot):
+                v = snap.velocity(self._row[1] if self._row[0] == idx else None)
+            else:
+                v = snap["v"]
+        self._kept[idx] = v
+        return v
+
+    def bundle(self, idx: int):
+        """The snapshot's ``Trajectory.bundle_at``, built once for its row."""
+        idx = range(len(self))[idx]
+        if self._row[0] != idx:
+            self._row = (idx, self.traj.bundle_at(idx))
+        return self._row[1]
+
+
 _INITIAL_KEYS = {("q", 1): "q_t", ("q", 2): "q_tt", ("h", 1): "h_t",
                  ("h", 2): "h_tt", ("v", 1): "v_t", ("w_edge", 1): "w_t",
                  ("rate", 1): "h_tt"}
 
 
 class _DerivativeProvider:
-    """Field and time-derivative access for one snapshot of a trajectory."""
+    """Field and time-derivative access for one snapshot of a trajectory.
 
-    def __init__(self, traj: Trajectory, idx: int):
+    The velocity comes from ``velocities``, a table pass's shared window,
+    or a window of its own.
+    """
+
+    def __init__(self, traj: Trajectory, idx: int,
+                 velocities: _Velocities | None = None):
         self.traj = traj
         self.idx = idx if idx >= 0 else len(traj) + idx
+        self.velocities = _Velocities(traj) if velocities is None else velocities
         self._cache: dict = {}
 
-    def _series(self, name: str) -> list:
+    def _series(self, name: str):
         if name == "rate":
-            return self.traj.rates()
+            rates = self.traj.rates()
+            if any(entry is None for entry in rates):
+                raise NeedsMoreStepsError("height-rate series unsupported here")
+            return rates
+        if name == "v":
+            return self.velocities
         return [s[name] for s in self.traj.snaps]
 
     def __call__(self, name: str, b: int = 0) -> np.ndarray:
@@ -147,9 +214,11 @@ class _DerivativeProvider:
             out = self("w_edge", b - 1)
         elif b == 0:
             if name == "rate":
-                out = self._series(name)[self.idx]
+                out = self.traj.rates()[self.idx]
                 if out is None:
                     raise NeedsMoreStepsError("height-rate series unsupported here")
+            elif name == "v":
+                out = self.velocities[self.idx]
             else:
                 out = self.traj.snaps[self.idx][name]
         elif self.idx == 0 and key in _INITIAL_KEYS:
@@ -158,10 +227,7 @@ class _DerivativeProvider:
                 # the initial map acceleration is stored whole
                 out = out[:, 0]
         else:
-            series = self._series(name)
-            if any(entry is None for entry in series):
-                raise NeedsMoreStepsError(f"{name} series unsupported here")
-            out = time_derivative(self.traj.times, series, b, self.idx)
+            out = time_derivative(self.traj.times, self._series(name), b, self.idx)
         self._cache[key] = out
         return out
 
@@ -274,7 +340,8 @@ class EnergyReport:
         return out
 
 
-def geometric_identities(traj: Trajectory, idx: int = -1, bundle=None) -> dict:
+def geometric_identities(traj: Trajectory, idx: int = -1,
+                         velocities: _Velocities | None = None) -> dict:
     """Curl, slip, curvature-identity, and interface-speed records.
 
     Graph form: the scaled normal and tangent are (h', -1) and (1, h'), so
@@ -284,14 +351,14 @@ def geometric_identities(traj: Trajectory, idx: int = -1, bundle=None) -> dict:
     whose normal speed clears a tenth of the stability margin enter.  For
     a positive interface temperature (surface tension) the slip value is a
     record, not a residual: the identity's hypothesis fails there.
-    ``bundle`` is the snapshot's ``bundle_at``, built here when not passed.
+    The snapshot's map and velocity come from ``velocities``, a table
+    pass's shared window, or are derived here when it is not passed.
     """
     grid = traj.grid
     idx = idx % len(traj)
-    snap = traj.snaps[idx]
-    if bundle is None:
-        bundle = traj.bundle_at(idx)
-    v = snap["v"]
+    if velocities is None:
+        velocities = _Velocities(traj)
+    bundle, v = velocities.bundle(idx), velocities[idx]
     curl = curl_residual(grid, bundle, v)
     ve = v[:, :, 0]
     g, dh = bundle.line_el, bundle.dheight
@@ -311,7 +378,7 @@ def geometric_identities(traj: Trajectory, idx: int = -1, bundle=None) -> dict:
     else:
         curv_err = float("nan")
 
-    flux = bundle.jac_edge * edge_derivative(snap["q"], grid.hy, 1)
+    flux = bundle.jac_edge * edge_derivative(traj.snaps[idx]["q"], grid.hy, 1)
     return {
         "curl_residual": curl,
         "slip_residual": slip,
@@ -321,13 +388,16 @@ def geometric_identities(traj: Trajectory, idx: int = -1, bundle=None) -> dict:
     }
 
 
-def _instant_norms(traj: Trajectory, idx: int, kappa: float, bundle) -> dict:
+def _instant_norms(traj: Trajectory, idx: int, kappa: float,
+                   velocities: _Velocities | None = None) -> dict:
     """All squared norms entering the functionals, at one snapshot.
 
-    ``bundle`` is the snapshot's ``bundle_at``.
+    ``velocities`` is the table pass's window (a new one when not passed);
+    the snapshot's bundle comes from it.
     """
     grid = traj.grid
-    get = _DerivativeProvider(traj, idx)
+    get = _DerivativeProvider(traj, idx, velocities)
+    bundle = get.velocities.bundle(idx)
     out = {}
 
     # interior velocity families
@@ -455,10 +525,12 @@ def energy_table(traj: Trajectory) -> list:
     dis_iter = iter(traj.dissipation)
     dis_next = next(dis_iter, None)
 
+    # one window for the pass: each velocity is derived once, and a row's
+    # norms and identities share its bundle
+    velocities = _Velocities(traj)
     for idx, t in enumerate(traj.times):
-        # one bundle per snapshot, shared by the norms and the identities
-        bundle = traj.bundle_at(idx)
-        vals = _instant_norms(traj, idx, kappa, bundle)
+        bundle = velocities.bundle(idx)
+        vals = _instant_norms(traj, idx, kappa, velocities)
         acc.update(t, vals)
         while dis_next is not None and dis_next[0] <= t + 1e-15:
             dis_max = max(dis_max, abs(dis_next[1]))
@@ -518,7 +590,7 @@ def energy_table(traj: Trajectory) -> list:
                 [("sigh",) + ab for ab in leq4]
             ) + sigma * acc.sum_int([("sight",) + ab for ab in leq3])
 
-        idents = geometric_identities(traj, idx, bundle)
+        idents = geometric_identities(traj, idx, velocities)
         graph_sup = float(np.max(bundle.dheight**2))
         ratio = e_kap / f_kap if kappa > 0 and f_kap > 0 else float("nan")
 
@@ -552,7 +624,7 @@ def natural_edge_terms(traj: Trajectory, idx: int = -1) -> list:
     separately so that coercivity can be checked term by term.
     """
     idx = idx % len(traj)
-    vals = _instant_norms(traj, idx, traj.config.kappa, traj.bundle_at(idx))
+    vals = _instant_norms(traj, idx, traj.config.kappa)
     out = []
     for ab in _orders_eq(4):
         out.append(vals[("wh",) + ab])

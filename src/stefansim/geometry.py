@@ -188,7 +188,8 @@ def metric_bundle(grid: Grid, h: np.ndarray) -> MetricBundle:
     """
     phi, phi_x = x_derivatives(_extension_modes(grid, h), (0, 1), grid.nx)
     _require_graph(phi_x[:, 0])
-    # a copy, so that a snapshot of phi does not keep phi_x alive
+    # a copy, so that a kept bundle (a state's, the analysis window's) does
+    # not keep phi_x alive
     phi = phi.copy()
     phi[:, 0] = h
     phi[:, -1] = 0.0

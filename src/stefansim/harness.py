@@ -172,11 +172,15 @@ def _completed(settings: dict) -> dict:
             raise ConfigurationError(
                 f"config key {key} needs {wanted}, got {value!r}")
     merged = defaults | settings
-    workers = merged["sweep.workers"]
+    _check_workers(merged["sweep.workers"])
+    return merged
+
+
+def _check_workers(workers) -> None:
+    """A sweep needs at least one worker, from the settings or a caller."""
     if workers < 1:
         raise ConfigurationError(
             f"config key sweep.workers needs at least 1, got {workers!r}")
-    return merged
 
 
 def build_config(settings: dict) -> SolverConfig:
@@ -476,6 +480,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
 
 def _map_points(point, jobs, workers: int) -> list:
     """``point`` applied to every job, in a process pool when workers > 1."""
+    _check_workers(workers)
     if workers > 1:
         # imported here, not at module import: only a parallel sweep uses it
         from concurrent.futures import ProcessPoolExecutor

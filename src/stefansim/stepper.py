@@ -36,6 +36,7 @@ step, in every mode.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -60,6 +61,7 @@ from .geometry import (
 )
 from .mollifier import smooth_double
 from .operators import (
+    compute_velocity,
     deviation_from_derivatives,
     gradient,
     transformed_laplacian_expanded,
@@ -178,17 +180,54 @@ class SolverState:
     beta_poly: tuple | None = None
     flags: tuple = ()
 
-    def snapshot(self) -> dict:
-        """The stored fields: q, h and v whole, the map by its edge rows.
+    def snapshot(self) -> Snapshot:
+        """The state as a trajectory keeps it (see ``Snapshot``)."""
+        return Snapshot(self.bundle.grid, self.q, self.h, self.bundle.height,
+                        self.w[:, 0].copy())
 
-        The map offset phi is the harmonic extension of ``phi_edge``, the
-        (smoothed) height the step extended, and the map velocity w that of
-        its edge row ``w_edge``, so neither is stored in the interior:
-        ``metric_bundle(grid, phi_edge)`` rebuilds phi bit for bit and
-        ``extend_edge(grid, w_edge)`` gives w up to rounding.
-        """
-        return {"q": self.q, "h": self.h, "v": self.v,
-                "phi_edge": self.bundle.height, "w_edge": self.w[:, 0].copy()}
+
+_SNAPSHOT_KEYS = ("q", "h", "v", "phi_edge", "w_edge")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Snapshot(Mapping):
+    """A stored state: q and h whole, the map and the velocity derived.
+
+    The map offset phi is the harmonic extension of ``phi_edge``, the
+    (smoothed) height the step extended, and the map velocity w that of
+    its edge row ``w_edge``: ``metric_bundle(grid, phi_edge)`` rebuilds
+    phi bit for bit and ``extend_edge(grid, w_edge)`` gives w up to
+    rounding.  The velocity -(q_x + a q_y, c q_y) depends on q and the map
+    alone, so ``snap["v"]`` derives it on every read and nothing is cached:
+    it equals the step's v up to rounding (bit for bit at t = 0).  It reads
+    as a mapping of its five keys, and, a module-level class, it pickles
+    with the trajectory that a process-pool sweep sends back.
+    """
+
+    grid: Grid
+    q: np.ndarray
+    h: np.ndarray
+    phi_edge: np.ndarray
+    w_edge: np.ndarray
+
+    def velocity(self, bundle: MetricBundle | None = None) -> np.ndarray:
+        """v on ``bundle``, the snapshot's map, rebuilt when not given."""
+        if bundle is None:
+            bundle = metric_bundle(self.grid, self.phi_edge)
+        return compute_velocity(self.grid, bundle, self.q)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key == "v":
+            return self.velocity()
+        if key not in _SNAPSHOT_KEYS:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def __iter__(self):
+        return iter(_SNAPSHOT_KEYS)
+
+    def __len__(self) -> int:
+        return len(_SNAPSHOT_KEYS)
 
 
 def height_rate(bundle: MetricBundle, v: np.ndarray) -> np.ndarray:

@@ -312,6 +312,50 @@ def test_bundle_at_rebuilds_the_map_of_the_step():
         assert not np.array_equal(bundle.height, snap["h"])
 
 
+def _short_kappa_run():
+    return simulate(SolverConfig(kappa=0.05, t_end=5e-4, snapshot_every=2,
+                                 data=DataSpec(alpha=1.0, h0_amplitude=0.05)))
+
+
+def test_energy_table_leaves_the_snapshots_as_they_were():
+    # the derived velocities live in the table pass only: a cache on the
+    # snapshots would bring their memory back
+    traj = _short_kappa_run()
+    before = [dict(vars(s)) for s in traj.snaps]
+    energy_table(traj)
+    for snap, stored in zip(traj.snaps, before):
+        after = vars(snap)
+        assert after.keys() == stored.keys()
+        assert all(after[k] is stored[k] for k in stored)
+
+
+def test_energy_table_derives_each_velocity_once(monkeypatch):
+    # the time stencils of a row reuse their neighbours' velocities, and a
+    # row's norms and identities share one bundle; a velocity derived ahead
+    # of its row (every one but the first) builds a bundle of its own
+    from stefansim import analysis, stepper
+
+    traj = _short_kappa_run()
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((analysis, "metric_bundle"), (stepper, "metric_bundle"),
+                         (stepper, "compute_velocity")):
+        monkeypatch.setattr(module, name, counted(
+            (module.__name__, name), getattr(module, name)))
+    energy_table(traj)
+    n = len(traj)
+    assert n == 11
+    assert calls == {("stefansim.analysis", "metric_bundle"): n,
+                     ("stefansim.stepper", "metric_bundle"): n - 1,
+                     ("stefansim.stepper", "compute_velocity"): n}
+
+
 def _dy(f, b, hy):
     # the y-stencil composition of the interior norms: odd b take one first
     # difference after (b - 1) / 2 second differences
@@ -440,7 +484,7 @@ def test_instant_norms_match_the_per_family_formulas(law, seed):
                        **law)
     traj = _moving_trajectory(cfg, seed)
     for idx in range(len(traj)):
-        got = _instant_norms(traj, idx, cfg.kappa, traj.bundle_at(idx))
+        got = _instant_norms(traj, idx, cfg.kappa)
         want = _instant_norms_oracle(traj, idx)
         assert got.keys() == want.keys()
         for key, val in want.items():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from stefansim import elliptic
 from stefansim.numerics import (
@@ -15,6 +16,7 @@ from stefansim.numerics import (
     vertical_derivative,
 )
 from stefansim.elliptic import NEUMANN, EdgeCondition, solve_transformed_poisson
+from stefansim.mollifier import smooth_double
 from stefansim.geometry import (
     GRAPH_BOUND,
     InvalidGeometryError,
@@ -97,8 +99,8 @@ def test_bundle_invariants_curved():
     assert b.line_el[0] == pytest.approx(1.0, abs=1e-12)
     idx = GRID.nx // 4
     assert b.line_el[idx] == pytest.approx(np.sqrt(1.0 + 0.01), abs=1e-10)
-    # a and c are views of one stack; phi owns its buffer, so a snapshot of
-    # it keeps no phi_x alive
+    # a and c are views of one stack; phi owns its buffer, so a kept bundle
+    # keeps no phi_x alive
     assert b.a.base is b.c.base is b.ac
     assert b.phi.flags.owndata
 
@@ -195,3 +197,45 @@ def test_gauge_bundle_gate_at_the_graph_bound():
         else:
             with pytest.raises(InvalidGeometryError):
                 metric_bundle(GRID, h)
+
+
+@st.composite
+def _band_limited_heights(draw):
+    """A grid and a height of at most nx/4 modes inside the graph bound.
+
+    The slope is at most sum k |h_k| <= 0.4, so sup|h'|^2 <= 0.16 stays
+    below GRAPH_BOUND, and with |h_0| <= 0.2 the Jacobian stays positive.
+    """
+    grid = Grid(draw(st.sampled_from((16, 32, 64))),
+                draw(st.sampled_from((17, 33, 65))))
+    coef = st.floats(-1.0, 1.0)
+    modes = draw(st.integers(1, grid.nx // 4))
+    h = np.zeros(grid.nx)
+    slope = 0.0
+    for k in range(1, modes + 1):
+        a, b = draw(coef), draw(coef)
+        h += a * np.cos(k * grid.xs) + b * np.sin(k * grid.xs)
+        slope += k * (abs(a) + abs(b))
+    if slope > 0.0:
+        h *= draw(st.floats(0.0, 0.4)) / slope
+    return grid, h + draw(st.floats(-0.2, 0.2))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_band_limited_heights(), st.sampled_from((0.0, 0.05, 0.2)))
+def test_edge_rows_rebuild_the_map_bit_for_bit(case, kappa):
+    # a snapshot keeps the map by the edge row the step extended (the
+    # layer-smoothed height in kappa mode) and its velocity by w's edge row:
+    # an extension must reproduce its edge rows exactly, and a bundle rebuilt
+    # from its own edge height must be the same map bit for bit
+    grid, h = case
+    edge = smooth_double(h, kappa) if kappa > 0 else h
+    for data in (edge, 10.0 * edge):
+        ext = extend_edge(grid, data)
+        assert np.array_equal(ext[:, 0], data)
+        assert not np.any(ext[:, -1])
+    bundle = metric_bundle(grid, edge)
+    assert np.array_equal(bundle.height, edge)
+    rebuilt = metric_bundle(grid, bundle.height)
+    assert np.array_equal(rebuilt.phi, bundle.phi)
+    assert np.array_equal(rebuilt.ac, bundle.ac)

@@ -471,6 +471,13 @@ def test_sweep_settings_are_checked_before_any_run(monkeypatch):
         assert cli_main([command, "--override", override]) == 4, override
     with pytest.raises(ConfigurationError, match="sweep.workers needs at least 1"):
         build_config({"sweep.workers": 0})
+    # called from Python, the sweeps check their worker count the same way
+    config = build_config(_fast_settings())
+    for sweep in (sweep_sigma, sweep_kappa):
+        for workers in (0, -2):
+            with pytest.raises(ConfigurationError,
+                               match=f"sweep.workers needs at least 1, got {workers}"):
+                sweep(config, workers=workers)
 
 
 def test_mms_initial_sampling_exact():

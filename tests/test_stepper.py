@@ -300,7 +300,7 @@ def test_carried_derivatives_match_recomputed_ones():
     recomputed = replace(st, q_y=q_y, q_xy=gradient(GRID, q_y)[0])
     a, b = advance(st, cfg), advance(recomputed, cfg)
     for name in ("q", "v"):
-        assert _relative(a.snapshot()[name], b.snapshot()[name]) <= 1e-13
+        assert _relative(_fields(a)[name], _fields(b)[name]) <= 1e-13
 
 
 def _two_call_step(state, cfg):
@@ -330,18 +330,49 @@ def test_step_matches_the_two_call_oracle():
         assert _relative(got[name], value) <= 1e-13, name
 
 
+def _stored_bytes(snap):
+    return sum(a.nbytes for a in vars(snap).values() if isinstance(a, np.ndarray))
+
+
 def test_snapshot_keeps_the_map_and_its_velocity_by_edge_rows():
-    # phi and w are harmonic extensions of their edge rows, so a snapshot
-    # stores q and v whole and three edge rows: h, phi_edge and w_edge
+    # phi and w are harmonic extensions of their edge rows and v is derived
+    # from q on the map, so a snapshot stores q whole and three edge rows:
+    # h, phi_edge and w_edge; its values count the derived v too
     cfg = _curved_config(kappa=0.05)
     state = init_state(cfg)
+    edge_rows = 3 * GRID.nx * state.h.itemsize
     for _ in range(4):
         snap = state.snapshot()
         assert set(snap) == {"q", "h", "v", "phi_edge", "w_edge"}
+        assert _stored_bytes(snap) == state.q.nbytes + edge_rows
         assert sum(a.nbytes for a in snap.values()) == (
-            state.q.nbytes + state.v.nbytes + 3 * GRID.nx * state.h.itemsize)
+            state.q.nbytes + state.v.nbytes + edge_rows)
         assert _relative(extend_edge(GRID, snap["w_edge"]), state.w) <= 1e-10
         state = advance(state, cfg)
+
+
+@pytest.mark.parametrize("law", [{}, {"sigma": 0.01}, {"kappa": 0.05}])
+def test_snapshot_velocity_is_the_step_velocity(law):
+    # the t = 0 state takes v from the same derivatives of q as the
+    # snapshot; a step takes q_x from the solve's modes, so only rounding
+    # separates them later
+    cfg = _curved_config(**law)
+    state = init_state(cfg)
+    assert np.array_equal(state.snapshot()["v"], state.v)
+    for _ in range(3):
+        state = advance(state, cfg)
+        assert _relative(state.snapshot()["v"], state.v) <= 1e-14
+
+
+def test_snapshot_pickle_round_trip():
+    # a process-pool sweep pickles its trajectories
+    cfg = _curved_config(kappa=0.05)
+    snap = advance(init_state(cfg), cfg).snapshot()
+    back = pickle.loads(pickle.dumps(snap))
+    assert type(back) is type(snap)
+    assert set(back) == set(snap)
+    for name in ("q", "v", "h", "phi_edge", "w_edge"):
+        assert np.array_equal(back[name], snap[name]), name
 
 
 @pytest.mark.parametrize("extra", [{}, {"sigma": 0.01}])

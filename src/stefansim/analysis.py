@@ -24,17 +24,20 @@ phi and the map velocity w by their edge rows only: both are harmonic
 extensions of those rows.  The gauge combinations take phi and its time
 derivatives from the extension modes of the edge series
 (``geometry._extension_modes``), so no interior map field is stored or
-transformed here.  The velocity is not stored either: a table pass derives
-each snapshot's v once, from q on the metric bundle rebuilt from
-``phi_edge``, and keeps the last four (``_Velocities``, the most one time
-stencil reads).  A row's norms and identities share its bundle, and nothing
-is left on the snapshots.
+transformed here.  The velocity is not stored either: a table pass
+rebuilds each snapshot's metric bundle from ``phi_edge`` once, derives v
+from q on it, and keeps v, the bundle's edge rows and the gauge curl of v
+for the last four snapshots (``_Velocities``, the most one time stencil
+reads); the interior map fields are dropped at once.  A row's norms and
+identities share those edge rows, each time derivative of q and v is
+released once its families are done, and nothing is left on the snapshots.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +93,8 @@ class Trajectory:
     dissipation: list = field(default_factory=list)
     status: str = "completed"
     flags: tuple = ()
+    #: iterations and residual of each solve of the regularized datum
+    datum_solves: list = field(default_factory=list)
 
     def __post_init__(self):
         self._rates: list | None = None
@@ -131,23 +136,33 @@ class Trajectory:
 _STENCIL = 4
 
 
+class _RowMap(NamedTuple):
+    """What a table row reads of a snapshot's map: the bundle's edge rows
+    and the gauge curl of the velocity on it."""
+
+    height: np.ndarray
+    dheight: np.ndarray
+    line_el: np.ndarray
+    jac_edge: np.ndarray
+    curl: float
+
+
 class _Velocities(Sequence):
     """The velocity series of a trajectory, derived within a bounded window.
 
     A ``Snapshot`` stores no velocity, so each is derived from q on the
-    snapshot's map; a plain-dict snapshot's own ``"v"`` is read as stored.
-    The last ``_STENCIL`` velocities are kept, the most one time stencil
-    reads, so a pass over the snapshots in order derives each once.
-    ``bundle`` keeps one snapshot's bundle, for the table row being built.
-    A velocity derived ahead of its row, for a time stencil, builds a
-    bundle of its own and drops it: kept until its row, those bundles
-    would cost more memory than the velocities save on fine grids.
+    snapshot's map, rebuilt once (``Trajectory.bundle_at``) when the
+    velocity is first read; a plain-dict snapshot's own ``"v"`` is read as
+    stored.  Of that one bundle the window keeps only what a table row
+    reads (``_RowMap``, from ``row_map``), so the interior map fields are
+    dropped as soon as v and the curl are formed.  The last ``_STENCIL``
+    entries are kept, the most one time stencil reads, so a pass over the
+    snapshots in order builds each bundle and derives each velocity once.
     """
 
     def __init__(self, traj: Trajectory):
         self.traj = traj
         self._kept: dict = {}   # least recently used first
-        self._row: tuple = (None, None)
 
     def __len__(self) -> int:
         return len(self.traj.snaps)
@@ -155,25 +170,26 @@ class _Velocities(Sequence):
     def __getitem__(self, idx):
         if isinstance(idx, slice):
             return [self[i] for i in range(len(self))[idx]]
+        return self._entry(idx)[0]
+
+    def row_map(self, idx: int) -> _RowMap:
+        """The edge rows of the snapshot's map and the curl of its v."""
+        return self._entry(idx)[1]
+
+    def _entry(self, idx: int) -> tuple:
         idx = range(len(self))[idx]
-        v = self._kept.pop(idx, None)
-        if v is None:
+        entry = self._kept.pop(idx, None)
+        if entry is None:
             if len(self._kept) == _STENCIL:
                 del self._kept[next(iter(self._kept))]
+            bundle = self.traj.bundle_at(idx)
             snap = self.traj.snaps[idx]
-            if isinstance(snap, Snapshot):
-                v = snap.velocity(self._row[1] if self._row[0] == idx else None)
-            else:
-                v = snap["v"]
-        self._kept[idx] = v
-        return v
-
-    def bundle(self, idx: int):
-        """The snapshot's ``Trajectory.bundle_at``, built once for its row."""
-        idx = range(len(self))[idx]
-        if self._row[0] != idx:
-            self._row = (idx, self.traj.bundle_at(idx))
-        return self._row[1]
+            v = snap.velocity(bundle) if isinstance(snap, Snapshot) else snap["v"]
+            entry = (v, _RowMap(bundle.height, bundle.dheight, bundle.line_el,
+                                bundle.jac_edge,
+                                curl_residual(self.traj.grid, bundle, v)))
+        self._kept[idx] = entry
+        return entry
 
 
 _INITIAL_KEYS = {("q", 1): "q_t", ("q", 2): "q_tt", ("h", 1): "h_t",
@@ -223,9 +239,6 @@ class _DerivativeProvider:
                 out = self.traj.snaps[self.idx][name]
         elif self.idx == 0 and key in _INITIAL_KEYS:
             out = self.traj.initial_derivatives[_INITIAL_KEYS[key]]
-            if name == "w_edge":
-                # the initial map acceleration is stored whole
-                out = out[:, 0]
         else:
             out = time_derivative(self.traj.times, self._series(name), b, self.idx)
         self._cache[key] = out
@@ -237,6 +250,10 @@ class _DerivativeProvider:
             return self(name, b)
         except NeedsMoreStepsError:
             return None
+
+    def release(self, name: str, b: int) -> None:
+        """Drop a cached field whose last reader is done with it."""
+        self._cache.pop((name, b), None)
 
 
 def _boundary_sq(grid: Grid, phi: np.ndarray, weight=1.0) -> float:
@@ -351,23 +368,23 @@ def geometric_identities(traj: Trajectory, idx: int = -1,
     whose normal speed clears a tenth of the stability margin enter.  For
     a positive interface temperature (surface tension) the slip value is a
     record, not a residual: the identity's hypothesis fails there.
-    The snapshot's map and velocity come from ``velocities``, a table
-    pass's shared window, or are derived here when it is not passed.
+    The snapshot's velocity, map edge rows and curl come from
+    ``velocities``, a table pass's shared window, or are derived here when
+    it is not passed.
     """
     grid = traj.grid
     idx = idx % len(traj)
     if velocities is None:
         velocities = _Velocities(traj)
-    bundle, v = velocities.bundle(idx), velocities[idx]
-    curl = curl_residual(grid, bundle, v)
+    edges, v = velocities.row_map(idx), velocities[idx]
     ve = v[:, :, 0]
-    g, dh = bundle.line_el, bundle.dheight
-    rate = height_rate(bundle, v)
+    g, dh = edges.line_el, edges.dheight
+    rate = height_rate(edges, v)
     vn = rate / g
     slip = float(np.max(np.abs((ve[0] + ve[1] * dh) / g)))
 
     margin = traj.margins[idx]
-    d2h = tangential_derivative(bundle.height, 2)
+    d2h = tangential_derivative(edges.height, 2)
     dv = tangential_derivative(ve, 1, axis=-1)
     mask = np.abs(vn) >= 0.1 * max(margin, 0.0)
     if margin > 0.0 and np.any(mask):
@@ -378,9 +395,9 @@ def geometric_identities(traj: Trajectory, idx: int = -1,
     else:
         curv_err = float("nan")
 
-    flux = bundle.jac_edge * edge_derivative(traj.snaps[idx]["q"], grid.hy, 1)
+    flux = edges.jac_edge * edge_derivative(traj.snaps[idx]["q"], grid.hy, 1)
     return {
-        "curl_residual": curl,
+        "curl_residual": edges.curl,
         "slip_residual": slip,
         "curvature_identity_error": curv_err,
         "interface_speed_mean": float(np.mean(rate)),
@@ -393,11 +410,13 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
     """All squared norms entering the functionals, at one snapshot.
 
     ``velocities`` is the table pass's window (a new one when not passed);
-    the snapshot's bundle comes from it.
+    the snapshot's map edge rows come from it.  Each time derivative of v
+    and q is released once its families are done.
     """
     grid = traj.grid
+    nx = grid.nx
     get = _DerivativeProvider(traj, idx, velocities)
-    bundle = get.velocities.bundle(idx)
+    edges = get.velocities.row_map(idx)
     out = {}
 
     # interior velocity families
@@ -410,19 +429,46 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
         sq = mixed_squares(vb, grid, amax, y_top=0)
         for a in range(amax + 1):
             out[("v", a, b)] = sq[a, 0]
+        if b:
+            get.release("v", b)
 
-    # temperature Sobolev families: H^{4-2b} and H^{5-2b} enter the energy,
-    # H^{2-2b} and H^{3-2b} the lower-order monitor
-    for b in range(3):
-        qb = get.try_call("q", b)
-        orders = range(max(2 - 2 * b, 0), 6 - 2 * b)
-        norms = [None] * len(orders) if qb is None else [
-            n ** 2 for n in interior_norms(qb, grid, orders)]
-        out.update({("qH", s, b): sq for s, sq in zip(orders, norms)})
+    # per time order c of q: the temperature Sobolev families H^{4-2c} and
+    # H^{5-2c} (the energy) and H^{2-2c}, H^{3-2c} (the lower-order
+    # monitor); then the gauge-combination interior families at the
+    # identity orders a + 2b = 4 (combo) and, one time order up, a + 2b = 3
+    # (combot): time order c enters at x-orders 4 - 2c and 5 - 2c, from one
+    # transform per field.  The map's derivative
+    # d^a_x d^c_t is (0, d^a_x phi_c), since c = 0 only with a = 4 and the
+    # identity's horizontal part has no such one; phi_c extends the edge
+    # series' c-th time derivative, so its modes are the extension modes of
+    # that edge row
+    v1 = get("v")[1]
+    for c in range(3):
+        qc = get.try_call("q", c)
+        orders = range(max(2 - 2 * c, 0), 6 - 2 * c)
+        norms = [None] * len(orders) if qc is None else [
+            n ** 2 for n in interior_norms(qc, grid, orders)]
+        out.update({("qH", s, c): sq for s, sq in zip(orders, norms)})
+
+        keys = [("combo", 4 - 2 * c, c)]
+        if c:
+            keys.append(("combot", 5 - 2 * c, c - 1))
+        pc = get.try_call("phi_edge", c)
+        if qc is None or pc is None:
+            out.update(dict.fromkeys(keys))
+        else:
+            x_orders = [a for _, a, _ in keys]
+            dq = x_derivatives(np.fft.rfft(qc, axis=0), x_orders, nx)
+            dp = x_derivatives(_extension_modes(grid, pc), x_orders, nx)
+            for key, dqa, dpa in zip(keys, dq, dp):
+                out[key] = integrate_interior((dqa + dpa * v1) ** 2, grid)
+            del dq, dp
+        del qc
+        get.release("q", c)
 
     # edge geometry weights at this instant
-    jac_e = bundle.jac_edge
-    g_e = bundle.line_el
+    jac_e = edges.jac_edge
+    g_e = edges.line_el
     margin = traj.margins[idx]
     q2_edge = edge_derivative(traj.snaps[idx]["q"], grid.hy, 1)
     flux_w = q2_edge / jac_e if margin > 0.0 else None
@@ -431,7 +477,6 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
     # each edge field is transformed once: its raw or layer-smoothed modes
     # give the Sobolev norms and every x-derivative the families take; with
     # no layer (kappa = 0) the smoothed derivatives are rows of the raw ladder
-    nx = grid.nx
     layered = kappa > 0
     layer = _layer_symbol(float(kappa), nx) if layered else 1.0
 
@@ -483,28 +528,6 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
             for s, sq in zip(orders, edge_squares(coef, orders)):
                 out[("htB", s, b)] = sq
 
-    # gauge-combination interior families at the identity orders a + 2b = 4
-    # (combo) and, one time order up, a + 2b = 3 (combot): time order c
-    # enters at x-orders 4 - 2c and 5 - 2c, from one transform per field.
-    # The map's derivative d^a_x d^c_t is (0, d^a_x phi_c), since c = 0
-    # only with a = 4 and the identity's horizontal part has no such one;
-    # phi_c extends the edge series' c-th time derivative, so its modes are
-    # the extension modes of that edge row
-    v1 = get("v")[1]
-    for c in range(3):
-        keys = [("combo", 4 - 2 * c, c)]
-        if c:
-            keys.append(("combot", 5 - 2 * c, c - 1))
-        qc = get.try_call("q", c)
-        pc = get.try_call("phi_edge", c)
-        if qc is None or pc is None:
-            out.update(dict.fromkeys(keys))
-            continue
-        orders = [a for _, a, _ in keys]
-        dq = x_derivatives(np.fft.rfft(qc, axis=0), orders, nx)
-        dp = x_derivatives(_extension_modes(grid, pc), orders, nx)
-        for key, dqa, dpa in zip(keys, dq, dp):
-            out[key] = integrate_interior((dqa + dpa * v1) ** 2, grid)
     return out
 
 
@@ -525,11 +548,10 @@ def energy_table(traj: Trajectory) -> list:
     dis_iter = iter(traj.dissipation)
     dis_next = next(dis_iter, None)
 
-    # one window for the pass: each velocity is derived once, and a row's
-    # norms and identities share its bundle
+    # one window for the pass: each snapshot's bundle is built once, and a
+    # row's norms and identities share its edge rows
     velocities = _Velocities(traj)
     for idx, t in enumerate(traj.times):
-        bundle = velocities.bundle(idx)
         vals = _instant_norms(traj, idx, kappa, velocities)
         acc.update(t, vals)
         while dis_next is not None and dis_next[0] <= t + 1e-15:
@@ -591,7 +613,7 @@ def energy_table(traj: Trajectory) -> list:
             ) + sigma * acc.sum_int([("sight",) + ab for ab in leq3])
 
         idents = geometric_identities(traj, idx, velocities)
-        graph_sup = float(np.max(bundle.dheight**2))
+        graph_sup = float(np.max(velocities.row_map(idx).dheight**2))
         ratio = e_kap / f_kap if kappa > 0 and f_kap > 0 else float("nan")
 
         reports.append(EnergyReport(
@@ -670,7 +692,7 @@ def mixed_cnorm(traj_a: Trajectory, traj_b: Trajectory) -> float:
 
 def heat_content(grid: Grid, state) -> float:
     """1/2 int q^2 J, the energy of the dissipation law."""
-    return 0.5 * integrate_interior(state.q**2 * state.bundle.jac, grid)
+    return 0.5 * integrate_interior(state.q**2 * state.jac, grid)
 
 
 def dissipation_defect(grid: Grid, heat_old: float, heat_new: float, new,
@@ -683,7 +705,7 @@ def dissipation_defect(grid: Grid, heat_old: float, heat_new: float, new,
     errors.  ``heat_old`` and ``heat_new`` are the ``heat_content`` of the
     state before the step and of ``new``; a run computes each once.
     """
-    b_new = integrate_interior((new.v[0] ** 2 + new.v[1] ** 2) * new.bundle.jac, grid)
+    b_new = integrate_interior((new.v[0] ** 2 + new.v[1] ** 2) * new.jac, grid)
     defect = (heat_new - heat_old) / dt + b_new
     return (new.t, defect / max(b_new, 1e-30))
 

@@ -122,7 +122,9 @@ class MetricBundle:
     ``line_el`` (g = sqrt(1 + h'^2)), ``jac_edge``; the scaled normal and
     tangent are (h', -1) and (1, h').
 
-    ``drift`` is computed on first use and kept with the bundle.
+    ``drift`` is computed on first use and kept with the bundle.  A bundle
+    lives only as long as its user: a ``SolverState`` keeps phi, J and the
+    edge rows of the map it was stepped to, not the bundle.
     """
 
     grid: Grid
@@ -145,18 +147,27 @@ class MetricBundle:
 
     @cached_property
     def drift(self) -> np.ndarray:
-        """First-order coefficient a_x + a a_y + c c_y of the gauge deviation.
+        """``map_drift`` of the bundle, computed on first use and kept.
 
         It depends on the map alone, so the repeated deviations of one
         bundle (the fixed-point iterations of an elliptic solve) share it.
         """
-        # (a_y, c_y) times (a, c) in one buffer, summed in the written order
-        terms = vertical_derivative(self.ac, self.grid.hy, 1)
-        terms *= self.ac
-        out = tangential_derivative(self.ac[0])
-        out += terms[0]
-        out += terms[1]
-        return out
+        return map_drift(self.grid, self.ac)
+
+
+def map_drift(grid: Grid, ac: np.ndarray) -> np.ndarray:
+    """First-order coefficient a_x + a a_y + c c_y of the gauge deviation.
+
+    ``ac`` is the stacked (a, c) of a bundle.  The step calls it directly,
+    so the drift lives only as long as the step needs it.
+    """
+    # (a_y, c_y) times (a, c) in one buffer, summed in the written order
+    terms = vertical_derivative(ac, grid.hy, 1)
+    terms *= ac
+    out = tangential_derivative(ac[0])
+    out += terms[0]
+    out += terms[1]
+    return out
 
 
 def inverse_gradient(phi_x: np.ndarray, jac: np.ndarray) -> np.ndarray:

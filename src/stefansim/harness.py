@@ -238,6 +238,8 @@ class RunManifest:
     reason: str = ""
     wall_time: float = 0.0
     compat: dict = field(default_factory=dict)
+    #: per solve of a kappa run's regularized datum: iterations and residual
+    datum_solves: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
 
@@ -292,7 +294,8 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
     initial and final instants), and in unforced classical runs the
     dissipation defect after every step.  A nonpositive stability margin
     flags the run and stops it after ``TAYLOR_GRACE_STEPS`` steps; geometry
-    loss or a diverged update aborts it.
+    loss or a diverged update aborts it.  A kappa run's trajectory records
+    the solves of its regularized datum (``init_state``).
     """
     cadence = config.snapshot_every
     n_steps = config.n_steps
@@ -300,7 +303,8 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
         raise ConfigurationError(
             f"snapshot_every={cadence} must divide the {n_steps} steps"
         )
-    state = init_state(config, q0=q0, h0=h0)
+    datum_solves = []
+    state = init_state(config, q0=q0, h0=h0, solves=datum_solves)
     times = [0.0]
     snaps = [state.snapshot()]
     margins = [state.margin]
@@ -345,6 +349,7 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
         dissipation=dissipation,
         status=status,
         flags=state.flags + ((reason,) if reason else ()),
+        datum_solves=datum_solves,
     )
 
 
@@ -459,6 +464,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
         raise
     manifest.status = traj.status
     manifest.flags = list(traj.flags)
+    manifest.datum_solves = traj.datum_solves
     if traj.status == STATUS_ABORTED:
         manifest.reason = traj.flags[-1] if traj.flags else "aborted"
     reports = energy_table(traj)

@@ -261,6 +261,7 @@ def build_regularized_datum(
     width: float,
     tol: float = 1e-10,
     max_iter: int = 200,
+    solves: list | None = None,
 ):
     """Regularized initial temperature via the split fourth-order solve.
 
@@ -269,7 +270,9 @@ def build_regularized_datum(
     geometry: first for the intermediate field with the squared-flux
     interface trace, then for the datum itself with a zero interface trace
     and the homogeneous Neumann condition at the top wall.  As the width
-    shrinks the output converges to ``q0``.
+    shrinks the output converges to ``q0``.  Each solve's fixed-point
+    iterations and final residual are appended to ``solves`` when given,
+    as ``{"iterations": n, "residual": r}``.
     """
     if not 0.0 < width <= 0.2:
         raise ConfigurationError("regularization width must lie in (0, 0.2]")
@@ -283,14 +286,17 @@ def build_regularized_datum(
     q2 = edge_derivative(q0, grid.hy, 1)
     bottom_r = -(bundle0.line_el**2 / bundle0.jac_edge**2) * q2 * q2
     top_r = lap_q0[:, -1].copy()
-    r_mid, _, _ = solve_transformed_poisson(
+    r_mid, resid_mid, iters_mid = solve_transformed_poisson(
         grid, bundle_k, source, bottom_r, EdgeCondition(DIRICHLET), top_r,
         tol=tol, max_iter=max_iter,
     )
-    q_reg, _, _ = solve_transformed_poisson(
+    q_reg, resid, iters = solve_transformed_poisson(
         grid, bundle_k, r_mid, np.zeros(grid.nx), EdgeCondition(NEUMANN),
         tol=tol, max_iter=max_iter,
     )
+    if solves is not None:
+        solves.extend({"iterations": int(n), "residual": float(r)}
+                      for n, r in ((iters_mid, resid_mid), (iters, resid)))
     return q_reg
 
 

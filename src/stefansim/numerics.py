@@ -295,21 +295,27 @@ def mixed_squares(f: np.ndarray, grid: Grid, top: int, y_top: int | None = None)
     transform), and each square summed as k^(2a) |mode|^2 against the
     trapezoid weights in y.  This is the quadrature of ``integrate_interior``
     applied to the spectrally differentiated field, up to rounding.  Odd b
-    take one first difference after (b - 1)/2 composed second differences.
-    Stacked fields (x on axis -2) sum their components; top is at most 5.
+    take one first difference after (b - 1)/2 composed second differences,
+    so only the last even level of the y-ladder is kept.  Stacked fields
+    (x on axis -2) sum their components; top is at most 5.
     """
     y_top = top if y_top is None else min(y_top, top)
     w_x = _parseval_weights(grid.nx)
     w_y = _trapezoid_weights(grid.ny)
     coef = np.fft.rfft(f, axis=-2)
     # the stencils run faster on real arrays: real and imaginary parts stacked
-    dy = [np.stack((coef.real, coef.imag))]
+    even = np.stack((coef.real, coef.imag))
+    del coef
     sq = {}
     for b in range(y_top + 1):
-        if b:
-            dy.append(vertical_derivative(dy[b - 1], grid.hy, 1) if b % 2
-                      else vertical_derivative(dy[b - 2], grid.hy, 2))
-        power = (dy[b] * dy[b]) @ w_y
+        if b % 2:
+            level = vertical_derivative(even, grid.hy, 1)
+        else:
+            if b:
+                even = vertical_derivative(even, grid.hy, 2)
+            level = even
+        power = (level * level) @ w_y
+        del level
         power = power.reshape(-1, power.shape[-1]).sum(axis=0)
         for a in range(top + 1 - b):
             sq[a, b] = float(w_x[a] @ power)

@@ -31,7 +31,9 @@ finite-difference, and the two commute up to rounding):
    new state for the next step.
 
 That is five two-dimensional FFT calls and four y-derivative calls per
-step, in every mode.
+step, in every mode.  The new state keeps q, v, q_y, q_xy, the map's phi
+and J and three edge rows (``SolverState``); the new map's a, c and
+drift, the right side, q_yy and the solved modes die with the step.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .geometry import (
     MetricBundle,
     check_graph_condition,
     extend_edge,
+    map_drift,
     mean_curvature,
     metric_bundle,
 )
@@ -162,28 +165,56 @@ class SolverConfig:
 class SolverState:
     """Immutable-by-convention state of the coupled system.
 
-    ``q_y`` and ``q_xy`` are derivatives of ``q`` that the next step's gauge
-    deviation reads; they are carried, not part of the snapshot.
+    A state keeps what its readers read: ``q_y`` and ``q_xy``, which the
+    next step's gauge deviation reads; of the map, the offset ``phi`` (the
+    next step's map velocity differences it), the Jacobian ``jac`` (the
+    heat content) and the edge rows ``height``, the (smoothed) height the
+    step extended, and ``dheight``, h' (the height law); of the map
+    velocity, its edge row ``w_edge``.  a, c and the drift live only inside
+    the step that builds them.
+
+    ``bundle`` and ``w`` are derived on read: ``metric_bundle(grid,
+    height)`` rebuilds the step's bundle bit for bit, and w is the harmonic
+    extension of ``w_edge`` (exact at t = 0, the step's difference quotient
+    up to rounding later).  Only a t = 0 state keeps the bundle it was
+    built on, ``initial_bundle``, for the forcings and the initial time
+    derivatives.
     """
 
     step: int
     t: float
+    grid: Grid
     q: np.ndarray
     h: np.ndarray
-    bundle: MetricBundle
     v: np.ndarray
-    w: np.ndarray
     margin: float
     q_y: np.ndarray
     q_xy: np.ndarray
+    phi: np.ndarray
+    jac: np.ndarray
+    height: np.ndarray
+    dheight: np.ndarray
+    w_edge: np.ndarray
     alpha: np.ndarray | None = None
     beta_poly: tuple | None = None
     flags: tuple = ()
+    initial_bundle: MetricBundle | None = field(default=None, repr=False)
+
+    @property
+    def bundle(self) -> MetricBundle:
+        """The state's metric bundle, rebuilt on every read after t = 0."""
+        if self.initial_bundle is not None:
+            return self.initial_bundle
+        return metric_bundle(self.grid, self.height)
+
+    @property
+    def w(self) -> np.ndarray:
+        """The map velocity: the harmonic extension of ``w_edge``."""
+        return extend_edge(self.grid, self.w_edge)
 
     def snapshot(self) -> Snapshot:
         """The state as a trajectory keeps it (see ``Snapshot``)."""
-        return Snapshot(self.bundle.grid, self.q, self.h, self.bundle.height,
-                        self.w[:, 0].copy())
+        return Snapshot(self.grid, self.q, self.h, self.height, self.w_edge)
 
 
 _SNAPSHOT_KEYS = ("q", "h", "v", "phi_edge", "w_edge")
@@ -230,8 +261,12 @@ class Snapshot(Mapping):
         return len(_SNAPSHOT_KEYS)
 
 
-def height_rate(bundle: MetricBundle, v: np.ndarray) -> np.ndarray:
-    """Interface speed g (v . n) = v0 h' - v1, since g n = (h', -1)."""
+def height_rate(bundle, v: np.ndarray) -> np.ndarray:
+    """Interface speed g (v . n) = v0 h' - v1, since g n = (h', -1).
+
+    ``bundle`` is anything that carries the edge slope ``dheight``: a
+    ``MetricBundle`` or a ``SolverState``.
+    """
     return v[0, :, 0] * bundle.dheight - v[1, :, 0]
 
 
@@ -261,18 +296,30 @@ def _bottom_condition(config: SolverConfig, state: SolverState,
     return config.kappa**2 * (beta_value(state.beta_poly, t_new) + corr)
 
 
+def _kept_of(bundle: MetricBundle) -> dict:
+    """The fields of a map's bundle that a ``SolverState`` keeps."""
+    return {"phi": bundle.phi, "jac": bundle.jac, "height": bundle.height,
+            "dheight": bundle.dheight}
+
+
 def advance(state: SolverState, config: SolverConfig) -> SolverState:
     """One operator-split step; returns the new state.
 
     Raises DegenerateMapError / InvalidGeometryError on geometry loss and
     StepDivergedError if the heat update produces non-finite values.  A
-    nonpositive stability margin only flags the state.
+    nonpositive stability margin only flags the state.  The new map's
+    bundle, its drift and the right side are local, and the new state
+    keeps only the fields ``SolverState`` lists.  q_yy and the drift are
+    dropped once the deviation is formed, the interior map velocity once
+    its edge row is taken.  The right side and the solved modes live to
+    the end: freed earlier, they let the allocator trim and regrow the heap
+    top within the step, which raised the page faults per step.
     """
     grid = config.grid
     dt = config.dt
     t_new = state.t + dt
 
-    rate = height_rate(state.bundle, state.v)
+    rate = height_rate(state, state.v)
     if config.source_h is not None:
         rate = rate + config.source_h(state.t)
     h_new = state.h + dt * rate
@@ -280,17 +327,21 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         check_graph_condition(h_new)
 
     bundle_new = metric_bundle(grid, _smoothed(h_new, config))
-    w_new = bundle_new.phi - state.bundle.phi
+    w_new = bundle_new.phi - state.phi
     w_new /= dt
 
     rhs = state.q / dt
     if not bundle_new.is_flat:
         # gauge deviation of the new map on the old q (zero on flat maps)
         q_yy = vertical_derivative(state.q, grid.hy, 2)
+        drift = map_drift(grid, bundle_new.ac)
         rhs += deviation_from_derivatives(
-            bundle_new.a, bundle_new.c, bundle_new.drift, state.q_y, q_yy,
-            state.q_xy)
+            bundle_new.a, bundle_new.c, drift, state.q_y, q_yy, state.q_xy)
+        del q_yy, drift
     rhs -= state.v[1] * w_new
+    # the map velocity's edge row is all a state keeps of it
+    w_edge = w_new[:, 0].copy()
+    del w_new
     if state.alpha is not None:
         rhs += state.alpha
     if config.source_q is not None:
@@ -318,14 +369,15 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     return SolverState(
         step=state.step + 1,
         t=t_new,
+        grid=grid,
         q=q_new,
         h=h_new,
-        bundle=bundle_new,
         v=v_new,
-        w=w_new,
         margin=margin,
         q_y=q_y,
         q_xy=q_xy,
+        w_edge=w_edge,
+        **_kept_of(bundle_new),
         alpha=state.alpha,
         beta_poly=state.beta_poly,
         flags=flags,
@@ -342,12 +394,18 @@ def initial_data(config: SolverConfig):
 
 
 def init_state(config: SolverConfig, q0: np.ndarray | None = None,
-               h0: np.ndarray | None = None) -> SolverState:
-    """Build the initial state: data, geometry, velocity, forcings."""
+               h0: np.ndarray | None = None,
+               solves: list | None = None) -> SolverState:
+    """Build the initial state: data, geometry, velocity, forcings.
+
+    A kappa run built from the config's data records the iterations and
+    residual of each solve of its regularized datum in ``solves``.
+    """
     if q0 is None or h0 is None:
         q0, h0 = initial_data(config)
         if config.mode == KAPPA:
-            q0 = build_regularized_datum(config.grid, q0, h0, config.kappa)
+            q0 = build_regularized_datum(config.grid, q0, h0, config.kappa,
+                                         solves=solves)
     check_graph_condition(h0)
     state = _state_of(config, q0, h0)
     if config.mode == KAPPA:
@@ -359,7 +417,11 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
 
 def _state_of(config: SolverConfig, q: np.ndarray, h: np.ndarray,
               alpha: np.ndarray | None = None) -> SolverState:
-    """The t = 0 state of data (q, h): gauge map, velocities and margin."""
+    """The t = 0 state of data (q, h): gauge map, velocities and margin.
+
+    The map velocity extends the (smoothed) interface speed, so its edge
+    row is that speed exactly.
+    """
     grid = config.grid
     bundle = metric_bundle(grid, _smoothed(h, config))
     q_x, q_y = gradient(grid, q)
@@ -367,10 +429,11 @@ def _state_of(config: SolverConfig, q: np.ndarray, h: np.ndarray,
     rate = height_rate(bundle, v)
     if config.source_h is not None:
         rate = rate + config.source_h(0.0)
-    w = extend_edge(grid, _smoothed(rate, config))
-    return SolverState(step=0, t=0.0, q=q, h=h, bundle=bundle, v=v, w=w,
+    return SolverState(step=0, t=0.0, grid=grid, q=q, h=h, v=v,
                        margin=taylor_margin(grid, q), q_y=q_y,
-                       q_xy=tangential_derivative(q_y), alpha=alpha)
+                       q_xy=tangential_derivative(q_y),
+                       w_edge=_smoothed(rate, config), alpha=alpha,
+                       initial_bundle=bundle, **_kept_of(bundle))
 
 
 def _alpha_forcing(grid, q0, h0, bundle_k):
@@ -403,15 +466,22 @@ def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
         config, kappa=0.0, dt=micro_dt, t_end=3 * micro_dt,
         source_q=None, source_h=None,
     )
-    s0 = init_state(micro, q0=q0.copy(), h0=h0.copy())
-    s1 = advance(s0, micro)
-    samples = [initial_time_derivatives(_state_of(config, s.q, s.h, alpha), config)
-               for s in (s0, s1, advance(s1, micro))]
+
+    def speeds(s):
+        # only the edge rows h_t, h_tt of a sample's derivatives are kept
+        d = initial_time_derivatives(_state_of(config, s.q, s.h, alpha), config)
+        return d["h_t"], d["h_tt"]
+
+    state = init_state(micro, q0=q0.copy(), h0=h0.copy())
+    samples = [speeds(state)]
+    for _ in range(2):
+        state = advance(state, micro)
+        samples.append(speeds(state))
     c2 = time_derivative([0.0, micro_dt, 2.0 * micro_dt],
-                         [d["h_tt"] for d in samples], 1, 0)
+                         [h_tt for _, h_tt in samples], 1, 0)
     # beta expands -(interface speed): the boundary covector is the cofactor
     # row, whose contraction with v is minus the speed
-    return (-samples[0]["h_t"], -samples[0]["h_tt"], -c2)
+    return (-samples[0][0], -samples[0][1], -c2)
 
 
 def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
@@ -419,7 +489,9 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
 
     The heat equation supplies q_t, the height law h_t; differentiating
     those relations (with the map-inverse evolution rule) supplies the
-    second derivatives and the velocity rate.
+    second derivatives and the velocity rate.  ``w_t``, the map
+    acceleration, is returned by its edge row, whose harmonic extension it
+    is.
     """
     grid = config.grid
     b = state.bundle
@@ -453,7 +525,8 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     dh_t = tangential_derivative(_smoothed(h_t, config))
     h_tt = height_rate(b, v_t) + v[0, :, 0] * dh_t
 
-    w_t = extend_edge(grid, _smoothed(h_tt, config))
+    w_t_edge = _smoothed(h_tt, config)
+    w_t = extend_edge(grid, w_t_edge)
 
     # q_tt = d/dt [TransformedLaplacian(q)] - v_t . w - v . w_t
     dflux_y = vertical_derivative(flux, grid.hy, 1)
@@ -465,5 +538,5 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
 
     return {
         "q_t": q_t, "q_tt": q_tt, "h_t": h_t, "h_tt": h_tt,
-        "v_t": v_t, "w_t": w_t,
+        "v_t": v_t, "w_t": w_t_edge,
     }

@@ -1,6 +1,9 @@
-"""Shared expensive runs for the acceptance suite (session-scoped)."""
+"""Shared expensive runs for the acceptance suite (session-scoped), and
+the traced-allocation probe of the memory tests."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 
@@ -61,3 +64,20 @@ def mms_table():
     from stefansim.harness import mms_convergence
 
     return mms_convergence()
+
+
+def _traced_peak(fn, *args):
+    fn(*args)   # the first call fills the per-grid caches
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args)``: the traced allocation peak in bytes of
+    one call of ``fn``, after one untraced warm-up call."""
+    return _traced_peak

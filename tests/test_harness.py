@@ -132,6 +132,8 @@ def test_run_artifacts_and_manifest(tmp_path):
     payload = json.loads((tmp_path / "manifest.json").read_text())
     assert payload["status"] == "completed"
     assert payload["compat"]["passed"] is True
+    # only a kappa run solves for a regularized datum
+    assert payload["datum_solves"] == []
     csv = (tmp_path / "energies.csv").read_text().splitlines()
     assert csv[0].startswith("t,energy,")
     assert len(csv) == 2 + len(traj) - 1  # header + one row per snapshot
@@ -369,6 +371,30 @@ def test_kappa_init_abort_writes_manifest(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "manifest.json").read_text())
     assert payload["status"] == "aborted"
     assert payload["reason"].startswith("EllipticSolveError")
+
+
+def test_kappa_manifest_records_the_datum_solves(tmp_path, monkeypatch):
+    # the iterations and residual of both fixed-point solves of the
+    # regularized datum reach the manifest as the solver returned them
+    returned = []
+    solve = initdata.solve_transformed_poisson
+
+    def recording(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        returned.append({"iterations": out[2], "residual": out[1]})
+        return out
+
+    monkeypatch.setattr(initdata, "solve_transformed_poisson", recording)
+    settings = _fast_settings(kappa=0.1, t_end=1e-4, snapshot_every=2,
+                              **{"data.h0_amplitude": 0.05})
+    traj, manifest = run_simulation(build_config(settings), outdir=tmp_path,
+                                    settings=settings)
+    assert len(returned) == 2
+    assert all(r["iterations"] >= 1 for r in returned)
+    assert traj.datum_solves == returned
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert payload["datum_solves"] == returned
+
 
 def test_manifest_records_flags(tmp_path):
     settings = _fast_settings(**{"data.h0_amplitude": 0.3,

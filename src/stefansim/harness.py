@@ -295,7 +295,7 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
     dissipation defect after every step.  A nonpositive stability margin
     flags the run and stops it after ``TAYLOR_GRACE_STEPS`` steps; geometry
     loss or a diverged update aborts it.  A kappa run's trajectory records
-    the solves of its regularized datum (``init_state``).
+    the solves of its regularized datum (``SolverState.datum_solves``).
     """
     cadence = config.snapshot_every
     n_steps = config.n_steps
@@ -303,8 +303,8 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
         raise ConfigurationError(
             f"snapshot_every={cadence} must divide the {n_steps} steps"
         )
-    datum_solves = []
-    state = init_state(config, q0=q0, h0=h0, solves=datum_solves)
+    state = init_state(config, q0=q0, h0=h0)
+    datum_solves = list(state.datum_solves)
     times = [0.0]
     snaps = [state.snapshot()]
     margins = [state.margin]

@@ -261,7 +261,6 @@ def build_regularized_datum(
     width: float,
     tol: float = 1e-10,
     max_iter: int = 200,
-    solves: list | None = None,
 ):
     """Regularized initial temperature via the split fourth-order solve.
 
@@ -270,9 +269,9 @@ def build_regularized_datum(
     geometry: first for the intermediate field with the squared-flux
     interface trace, then for the datum itself with a zero interface trace
     and the homogeneous Neumann condition at the top wall.  As the width
-    shrinks the output converges to ``q0``.  Each solve's fixed-point
-    iterations and final residual are appended to ``solves`` when given,
-    as ``{"iterations": n, "residual": r}``.
+    shrinks the output converges to ``q0``.  Returns the datum and, per
+    solve, its fixed-point iterations and final residual as
+    ``{"iterations": n, "residual": r}``.
     """
     if not 0.0 < width <= 0.2:
         raise ConfigurationError("regularization width must lie in (0, 0.2]")
@@ -294,10 +293,9 @@ def build_regularized_datum(
         grid, bundle_k, r_mid, np.zeros(grid.nx), EdgeCondition(NEUMANN),
         tol=tol, max_iter=max_iter,
     )
-    if solves is not None:
-        solves.extend({"iterations": int(n), "residual": float(r)}
-                      for n, r in ((iters_mid, resid_mid), (iters, resid)))
-    return q_reg
+    solves = [{"iterations": int(n), "residual": float(r)}
+              for n, r in ((iters_mid, resid_mid), (iters, resid))]
+    return q_reg, solves
 
 
 def compat_residuals(

@@ -176,9 +176,9 @@ class SolverState:
     ``bundle`` and ``w`` are derived on read: ``metric_bundle(grid,
     height)`` rebuilds the step's bundle bit for bit, and w is the harmonic
     extension of ``w_edge`` (exact at t = 0, the step's difference quotient
-    up to rounding later).  Only a t = 0 state keeps the bundle it was
-    built on, ``initial_bundle``, for the forcings and the initial time
-    derivatives.
+    up to rounding later).  A kappa run built from its config's data keeps
+    the iterations and residual of each solve of its regularized datum in
+    ``datum_solves``.
     """
 
     step: int
@@ -198,13 +198,11 @@ class SolverState:
     alpha: np.ndarray | None = None
     beta_poly: tuple | None = None
     flags: tuple = ()
-    initial_bundle: MetricBundle | None = field(default=None, repr=False)
+    datum_solves: tuple = ()
 
     @property
     def bundle(self) -> MetricBundle:
-        """The state's metric bundle, rebuilt on every read after t = 0."""
-        if self.initial_bundle is not None:
-            return self.initial_bundle
+        """The state's metric bundle, rebuilt on every read."""
         return metric_bundle(self.grid, self.height)
 
     @property
@@ -381,6 +379,7 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         alpha=state.alpha,
         beta_poly=state.beta_poly,
         flags=flags,
+        datum_solves=state.datum_solves,
     )
 
 
@@ -394,24 +393,20 @@ def initial_data(config: SolverConfig):
 
 
 def init_state(config: SolverConfig, q0: np.ndarray | None = None,
-               h0: np.ndarray | None = None,
-               solves: list | None = None) -> SolverState:
-    """Build the initial state: data, geometry, velocity, forcings.
-
-    A kappa run built from the config's data records the iterations and
-    residual of each solve of its regularized datum in ``solves``.
-    """
+               h0: np.ndarray | None = None) -> SolverState:
+    """Build the initial state: data, geometry, velocity, forcings."""
+    solves = ()
     if q0 is None or h0 is None:
         q0, h0 = initial_data(config)
         if config.mode == KAPPA:
-            q0 = build_regularized_datum(config.grid, q0, h0, config.kappa,
-                                         solves=solves)
+            q0, solves = build_regularized_datum(config.grid, q0, h0, config.kappa)
     check_graph_condition(h0)
     state = _state_of(config, q0, h0)
     if config.mode == KAPPA:
         alpha = _alpha_forcing(config.grid, q0, h0, state.bundle)
         state = replace(state, alpha=alpha,
-                        beta_poly=_bootstrap_beta(config, q0, h0, alpha))
+                        beta_poly=_bootstrap_beta(config, q0, h0, alpha),
+                        datum_solves=tuple(solves))
     return state
 
 
@@ -433,7 +428,7 @@ def _state_of(config: SolverConfig, q: np.ndarray, h: np.ndarray,
                        margin=taylor_margin(grid, q), q_y=q_y,
                        q_xy=tangential_derivative(q_y),
                        w_edge=_smoothed(rate, config), alpha=alpha,
-                       initial_bundle=bundle, **_kept_of(bundle))
+                       **_kept_of(bundle))
 
 
 def _alpha_forcing(grid, q0, h0, bundle_k):

@@ -137,7 +137,7 @@ def test_criterion_05_regularized_datum():
     traces = []
     margins = {}
     for width in (0.2, 0.1, 0.05):
-        qr = build_regularized_datum(GRID, q0, h0, width)
+        qr, _ = build_regularized_datum(GRID, q0, h0, width)
         trace_a = float(np.max(np.abs(qr[:, 0])))
         trace_b = float(np.max(np.abs(
             transformed_laplacian_edge(GRID, b0, qr) + q2 * q2)))

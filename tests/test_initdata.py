@@ -126,7 +126,7 @@ def test_regularized_datum_traces_and_limit():
     q2 = edge_derivative(q0, GRID.hy, 1)
     prev = None
     for width in (0.2, 0.1, 0.05):
-        qr = build_regularized_datum(GRID, q0, h0, width)
+        qr, _ = build_regularized_datum(GRID, q0, h0, width)
         assert np.max(np.abs(qr[:, 0])) <= 1e-8
         trace_b = transformed_laplacian_edge(GRID, b0, qr) + q2 * q2
         assert np.max(np.abs(trace_b)) <= 1e-6
@@ -141,7 +141,7 @@ def test_regularized_datum_traces_and_limit():
 def test_regularized_datum_curved_interface():
     spec = DataSpec(alpha=1.0, h0_amplitude=0.04)
     q0, h0 = build_classical_data(GRID, spec)
-    qr = build_regularized_datum(GRID, q0, h0, 0.1)
+    qr, _ = build_regularized_datum(GRID, q0, h0, 0.1)
     assert np.max(np.abs(qr[:, 0])) <= 1e-8
     assert np.all(np.isfinite(qr))
     bundle = metric_bundle(GRID, h0)

@@ -14,10 +14,13 @@ Interior Sobolev norms, the velocity families included, come from
 discrete Parseval in x (``numerics.mixed_squares``): one x-transform per
 field, the y-stencils applied to its modes, the trapezoid rule in y.
 Those above third order in y compose first/second difference stencils,
-and rows embedding them carry a lower-confidence flag.  Every other
-field is also transformed once per time order: its raw or layer-smoothed
-modes give its edge norms (``numerics.edge_squares``) and every
-x-derivative taken of it (``numerics.x_derivatives``).
+and rows embedding them carry a lower-confidence flag.  Each edge field,
+the height and the interface speed, stacks its three time orders into
+one transform, raw and layer-smoothed: one product of the squared modes
+with the (1 + k^2)^s table gives every squared H^s norm
+(``numerics.edge_squares``), and one of the squared x-derivative ladder
+(``numerics.x_derivatives``) with the edge weights 1, 1/J, 1/J^2, g^-3/J
+and q_y/J every weighted family.
 
 A snapshot (``stepper.Snapshot``) keeps q and h whole, and the map offset
 phi and the map velocity w by their edge rows only: both are harmonic
@@ -26,11 +29,11 @@ derivatives from the extension modes of the edge series
 (``geometry._extension_modes``), so no interior map field is stored or
 transformed here.  The velocity is not stored either: a table pass
 rebuilds each snapshot's metric bundle from ``phi_edge`` once, derives v
-from q on it, and keeps v, the bundle's edge rows and the gauge curl of v
-for the last four snapshots (``_Velocities``, the most one time stencil
-reads); the interior map fields are dropped at once.  A row's norms and
-identities share those edge rows, each time derivative of q and v is
-released once its families are done, and nothing is left on the snapshots.
+from q on it, and keeps v, the bundle's edge rows, the gauge curl of v and
+the interface flux q_y for the last four snapshots (``_Velocities``, the
+most one time stencil reads); the interior map fields are dropped at once.
+A row's norms and identities share those rows, a row reads each time
+derivative of q and v once, and nothing is left on the snapshots.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ from .numerics import (
     Grid,
     NeedsMoreStepsError,
     NumericsError,
+    TWO_PI,
     edge_derivative,
     edge_squares,
-    integrate_boundary,
     integrate_interior,
     interior_norms,
     mixed_squares,
@@ -137,14 +140,15 @@ _STENCIL = 4
 
 
 class _RowMap(NamedTuple):
-    """What a table row reads of a snapshot's map: the bundle's edge rows
-    and the gauge curl of the velocity on it."""
+    """What a table row reads of a snapshot's map: the bundle's edge rows,
+    the gauge curl of the velocity on it and the interface flux q_y."""
 
     height: np.ndarray
     dheight: np.ndarray
     line_el: np.ndarray
     jac_edge: np.ndarray
     curl: float
+    q_y: np.ndarray
 
 
 class _Velocities(Sequence):
@@ -173,7 +177,7 @@ class _Velocities(Sequence):
         return self._entry(idx)[0]
 
     def row_map(self, idx: int) -> _RowMap:
-        """The edge rows of the snapshot's map and the curl of its v."""
+        """The edge rows of the snapshot's map, the curl of its v and q_y."""
         return self._entry(idx)[1]
 
     def _entry(self, idx: int) -> tuple:
@@ -185,9 +189,10 @@ class _Velocities(Sequence):
             bundle = self.traj.bundle_at(idx)
             snap = self.traj.snaps[idx]
             v = snap.velocity(bundle) if isinstance(snap, Snapshot) else snap["v"]
+            grid = self.traj.grid
             entry = (v, _RowMap(bundle.height, bundle.dheight, bundle.line_el,
-                                bundle.jac_edge,
-                                curl_residual(self.traj.grid, bundle, v)))
+                                bundle.jac_edge, curl_residual(grid, bundle, v),
+                                edge_derivative(snap["q"], grid.hy, 1)))
         self._kept[idx] = entry
         return entry
 
@@ -200,8 +205,9 @@ _INITIAL_KEYS = {("q", 1): "q_t", ("q", 2): "q_tt", ("h", 1): "h_t",
 class _DerivativeProvider:
     """Field and time-derivative access for one snapshot of a trajectory.
 
-    The velocity comes from ``velocities``, a table pass's shared window,
-    or a window of its own.
+    Nothing is cached: a table row reads each field once, and the velocity
+    comes from ``velocities``, a table pass's shared window, or a window of
+    its own.
     """
 
     def __init__(self, traj: Trajectory, idx: int,
@@ -209,7 +215,6 @@ class _DerivativeProvider:
         self.traj = traj
         self.idx = idx if idx >= 0 else len(traj) + idx
         self.velocities = _Velocities(traj) if velocities is None else velocities
-        self._cache: dict = {}
 
     def _series(self, name: str):
         if name == "rate":
@@ -222,27 +227,21 @@ class _DerivativeProvider:
         return [s[name] for s in self.traj.snaps]
 
     def __call__(self, name: str, b: int = 0) -> np.ndarray:
-        key = (name, b)
-        if key in self._cache:
-            return self._cache[key]
         # the map's edge row moves at the edge row of the map velocity
         if name == "phi_edge" and b >= 1:
-            out = self("w_edge", b - 1)
-        elif b == 0:
+            return self("w_edge", b - 1)
+        if b == 0:
             if name == "rate":
                 out = self.traj.rates()[self.idx]
                 if out is None:
                     raise NeedsMoreStepsError("height-rate series unsupported here")
-            elif name == "v":
-                out = self.velocities[self.idx]
-            else:
-                out = self.traj.snaps[self.idx][name]
-        elif self.idx == 0 and key in _INITIAL_KEYS:
-            out = self.traj.initial_derivatives[_INITIAL_KEYS[key]]
-        else:
-            out = time_derivative(self.traj.times, self._series(name), b, self.idx)
-        self._cache[key] = out
-        return out
+                return out
+            if name == "v":
+                return self.velocities[self.idx]
+            return self.traj.snaps[self.idx][name]
+        if self.idx == 0 and (name, b) in _INITIAL_KEYS:
+            return self.traj.initial_derivatives[_INITIAL_KEYS[name, b]]
+        return time_derivative(self.traj.times, self._series(name), b, self.idx)
 
     def try_call(self, name: str, b: int):
         """Like __call__ but None where the stencil is unsupported."""
@@ -250,15 +249,6 @@ class _DerivativeProvider:
             return self(name, b)
         except NeedsMoreStepsError:
             return None
-
-    def release(self, name: str, b: int) -> None:
-        """Drop a cached field whose last reader is done with it."""
-        self._cache.pop((name, b), None)
-
-
-def _boundary_sq(grid: Grid, phi: np.ndarray, weight=1.0) -> float:
-    """Squared edge L^2 norm (Fourier convention) with optional weight."""
-    return integrate_boundary(weight * phi * phi, grid) / (2.0 * np.pi)
 
 
 class _Accumulator:
@@ -372,7 +362,6 @@ def geometric_identities(traj: Trajectory, idx: int = -1,
     ``velocities``, a table pass's shared window, or are derived here when
     it is not passed.
     """
-    grid = traj.grid
     idx = idx % len(traj)
     if velocities is None:
         velocities = _Velocities(traj)
@@ -395,7 +384,7 @@ def geometric_identities(traj: Trajectory, idx: int = -1,
     else:
         curv_err = float("nan")
 
-    flux = edges.jac_edge * edge_derivative(traj.snaps[idx]["q"], grid.hy, 1)
+    flux = edges.jac_edge * edges.q_y
     return {
         "curl_residual": edges.curl,
         "slip_residual": slip,
@@ -410,8 +399,7 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
     """All squared norms entering the functionals, at one snapshot.
 
     ``velocities`` is the table pass's window (a new one when not passed);
-    the snapshot's map edge rows come from it.  Each time derivative of v
-    and q is released once its families are done.
+    the snapshot's map edge rows and interface flux come from it.
     """
     grid = traj.grid
     nx = grid.nx
@@ -429,8 +417,6 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
         sq = mixed_squares(vb, grid, amax, y_top=0)
         for a in range(amax + 1):
             out[("v", a, b)] = sq[a, 0]
-        if b:
-            get.release("v", b)
 
     # per time order c of q: the temperature Sobolev families H^{4-2c} and
     # H^{5-2c} (the energy) and H^{2-2c}, H^{3-2c} (the lower-order
@@ -464,69 +450,54 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
                 out[key] = integrate_interior((dqa + dpa * v1) ** 2, grid)
             del dq, dp
         del qc
-        get.release("q", c)
 
-    # edge geometry weights at this instant
-    jac_e = edges.jac_edge
-    g_e = edges.line_el
-    margin = traj.margins[idx]
-    q2_edge = edge_derivative(traj.snaps[idx]["q"], grid.hy, 1)
-    flux_w = q2_edge / jac_e if margin > 0.0 else None
-    sig_w = g_e**-3 / jac_e
-
-    # each edge field is transformed once: its raw or layer-smoothed modes
-    # give the Sobolev norms and every x-derivative the families take; with
-    # no layer (kappa = 0) the smoothed derivatives are rows of the raw ladder
-    layered = kappa > 0
-    layer = _layer_symbol(float(kappa), nx) if layered else 1.0
-
-    def smoothed(coef, a, raw):
-        # d^a_x of the layer-smoothed field; ``raw`` is d^a_x of the field
-        return x_derivatives(coef * layer, (a,), nx)[0] if layered else raw
-
-    # height families: raw H^{4-2b}, H^{5-2b}; layer-smoothed H^{4-2b} and,
-    # for the lower-order monitor, H^{2-2b}, H^{3-2b}; the flux-weighted top
-    # order and the sigma-weighted ones (all None where unsupported)
-    for b in range(3):
-        hb = get.try_call("h", b)
-        coef = np.fft.rfft(np.zeros(nx) if hb is None else hb)
-        coef_s = coef * layer
-        amax = 4 - 2 * b
-        fam = {}
-        for name, c, orders in (("hB", coef, (amax, amax + 1)),
-                                ("hBs", coef_s, range(max(amax - 2, 0), amax + 1))):
-            for s, sq in zip(orders, edge_squares(c, orders)):
-                fam[(name, s, b)] = sq
-        ladder = x_derivatives(coef, range(amax + 2), nx)
-        fam[("wh", amax, b)] = None if flux_w is None else _boundary_sq(
-            grid, smoothed(coef, amax, ladder[amax]), flux_w)
-        for a in range(amax + 1):
-            fam[("sigh", a, b)] = _boundary_sq(grid, ladder[a + 1], sig_w)
-        out.update(dict.fromkeys(fam) if hb is None else fam)
-
-    # interface-speed families (the stored h_t law and its derivatives):
-    # orders a + 2b <= 4 unweighted and 1/J-weighted, <= 3 for the 1/J^2-
-    # and sigma-weighted ones, the flux-weighted top order a + 2b = 3
-    for b, amax in ((0, 4), (1, 2), (2, 0)):
-        rb = get.try_call("rate", b)
-        coef = np.fft.rfft(np.zeros(nx) if rb is None else rb)
-        ladder = x_derivatives(coef, range(amax + 1), nx)
-        fam = {}
-        for a in range(amax + 1):
-            fam[("ht", a, b)] = _boundary_sq(grid, ladder[a])
-            fam[("htJ", a, b)] = _boundary_sq(grid, ladder[a], 1.0 / jac_e)
-        for a in range(amax):
-            fam[("htJ2", a, b)] = _boundary_sq(grid, ladder[a], 1.0 / jac_e**2)
-            fam[("sight", a, b)] = _boundary_sq(grid, ladder[a + 1], sig_w)
-        if amax:
-            fam[("wht", amax - 1, b)] = None if flux_w is None else _boundary_sq(
-                grid, smoothed(coef, amax - 1, ladder[amax - 1]), flux_w)
-        out.update(dict.fromkeys(fam) if rb is None else fam)
-        # the speed's Sobolev norms are left out, not None, where unsupported
-        if rb is not None and b < 2:
-            orders = (3 - 2 * b, 4 - 2 * b)
-            for s, sq in zip(orders, edge_squares(coef, orders)):
-                out[("htB", s, b)] = sq
+    # edge families (module docstring): unsupported time orders enter as
+    # zeros, and the smoothed modes are the raw ones at kappa = 0
+    jac = edges.jac_edge
+    weights = np.stack((np.ones(nx), 1.0 / jac, 1.0 / jac**2,
+                        edges.line_el**-3 / jac, edges.q_y / jac))
+    layer = _layer_symbol(float(kappa), nx)[:, None] if kappa > 0 else 1.0
+    # the flux-weighted families are None where the margin is not positive
+    flux_ok = traj.margins[idx] > 0.0
+    for name in ("h", "rate"):
+        rows = [get.try_call(name, b) for b in range(3)]
+        coef = np.fft.rfft(np.stack(
+            [np.zeros(nx) if r is None else r for r in rows], axis=-1), axis=0)
+        modes = np.stack((coef, coef * layer), axis=-1)
+        # squared H^s norms [b, s], raw and smoothed; the weighted squares,
+        # one array [raw or smoothed, b, a] per weight
+        hs, hs_smooth = edge_squares(modes, range(6)).T
+        ladder = x_derivatives(modes, range(6), nx)
+        one, inv_j, inv_j2, sig, flux = np.einsum(
+            "axbr,wx->wrba", ladder * ladder, weights) * (grid.hx / TWO_PI)
+        for b, row in enumerate(rows):
+            n = 4 - 2 * b
+            if name == "h":
+                # raw H^{4-2b}, H^{5-2b}; smoothed H^{4-2b} and, for the
+                # lower-order monitor, H^{2-2b}, H^{3-2b}; the sigma-weighted
+                # orders a + 2b <= 4 and the flux-weighted top order
+                fam = {("hB", s, b): hs[b, s] for s in (n, n + 1)}
+                fam.update({("hBs", s, b): hs_smooth[b, s]
+                            for s in range(max(n - 2, 0), n + 1)})
+                fam.update({("sigh", a, b): sig[0, b, a + 1] for a in range(n + 1)})
+                fam[("wh", n, b)] = flux[1, b, n] if flux_ok else None
+            else:
+                # orders a + 2b <= 4 unweighted and 1/J-weighted, <= 3 for
+                # the 1/J^2- and sigma-weighted ones, the flux-weighted top
+                # order a + 2b = 3
+                fam = {}
+                for a in range(n + 1):
+                    fam[("ht", a, b)], fam[("htJ", a, b)] = one[0, b, a], inv_j[0, b, a]
+                for a in range(n):
+                    fam[("htJ2", a, b)] = inv_j2[0, b, a]
+                    fam[("sight", a, b)] = sig[0, b, a + 1]
+                if n:
+                    fam[("wht", n - 1, b)] = flux[1, b, n - 1] if flux_ok else None
+                # the speed's Sobolev norms are left out, not None, where
+                # unsupported
+                if row is not None and b < 2:
+                    out.update({("htB", s, b): hs[b, s] for s in (n - 1, n)})
+            out.update(dict.fromkeys(fam) if row is None else fam)
 
     return out
 

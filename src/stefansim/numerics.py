@@ -270,16 +270,18 @@ def integrate_boundary(phi: np.ndarray, grid: Grid) -> float:
     return float(phi.sum(axis=-1) * grid.hx)
 
 
-def edge_squares(coef: np.ndarray, orders) -> list:
+def edge_squares(coef: np.ndarray, orders) -> np.ndarray:
     """Squared H^s edge norms, Fourier weights (1 + k^2)^s, for each s in
-    ``orders``, from the rfft modes of one edge field of even length."""
+    ``orders``, from the rfft modes (on axis 0) of edge fields of even
+    length; shape (len(orders),) + coef.shape[1:], one product for all."""
     if any(s < 0 for s in orders):
         raise ValueError("s must be >= 0")
     nx = 2 * (coef.shape[0] - 1)
     # row 0 of the Parseval weights is hx/nx * m_k: the squares' mode weights
-    power = _parseval_weights(nx)[0] * (coef.real**2 + coef.imag**2) / TWO_PI
-    k2 = wavenumbers(nx) ** 2
-    return [float(power @ (1.0 + k2) ** s) for s in orders]
+    w = _parseval_weights(nx)[0].reshape((-1,) + (1,) * (coef.ndim - 1))
+    power = w * (coef.real**2 + coef.imag**2) / TWO_PI
+    table = (1.0 + wavenumbers(nx) ** 2) ** np.array(orders, float)[:, None]
+    return np.einsum("sk,k...->s...", table, power)
 
 
 def boundary_norm(phi: np.ndarray, s: float) -> float:

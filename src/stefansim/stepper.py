@@ -463,9 +463,8 @@ def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
     )
 
     def speeds(s):
-        # only the edge rows h_t, h_tt of a sample's derivatives are kept
-        d = initial_time_derivatives(_state_of(config, s.q, s.h, alpha), config)
-        return d["h_t"], d["h_tt"]
+        # h_t and h_tt alone: q_tt's fields are never formed here
+        return _speed_rates(_state_of(config, s.q, s.h, alpha), config)[:2]
 
     state = init_state(micro, q0=q0.copy(), h0=h0.copy())
     samples = [speeds(state)]
@@ -479,15 +478,10 @@ def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
     return (-samples[0][0], -samples[0][1], -c2)
 
 
-def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
-    """First and second time derivatives at t = 0 by equation substitution.
-
-    The heat equation supplies q_t, the height law h_t; differentiating
-    those relations (with the map-inverse evolution rule) supplies the
-    second derivatives and the velocity rate.  ``w_t``, the map
-    acceleration, is returned by its edge row, whose harmonic extension it
-    is.
-    """
+def _speed_rates(state: SolverState, config: SolverConfig):
+    """``(h_t, h_tt, rest)`` at t = 0 by equation substitution: the kappa
+    bootstrap reads the speeds alone, and q_tt builds on ``rest``, the
+    fields (bundle, w, q_t, q_x, q_y, a_t, c_t, v_t)."""
     grid = config.grid
     b = state.bundle
     q, v, w = state.q, state.v, state.w
@@ -511,25 +505,36 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     c_t = -c * c * w_y
     q_x, q_y = gradient(grid, q)
     qt_x, qt_y = gradient(grid, q_t)
-    # pulled-back flux F = -v and its rate F_t = -v_t
-    flux = np.stack((q_x + a * q_y, c * q_y))
-    flux_t = np.stack((qt_x + a * qt_y + a_t * q_y, c * qt_y + c_t * q_y))
-    v_t = -flux_t
+    # the rate of the pulled-back flux F = -v is F_t = -v_t
+    v_t = -np.stack((qt_x + a * qt_y + a_t * q_y, c * qt_y + c_t * q_y))
 
     # interface speed rate: differentiate v0 h' - v1 on the edge
     dh_t = tangential_derivative(_smoothed(h_t, config))
     h_tt = height_rate(b, v_t) + v[0, :, 0] * dh_t
+    return h_t, h_tt, (b, w, q_t, q_x, q_y, a_t, c_t, v_t)
 
+
+def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
+    """First and second time derivatives at t = 0 by equation substitution.
+
+    The heat equation supplies q_t, the height law h_t; differentiating
+    those relations (with the map-inverse evolution rule) supplies the
+    second derivatives and the velocity rate.  ``w_t``, the map
+    acceleration, is returned by its edge row, whose harmonic extension it
+    is.
+    """
+    h_t, h_tt, (b, w, q_t, q_x, q_y, a_t, c_t, v_t) = _speed_rates(state, config)
+    grid, a, c, v = config.grid, b.a, b.c, state.v
     w_t_edge = _smoothed(h_tt, config)
-    w_t = extend_edge(grid, w_t_edge)
 
     # q_tt = d/dt [TransformedLaplacian(q)] - v_t . w - v . w_t
+    flux, flux_t = np.stack((q_x + a * q_y, c * q_y)), -v_t
     dflux_y = vertical_derivative(flux, grid.hy, 1)
     dflux_t_y = vertical_derivative(flux_t, grid.hy, 1)
     lap_t = (a_t * dflux_y[0] + c_t * dflux_y[1]
              + tangential_derivative(flux_t[0]) + a * dflux_t_y[0]
              + c * dflux_t_y[1])
-    q_tt = lap_t - v_t[1] * w - v[1] * w_t
+    q_tt = lap_t - v_t[1] * w - v[1] * extend_edge(grid, w_t_edge)
 
     return {
         "q_t": q_t, "q_tt": q_tt, "h_t": h_t, "h_tt": h_tt,

@@ -484,7 +484,8 @@ def _instant_norms_oracle(traj, idx):
     return out
 
 
-@pytest.mark.parametrize("law, seed", [({"kappa": 0.2}, 11), ({"sigma": 0.01}, 12)])
+@pytest.mark.parametrize("law, seed", [({"kappa": 0.2}, 11), ({"sigma": 0.01}, 12),
+                                       ({}, 13)])
 def test_instant_norms_match_the_per_family_formulas(law, seed):
     # a moving trajectory reaches every family: the smoothed height, the
     # speed's ladders and Sobolev norms, the sigma-weighted and the

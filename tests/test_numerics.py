@@ -14,6 +14,7 @@ from stefansim.numerics import (
     ResolutionError,
     boundary_norm,
     edge_derivative,
+    edge_squares,
     integrate_boundary,
     integrate_interior,
     interior_norm,
@@ -143,6 +144,20 @@ def test_boundary_norm_monotone_in_s():
     phi = sum(rng.standard_normal() * np.cos(k * GRID.xs) for k in range(6))
     values = [boundary_norm(phi, s) for s in (0.0, 0.5, 1.0, 1.5, 3.0)]
     assert all(a <= b + 1e-14 for a, b in zip(values, values[1:]))
+
+
+def test_edge_squares_of_stacked_modes_match_boundary_norm():
+    # three edge fields stacked on axis 1 go through one product; each
+    # square is the field's own boundary_norm squared
+    rng = np.random.default_rng(5)
+    fields = rng.standard_normal((GRID.nx, 3))
+    orders = (0.0, 1.5, 5.0)
+    sq = edge_squares(np.fft.rfft(fields, axis=0), orders)
+    assert sq.shape == (len(orders), 3)
+    for i, s in enumerate(orders):
+        for j in range(3):
+            want = boundary_norm(fields[:, j], s) ** 2
+            assert abs(sq[i, j] - want) <= 1e-13 * want
 
 
 def test_interior_norm_examples():

@@ -55,12 +55,17 @@ class DataSpec:
     blend_window: float = 0.55
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
+        # chained comparisons are False on NaN, so NaN fails them too
+        if not 0.0 < self.alpha < np.inf:
+            raise ConfigurationError("alpha must be positive and finite")
         if not 0.0 < self.eps_slab < 0.5:
             raise ConfigurationError("eps_slab must lie in (0, 0.5)")
-        if self.eps_slab + self.blend_window >= 1.0:
-            raise ConfigurationError("slab plus blend window must fit below the top")
+        if not (0.0 < self.blend_window and self.eps_slab + self.blend_window < 1.0):
+            raise ConfigurationError(
+                "blend_window must be positive and fit below the top with the slab")
+        if not (-np.inf < self.b_amplitude < np.inf
+                and -np.inf < self.h0_amplitude < np.inf):
+            raise ConfigurationError("b_amplitude and h0_amplitude must be finite")
 
     def b_profile(self, grid: Grid) -> np.ndarray:
         return self.b_amplitude * np.cos(self.b_mode * grid.xs)

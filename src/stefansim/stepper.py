@@ -171,13 +171,11 @@ class SolverState:
     heat content) and the edge rows ``height``, the (smoothed) height the
     step extended, and ``dheight``, h' (the height law); of the map
     velocity, its edge row ``w_edge``.  a, c and the drift live only inside
-    the step that builds them.
-
-    ``bundle`` and ``w`` are derived on read: ``metric_bundle(grid,
-    height)`` rebuilds the step's bundle bit for bit, and w is the harmonic
-    extension of ``w_edge`` (exact at t = 0, the step's difference quotient
-    up to rounding later).  A kappa run built from its config's data keeps
-    the iterations and residual of each solve of its regularized datum in
+    the step that builds them: ``metric_bundle(grid, height)`` rebuilds the
+    step's bundle bit for bit, and ``extend_edge(grid, w_edge)`` the map
+    velocity (exactly at t = 0, the step's difference quotient up to
+    rounding later).  A kappa run built from its config's data keeps the
+    iterations and residual of each solve of its regularized datum in
     ``datum_solves``.
     """
 
@@ -199,16 +197,6 @@ class SolverState:
     beta_poly: tuple | None = None
     flags: tuple = ()
     datum_solves: tuple = ()
-
-    @property
-    def bundle(self) -> MetricBundle:
-        """The state's metric bundle, rebuilt on every read."""
-        return metric_bundle(self.grid, self.height)
-
-    @property
-    def w(self) -> np.ndarray:
-        """The map velocity: the harmonic extension of ``w_edge``."""
-        return extend_edge(self.grid, self.w_edge)
 
     def snapshot(self) -> Snapshot:
         """The state as a trajectory keeps it (see ``Snapshot``)."""
@@ -395,40 +383,37 @@ def initial_data(config: SolverConfig):
 def init_state(config: SolverConfig, q0: np.ndarray | None = None,
                h0: np.ndarray | None = None) -> SolverState:
     """Build the initial state: data, geometry, velocity, forcings."""
+    grid = config.grid
     solves = ()
     if q0 is None or h0 is None:
         q0, h0 = initial_data(config)
         if config.mode == KAPPA:
-            q0, solves = build_regularized_datum(config.grid, q0, h0, config.kappa)
+            q0, solves = build_regularized_datum(grid, q0, h0, config.kappa)
     check_graph_condition(h0)
-    state = _state_of(config, q0, h0)
+    bundle, (_, q_y), v, _, w_edge = _instant(config, q0, h0)
+    alpha = beta_poly = None
     if config.mode == KAPPA:
-        alpha = _alpha_forcing(config.grid, q0, h0, state.bundle)
-        state = replace(state, alpha=alpha,
-                        beta_poly=_bootstrap_beta(config, q0, h0, alpha),
-                        datum_solves=tuple(solves))
-    return state
+        alpha = _alpha_forcing(grid, q0, h0, bundle)
+        beta_poly = _bootstrap_beta(config, q0, h0, alpha)
+    return SolverState(step=0, t=0.0, grid=grid, q=q0, h=h0, v=v,
+                       margin=taylor_margin(grid, q0), q_y=q_y,
+                       q_xy=tangential_derivative(q_y),
+                       w_edge=w_edge, alpha=alpha, beta_poly=beta_poly,
+                       datum_solves=tuple(solves), **_kept_of(bundle))
 
 
-def _state_of(config: SolverConfig, q: np.ndarray, h: np.ndarray,
-              alpha: np.ndarray | None = None) -> SolverState:
-    """The t = 0 state of data (q, h): gauge map, velocities and margin.
-
-    The map velocity extends the (smoothed) interface speed, so its edge
-    row is that speed exactly.
-    """
+def _instant(config: SolverConfig, q: np.ndarray, h: np.ndarray):
+    """Data (q, h) at t = 0: the map of the (smoothed) height, the gradient
+    of q, the velocity, the interface speed h_t and, extending the
+    (smoothed) speed, the map velocity's edge row."""
     grid = config.grid
     bundle = metric_bundle(grid, _smoothed(h, config))
-    q_x, q_y = gradient(grid, q)
-    v = velocity_from_derivatives(bundle.a, bundle.c, q_x, q_y)
-    rate = height_rate(bundle, v)
+    grad_q = gradient(grid, q)
+    v = velocity_from_derivatives(bundle.a, bundle.c, *grad_q)
+    h_t = height_rate(bundle, v)
     if config.source_h is not None:
-        rate = rate + config.source_h(0.0)
-    return SolverState(step=0, t=0.0, grid=grid, q=q, h=h, v=v,
-                       margin=taylor_margin(grid, q), q_y=q_y,
-                       q_xy=tangential_derivative(q_y),
-                       w_edge=_smoothed(rate, config), alpha=alpha,
-                       **_kept_of(bundle))
+        h_t = h_t + config.source_h(0.0)
+    return bundle, grad_q, v, h_t, _smoothed(h_t, config)
 
 
 def _alpha_forcing(grid, q0, h0, bundle_k):
@@ -464,7 +449,7 @@ def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
 
     def speeds(s):
         # h_t and h_tt alone: q_tt's fields are never formed here
-        return _speed_rates(_state_of(config, s.q, s.h, alpha), config)[:2]
+        return _speed_rates(config, s.q, s.h, alpha)[:2]
 
     state = init_state(micro, q0=q0.copy(), h0=h0.copy())
     samples = [speeds(state)]
@@ -478,23 +463,20 @@ def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
     return (-samples[0][0], -samples[0][1], -c2)
 
 
-def _speed_rates(state: SolverState, config: SolverConfig):
-    """``(h_t, h_tt, rest)`` at t = 0 by equation substitution: the kappa
-    bootstrap reads the speeds alone, and q_tt builds on ``rest``, the
-    fields (bundle, w, q_t, q_x, q_y, a_t, c_t, v_t)."""
+def _speed_rates(config: SolverConfig, q: np.ndarray, h: np.ndarray,
+                 alpha: np.ndarray | None):
+    """``(h_t, h_tt, rest)`` of data (q, h) at t = 0 by equation substitution:
+    the kappa bootstrap reads the speeds alone, and q_tt builds on ``rest``,
+    the fields (bundle, v, w, q_t, q_x, q_y, a_t, c_t, v_t)."""
     grid = config.grid
-    b = state.bundle
-    q, v, w = state.q, state.v, state.w
+    b, (q_x, q_y), v, h_t, w_edge = _instant(config, q, h)
+    w = extend_edge(grid, w_edge)
 
     q_t = transformed_laplacian_expanded(grid, b, q) - v[1] * w
-    if state.alpha is not None:
-        q_t = q_t + state.alpha
+    if alpha is not None:
+        q_t = q_t + alpha
     if config.source_q is not None:
         q_t = q_t + config.source_q(0.0)
-
-    h_t = height_rate(b, v)
-    if config.source_h is not None:
-        h_t = h_t + config.source_h(0.0)
 
     # rates of the inverse-gradient entries: the inverse M^-1 of the map
     # gradient moves as -M^-1 (grad (0, w)) M^-1, which keeps its first
@@ -503,28 +485,29 @@ def _speed_rates(state: SolverState, config: SolverConfig):
     w_x, w_y = gradient(grid, w)
     a_t = -c * (w_x + a * w_y)
     c_t = -c * c * w_y
-    q_x, q_y = gradient(grid, q)
     qt_x, qt_y = gradient(grid, q_t)
     # the rate of the pulled-back flux F = -v is F_t = -v_t
     v_t = -np.stack((qt_x + a * qt_y + a_t * q_y, c * qt_y + c_t * q_y))
 
     # interface speed rate: differentiate v0 h' - v1 on the edge
-    dh_t = tangential_derivative(_smoothed(h_t, config))
-    h_tt = height_rate(b, v_t) + v[0, :, 0] * dh_t
-    return h_t, h_tt, (b, w, q_t, q_x, q_y, a_t, c_t, v_t)
+    h_tt = height_rate(b, v_t) + v[0, :, 0] * tangential_derivative(w_edge)
+    return h_t, h_tt, (b, v, w, q_t, q_x, q_y, a_t, c_t, v_t)
 
 
 def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     """First and second time derivatives at t = 0 by equation substitution.
 
+    It reads a t = 0 state's q, h and alpha alone: the map, the velocity
+    and the map velocity are those of the data at the initial instant.
     The heat equation supplies q_t, the height law h_t; differentiating
     those relations (with the map-inverse evolution rule) supplies the
     second derivatives and the velocity rate.  ``w_t``, the map
     acceleration, is returned by its edge row, whose harmonic extension it
     is.
     """
-    h_t, h_tt, (b, w, q_t, q_x, q_y, a_t, c_t, v_t) = _speed_rates(state, config)
-    grid, a, c, v = config.grid, b.a, b.c, state.v
+    h_t, h_tt, (b, v, w, q_t, q_x, q_y, a_t, c_t, v_t) = _speed_rates(
+        config, state.q, state.h, state.alpha)
+    grid, a, c = config.grid, b.a, b.c
     w_t_edge = _smoothed(h_tt, config)
 
     # q_tt = d/dt [TransformedLaplacian(q)] - v_t . w - v . w_t

@@ -113,8 +113,8 @@ def test_criterion_04_initial_data_suite():
             config=base_cfg, times=[0.0],
             snaps=[{
                 "q": st.q - st0.q, "h": st.h - st0.h, "v": st.v - st0.v,
-                "phi_edge": st.bundle.height - st0.bundle.height,
-                "w_edge": st.w[:, 0] - st0.w[:, 0],
+                "phi_edge": st.height - st0.height,
+                "w_edge": st.w_edge - st0.w_edge,
             }],
             margins=[taylor_margin(GRID, st.q - st0.q)],
             initial_derivatives={k: ds[k] - d0[k] for k in ds},

@@ -307,7 +307,7 @@ def test_bundle_at_rebuilds_the_map_of_the_step():
     for i, snap in enumerate(traj.snaps):
         bundle = traj.bundle_at(i)
         # the rebuild from the stored edge row is the step's map bit for bit
-        assert np.array_equal(bundle.phi, states[i].bundle.phi)
+        assert np.array_equal(bundle.phi, states[i].phi)
         assert np.array_equal(bundle.height, snap["phi_edge"])
         assert not np.array_equal(bundle.height, snap["h"])
 

@@ -234,6 +234,19 @@ def test_cli_rejects_non_finite_step_and_horizon(capsys):
         assert "must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", "nan"), ("eps_slab", "nan"), ("blend_window", "nan"),
+    ("b_amplitude", "nan"), ("h0_amplitude", "inf"),
+])
+def test_cli_rejects_non_finite_data(tmp_path, capsys, field, value):
+    # a NaN or infinite data parameter fails the data's own check, not the
+    # first step with margin = nan; sigma * b(x) is 0 * NaN even classically
+    assert cli_main(["run", "--out", str(tmp_path / "out"),
+                     "--override", "compat.override=true",
+                     "--override", f"data.{field}={value}"]) == 4
+    assert field in capsys.readouterr().err
+
+
 def test_cli_init_abort_writes_manifest(tmp_path):
     # a height that breaks the graph condition fails before the first step
     out = tmp_path / "d"
@@ -638,9 +651,9 @@ def test_dissipation_series_is_the_two_state_formula():
     expected = []
     for _ in range(config.n_steps):
         new = stepper.advance(old, config)
-        a_old = 0.5 * integrate_interior(old.q**2 * old.bundle.jac, grid)
-        a_new = 0.5 * integrate_interior(new.q**2 * new.bundle.jac, grid)
-        b_new = integrate_interior((new.v[0] ** 2 + new.v[1] ** 2) * new.bundle.jac, grid)
+        a_old = 0.5 * integrate_interior(old.q**2 * old.jac, grid)
+        a_new = 0.5 * integrate_interior(new.q**2 * new.jac, grid)
+        b_new = integrate_interior((new.v[0] ** 2 + new.v[1] ** 2) * new.jac, grid)
         expected.append((old.t + dt, ((a_new - a_old) / dt + b_new) / max(b_new, 1e-30)))
         old = new
     assert traj.dissipation == expected

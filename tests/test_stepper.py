@@ -122,21 +122,21 @@ def test_zero_state_is_fixed_point():
 def test_one_step_height_law_and_flux_record():
     cfg = _short_config()
     st = init_state(cfg)
-    rate0 = height_rate(st.bundle, st.v)
+    rate0 = height_rate(st, st.v)
     st1 = advance(st, cfg)
     # the height moved by dt times the recorded speed
     assert np.max(np.abs(st1.h - (st.h + cfg.dt * rate0))) <= 1e-15
     # the speed and the Jacobian-weighted flux agree in sign (flat start)
     from stefansim.numerics import edge_derivative
 
-    flux = st.bundle.jac_edge * edge_derivative(st.q, GRID.hy, 1)
+    flux = st.jac[:, 0] * edge_derivative(st.q, GRID.hy, 1)
     assert np.all(np.sign(rate0) == np.sign(flux))
 
 
 def _fields(state):
     """The state's fields, the map in the interior and its velocity's edge row."""
     return {"q": state.q, "h": state.h, "v": state.v, "w_edge": state.w_edge,
-            "phi": state.bundle.phi}
+            "phi": state.phi}
 
 
 def test_advance_leaves_input_state_unchanged():
@@ -168,7 +168,8 @@ def test_boundary_slip_machine_zero_classical():
         st = advance(st, cfg)
     # tangential velocity: v against the unit tangent (1, h') / g
     ve = st.v[:, :, 0]
-    vt = (ve[0] + ve[1] * st.bundle.dheight) / st.bundle.line_el
+    b = metric_bundle(GRID, st.height)
+    vt = (ve[0] + ve[1] * b.dheight) / b.line_el
     assert np.max(np.abs(vt)) <= 1e-12
 
 
@@ -246,7 +247,7 @@ def test_kappa_mode_trace_small_and_beta_consistent():
     st = init_state(cfg)
     assert np.max(np.abs(st.q[:, 0])) <= 1e-6
     b0 = beta_value(st.beta_poly, 0.0)
-    rate0 = height_rate(st.bundle, st.v)
+    rate0 = height_rate(st, st.v)
     # beta(0) cancels the initial speed in the penalized condition
     assert np.max(np.abs(b0 + rate0)) <= 1e-6
     for _ in range(8):
@@ -310,10 +311,10 @@ def _two_call_step(state, cfg):
     from stefansim.operators import gauge_deviation
 
     dt = cfg.dt
-    h = state.h + dt * height_rate(state.bundle, state.v)
+    h = state.h + dt * height_rate(state, state.v)
     phi = harmonic_extend(GRID, h)
     bundle = metric_bundle(GRID, h)
-    w = (phi - state.bundle.phi) / dt
+    w = (phi - state.phi) / dt
     rhs = state.q / dt + gauge_deviation(GRID, bundle, state.q) - state.v[1] * w
     solver = StripSolver(GRID, 1.0 / dt, EdgeCondition(DIRICHLET),
                          EdgeCondition(NEUMANN))
@@ -333,9 +334,9 @@ def test_step_matches_the_two_call_oracle():
     got["w"] = (new.phi - st.phi) / cfg.dt
     for name, value in got.items():
         assert _relative(value, want[name]) <= 1e-13, name
-    # the derived w extends the edge row; the difference quotient of the
+    # w_edge extends to the map velocity; the difference quotient of the
     # maps differs from it by rounding over dt (9.5e-13 measured)
-    assert _relative(new.w, want["w"]) <= 1e-11
+    assert _relative(extend_edge(GRID, new.w_edge), want["w"]) <= 1e-11
 
 
 def _stored_bytes(snap):
@@ -379,7 +380,8 @@ def test_a_stepped_state_stores_only_what_its_readers_read():
 
 @pytest.mark.parametrize("law", [{}, {"kappa": 0.05}])
 def test_state_bundle_rebuilds_the_step_bundle(monkeypatch, law):
-    # the derived bundle is the one the step built, bit for bit
+    # the bundle rebuilt from the state's height is the one the step
+    # built, bit for bit
     cfg = _curved_config(**law)
     state = advance(init_state(cfg), cfg)
     built = []
@@ -394,7 +396,7 @@ def test_state_bundle_rebuilds_the_step_bundle(monkeypatch, law):
     assert len(built) == 1
     step = built[0]
     assert new.phi is step.phi and new.jac is step.jac
-    rebuilt = new.bundle
+    rebuilt = metric_bundle(GRID, new.height)
     for name in ("phi", "jac", "ac", "height", "dheight", "line_el", "jac_edge"):
         assert np.array_equal(getattr(rebuilt, name), getattr(step, name)), name
 
@@ -476,3 +478,39 @@ def test_kappa_beta_does_not_depend_on_the_run_step(monkeypatch):
     monkeypatch.setattr(stepper, "BOOTSTRAP_DT", 1.0)
     cfg = SolverConfig(kappa=0.05, nx=16, ny=33, dt=1e-4, t_end=1e-3, data=data)
     assert all(np.all(np.isfinite(c)) for c in init_state(cfg).beta_poly)
+
+
+def test_kappa_init_builds_each_map_once(monkeypatch):
+    # the bootstrap's samples are data, not states: one kappa init builds
+    # the state's map, the raw map of alpha, the micro init's map, the two
+    # micro steps' maps and one map per sample, and takes the margins of
+    # the state, the micro init and the two micro steps alone
+    counts = {"metric_bundle": 0, "taylor_margin": 0}
+
+    def counting(name):
+        original = getattr(stepper, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(stepper, name, counting(name))
+    init_state(_curved_config(kappa=0.05))
+    assert counts["metric_bundle"] <= 8
+    assert counts["taylor_margin"] <= 4
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.05])
+@pytest.mark.parametrize("kappa", [0.2, 0.05])
+def test_beta_starts_from_the_initial_derivatives(kappa, amplitude):
+    # the bootstrap's first sample and the run's initial derivatives are one
+    # evaluation of the same data, so beta(0) and beta'(0) are -h_t and
+    # -h_tt bit for bit
+    cfg = _short_config(kappa=kappa,
+                        data=DataSpec(alpha=1.0, h0_amplitude=amplitude))
+    state = init_state(cfg)
+    deriv = initial_time_derivatives(state, cfg)
+    assert np.array_equal(state.beta_poly[0], -deriv["h_t"])
+    assert np.array_equal(state.beta_poly[1], -deriv["h_tt"])

@@ -27,19 +27,21 @@ phi and the map velocity w by their edge rows only: both are harmonic
 extensions of those rows.  The gauge combinations take phi and its time
 derivatives from the extension modes of the edge series
 (``geometry._extension_modes``), so no interior map field is stored or
-transformed here.  The velocity is not stored either: a table pass
-rebuilds each snapshot's metric bundle from ``phi_edge`` once, derives v
-from q on it, and keeps v, the bundle's edge rows, the gauge curl of v and
-the interface flux q_y for the last four snapshots (``_Velocities``, the
-most one time stencil reads); the interior map fields are dropped at once.
-A row's norms and identities share those rows, a row reads each time
-derivative of q and v once, and nothing is left on the snapshots.
+transformed here.  The velocity is not stored either.  A table pass
+reads the trajectory through one ``_Window``: it rebuilds each snapshot's
+metric bundle from ``phi_edge`` once, derives v from q on it, and keeps v,
+the bundle's edge rows, the gauge curl of v and the interface flux q_y for
+the last four snapshots (the most one time stencil reads); the interior
+map fields are dropped at once.  A row's norms and identities share those
+rows, a row reads each time derivative of q and v once, and nothing is
+left on the snapshots.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +64,7 @@ from .numerics import (
 from .geometry import _extension_modes, metric_bundle
 from .mollifier import _layer_symbol
 from .operators import curl_residual
-from .stepper import CLASSICAL, SolverConfig, Snapshot, height_rate
+from .stepper import CLASSICAL, SolverConfig, height_rate
 
 
 class UsageError(NumericsError):
@@ -83,9 +85,8 @@ class Trajectory:
 
     A snapshot (``stepper.Snapshot``) stores q and h whole and the edge rows
     ``phi_edge`` and ``w_edge`` of the map and its velocity, which are their
-    harmonic extensions; ``bundle_at`` rebuilds the map from ``phi_edge``,
-    and ``snap["v"]`` derives the velocity from q on that map.  Synthetic
-    trajectories may hold plain dicts that carry their own ``"v"``.
+    harmonic extensions; ``snap["v"]`` derives the velocity from q on the
+    map rebuilt from ``phi_edge``.
     """
 
     config: SolverConfig
@@ -99,37 +100,9 @@ class Trajectory:
     #: iterations and residual of each solve of the regularized datum
     datum_solves: list = field(default_factory=list)
 
-    def __post_init__(self):
-        self._rates: list | None = None
-
     @property
     def grid(self) -> Grid:
         return self.config.grid
-
-    def bundle_at(self, idx: int):
-        """The snapshot's metric bundle, rebuilt on every call (not cached);
-        its phi is the step's bit for bit."""
-        snap = self.snaps[idx % len(self.times)]
-        return metric_bundle(self.grid, snap["phi_edge"])
-
-    def rates(self) -> list:
-        """The height's time-derivative series (h_t at every snapshot).
-
-        The initial instant uses the equation-substituted value; later
-        instants difference the stored heights, so synthetic frozen
-        trajectories carry an identically zero series.  Entries are None
-        where the stored snapshots cannot support the stencil.
-        """
-        if self._rates is None:
-            h_series = [s["h"] for s in self.snaps]
-            out = [self.initial_derivatives["h_t"]]
-            for i in range(1, len(self.times)):
-                try:
-                    out.append(time_derivative(self.times, h_series, 1, i))
-                except NeedsMoreStepsError:
-                    out.append(None)
-            self._rates = out
-        return self._rates
 
     def __len__(self) -> int:
         return len(self.times)
@@ -151,17 +124,27 @@ class _RowMap(NamedTuple):
     q_y: np.ndarray
 
 
-class _Velocities(Sequence):
-    """The velocity series of a trajectory, derived within a bounded window.
+_INITIAL_KEYS = {("q", 1): "q_t", ("q", 2): "q_tt", ("h", 1): "h_t",
+                 ("h", 2): "h_tt", ("v", 1): "v_t", ("w_edge", 1): "w_t",
+                 ("rate", 1): "h_tt"}
 
-    A ``Snapshot`` stores no velocity, so each is derived from q on the
-    snapshot's map, rebuilt once (``Trajectory.bundle_at``) when the
-    velocity is first read; a plain-dict snapshot's own ``"v"`` is read as
-    stored.  Of that one bundle the window keeps only what a table row
-    reads (``_RowMap``, from ``row_map``), so the interior map fields are
-    dropped as soon as v and the curl are formed.  The last ``_STENCIL``
-    entries are kept, the most one time stencil reads, so a pass over the
-    snapshots in order builds each bundle and derives each velocity once.
+
+class _Window(Sequence):
+    """What a table pass reads of a trajectory, within a bounded window.
+
+    As a sequence it is the velocity series.  A snapshot stores no
+    velocity, so each is derived from q on the snapshot's map, rebuilt once
+    from ``phi_edge`` when the velocity is first read.  Of that one bundle
+    the window keeps only what a table row reads (``_RowMap``, from
+    ``row_map``), so the interior map fields are dropped as soon as v and
+    the curl are formed.  The last ``_STENCIL`` entries are kept, the most
+    one time stencil reads, so a pass over the snapshots in order builds
+    each bundle and derives each velocity once.
+
+    Called with a field name, a snapshot index and a time order, it returns
+    that time derivative: equation-substituted at the initial instant,
+    differenced over the stored snapshots later.  ``"rate"`` names the
+    interface speed h_t, whose series is formed once per window.
     """
 
     def __init__(self, traj: Trajectory):
@@ -186,67 +169,40 @@ class _Velocities(Sequence):
         if entry is None:
             if len(self._kept) == _STENCIL:
                 del self._kept[next(iter(self._kept))]
-            bundle = self.traj.bundle_at(idx)
-            snap = self.traj.snaps[idx]
-            v = snap.velocity(bundle) if isinstance(snap, Snapshot) else snap["v"]
             grid = self.traj.grid
+            snap = self.traj.snaps[idx]
+            bundle = metric_bundle(grid, snap.phi_edge)
+            v = snap.velocity(bundle)
             entry = (v, _RowMap(bundle.height, bundle.dheight, bundle.line_el,
                                 bundle.jac_edge, curl_residual(grid, bundle, v),
-                                edge_derivative(snap["q"], grid.hy, 1)))
+                                edge_derivative(snap.q, grid.hy, 1)))
         self._kept[idx] = entry
         return entry
 
+    @cached_property
+    def _rates(self) -> list:
+        return [self("h", i, 1) for i in range(len(self))]
 
-_INITIAL_KEYS = {("q", 1): "q_t", ("q", 2): "q_tt", ("h", 1): "h_t",
-                 ("h", 2): "h_tt", ("v", 1): "v_t", ("w_edge", 1): "w_t",
-                 ("rate", 1): "h_tt"}
-
-
-class _DerivativeProvider:
-    """Field and time-derivative access for one snapshot of a trajectory.
-
-    Nothing is cached: a table row reads each field once, and the velocity
-    comes from ``velocities``, a table pass's shared window, or a window of
-    its own.
-    """
-
-    def __init__(self, traj: Trajectory, idx: int,
-                 velocities: _Velocities | None = None):
-        self.traj = traj
-        self.idx = idx if idx >= 0 else len(traj) + idx
-        self.velocities = _Velocities(traj) if velocities is None else velocities
-
-    def _series(self, name: str):
-        if name == "rate":
-            rates = self.traj.rates()
-            if any(entry is None for entry in rates):
-                raise NeedsMoreStepsError("height-rate series unsupported here")
-            return rates
-        if name == "v":
-            return self.velocities
-        return [s[name] for s in self.traj.snaps]
-
-    def __call__(self, name: str, b: int = 0) -> np.ndarray:
-        # the map's edge row moves at the edge row of the map velocity
+    def __call__(self, name: str, idx: int, b: int = 0) -> np.ndarray:
+        # the map's edge row moves at the edge row of the map velocity, and
+        # the interface speed is the height's rate
         if name == "phi_edge" and b >= 1:
-            return self("w_edge", b - 1)
-        if b == 0:
-            if name == "rate":
-                out = self.traj.rates()[self.idx]
-                if out is None:
-                    raise NeedsMoreStepsError("height-rate series unsupported here")
-                return out
-            if name == "v":
-                return self.velocities[self.idx]
-            return self.traj.snaps[self.idx][name]
-        if self.idx == 0 and (name, b) in _INITIAL_KEYS:
+            return self("w_edge", idx, b - 1)
+        if name == "rate" and b == 0:
+            return self("h", idx, 1)
+        idx = range(len(self))[idx]
+        if idx == 0 and (name, b) in _INITIAL_KEYS:
             return self.traj.initial_derivatives[_INITIAL_KEYS[name, b]]
-        return time_derivative(self.traj.times, self._series(name), b, self.idx)
+        series = (self if name == "v" else self._rates if name == "rate"
+                  else [s[name] for s in self.traj.snaps])
+        if b:
+            return time_derivative(self.traj.times, series, b, idx)
+        return series[idx]
 
-    def try_call(self, name: str, b: int):
+    def try_call(self, name: str, idx: int, b: int):
         """Like __call__ but None where the stencil is unsupported."""
         try:
-            return self(name, b)
+            return self(name, idx, b)
         except NeedsMoreStepsError:
             return None
 
@@ -348,7 +304,7 @@ class EnergyReport:
 
 
 def geometric_identities(traj: Trajectory, idx: int = -1,
-                         velocities: _Velocities | None = None) -> dict:
+                         window: _Window | None = None) -> dict:
     """Curl, slip, curvature-identity, and interface-speed records.
 
     Graph form: the scaled normal and tangent are (h', -1) and (1, h'), so
@@ -358,14 +314,13 @@ def geometric_identities(traj: Trajectory, idx: int = -1,
     whose normal speed clears a tenth of the stability margin enter.  For
     a positive interface temperature (surface tension) the slip value is a
     record, not a residual: the identity's hypothesis fails there.
-    The snapshot's velocity, map edge rows and curl come from
-    ``velocities``, a table pass's shared window, or are derived here when
-    it is not passed.
+    The snapshot's velocity, map edge rows and curl come from ``window``,
+    a table pass's shared window, or a new one when it is not passed.
     """
     idx = idx % len(traj)
-    if velocities is None:
-        velocities = _Velocities(traj)
-    edges, v = velocities.row_map(idx), velocities[idx]
+    if window is None:
+        window = _Window(traj)
+    edges, v = window.row_map(idx), window[idx]
     ve = v[:, :, 0]
     g, dh = edges.line_el, edges.dheight
     rate = height_rate(edges, v)
@@ -395,21 +350,23 @@ def geometric_identities(traj: Trajectory, idx: int = -1,
 
 
 def _instant_norms(traj: Trajectory, idx: int, kappa: float,
-                   velocities: _Velocities | None = None) -> dict:
+                   window: _Window | None = None) -> dict:
     """All squared norms entering the functionals, at one snapshot.
 
-    ``velocities`` is the table pass's window (a new one when not passed);
-    the snapshot's map edge rows and interface flux come from it.
+    ``window`` is the table pass's window (a new one when not passed);
+    the fields, their time derivatives, the snapshot's map edge rows and
+    interface flux come from it.
     """
     grid = traj.grid
     nx = grid.nx
-    get = _DerivativeProvider(traj, idx, velocities)
-    edges = get.velocities.row_map(idx)
+    if window is None:
+        window = _Window(traj)
+    edges = window.row_map(idx)
     out = {}
 
     # interior velocity families
     for b, amax in ((0, 4), (1, 2), (2, 0)):
-        vb = get.try_call("v", b)
+        vb = window.try_call("v", idx, b)
         if vb is None:
             for a in range(amax + 1):
                 out[("v", a, b)] = None
@@ -428,9 +385,9 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
     # identity's horizontal part has no such one; phi_c extends the edge
     # series' c-th time derivative, so its modes are the extension modes of
     # that edge row
-    v1 = get("v")[1]
+    v1 = window("v", idx)[1]
     for c in range(3):
-        qc = get.try_call("q", c)
+        qc = window.try_call("q", idx, c)
         orders = range(max(2 - 2 * c, 0), 6 - 2 * c)
         norms = [None] * len(orders) if qc is None else [
             n ** 2 for n in interior_norms(qc, grid, orders)]
@@ -439,7 +396,7 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
         keys = [("combo", 4 - 2 * c, c)]
         if c:
             keys.append(("combot", 5 - 2 * c, c - 1))
-        pc = get.try_call("phi_edge", c)
+        pc = window.try_call("phi_edge", idx, c)
         if qc is None or pc is None:
             out.update(dict.fromkeys(keys))
         else:
@@ -460,7 +417,7 @@ def _instant_norms(traj: Trajectory, idx: int, kappa: float,
     # the flux-weighted families are None where the margin is not positive
     flux_ok = traj.margins[idx] > 0.0
     for name in ("h", "rate"):
-        rows = [get.try_call(name, b) for b in range(3)]
+        rows = [window.try_call(name, idx, b) for b in range(3)]
         coef = np.fft.rfft(np.stack(
             [np.zeros(nx) if r is None else r for r in rows], axis=-1), axis=0)
         modes = np.stack((coef, coef * layer), axis=-1)
@@ -521,9 +478,9 @@ def energy_table(traj: Trajectory) -> list:
 
     # one window for the pass: each snapshot's bundle is built once, and a
     # row's norms and identities share its edge rows
-    velocities = _Velocities(traj)
+    window = _Window(traj)
     for idx, t in enumerate(traj.times):
-        vals = _instant_norms(traj, idx, kappa, velocities)
+        vals = _instant_norms(traj, idx, kappa, window)
         acc.update(t, vals)
         while dis_next is not None and dis_next[0] <= t + 1e-15:
             dis_max = max(dis_max, abs(dis_next[1]))
@@ -583,8 +540,8 @@ def energy_table(traj: Trajectory) -> list:
                 [("sigh",) + ab for ab in leq4]
             ) + sigma * acc.sum_int([("sight",) + ab for ab in leq3])
 
-        idents = geometric_identities(traj, idx, velocities)
-        graph_sup = float(np.max(velocities.row_map(idx).dheight**2))
+        idents = geometric_identities(traj, idx, window)
+        graph_sup = float(np.max(window.row_map(idx).dheight**2))
         ratio = e_kap / f_kap if kappa > 0 and f_kap > 0 else float("nan")
 
         reports.append(EnergyReport(
@@ -641,11 +598,10 @@ def mixed_cnorm(traj_a: Trajectory, traj_b: Trajectory) -> float:
     grid = traj_a.grid
     best_q = 0.0
     best_h = 0.0
+    wa, wb = _Window(traj_a), _Window(traj_b)
     for idx in range(len(traj_a)):
-        ga = _DerivativeProvider(traj_a, idx)
-        gb = _DerivativeProvider(traj_b, idx)
-        dq = ga("q") - gb("q")
-        dqt = ga("q", 1) - gb("q", 1)
+        dq = wa("q", idx) - wb("q", idx)
+        dqt = wa("q", idx, 1) - wb("q", idx, 1)
         d1, d11 = x_derivatives(np.fft.rfft(dq, axis=0), (1, 2), grid.nx)
         d2 = vertical_derivative(dq, grid.hy, 1)
         d12 = tangential_derivative(d2)
@@ -653,8 +609,8 @@ def mixed_cnorm(traj_a: Trajectory, traj_b: Trajectory) -> float:
         hess = np.sqrt(d11 * d11 + 2.0 * d12 * d12 + d22 * d22)
         pointwise = np.abs(dq) + np.abs(dqt) + np.hypot(d1, d2) + hess
         best_q = max(best_q, float(np.max(pointwise)))
-        dh = ga("h") - gb("h")
-        dht = ga("h", 1) - gb("h", 1)
+        dh = wa("h", idx) - wb("h", idx)
+        dht = wa("h", idx, 1) - wb("h", idx, 1)
         d1h, d2h = x_derivatives(np.fft.rfft(dh), (1, 2), grid.nx)
         edge = np.abs(dh) + np.abs(dht) + np.abs(d1h) + np.abs(d2h)
         best_h = max(best_h, float(np.max(edge)))

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .numerics import ConfigurationError, Grid, integrate_interior
+from .numerics import ConfigurationError, Grid, NumericsError, integrate_interior
 from .geometry import (
     DegenerateMapError,
     InvalidGeometryError,
@@ -33,8 +33,7 @@ from .geometry import (
     harmonic_drift,
     inverse_gradient,
 )
-from .elliptic import EllipticSolveError
-from .initdata import DataConstructionError, DataSpec, compat_residuals
+from .initdata import DataSpec, compat_residuals
 from .operators import deviation_from_derivatives, velocity_from_derivatives
 from .stepper import (
     CLASSICAL,
@@ -410,8 +409,7 @@ def _emit_plots(outdir: Path, traj: Trajectory, reports) -> list:
     return names
 
 
-def run_simulation(config: SolverConfig, outdir=None, settings=None,
-                   q0=None, h0=None):
+def run_simulation(config: SolverConfig, outdir=None, settings=None):
     """Full run with reporting; returns (trajectory, manifest).
 
     The compatibility of the configured data is checked first, on the
@@ -419,9 +417,11 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
     error unless the override flag is set (curved initial interfaces have
     no exactly compatible explicit datum).  ``settings`` are checked as in
     ``build_config``.
-    A numerical failure before the first step (data construction, geometry,
-    elliptic solve) writes an aborted manifest, a configuration error (the
-    compatibility gate, the cadence) a config-error one; both are re-raised.
+    Any numerical failure that ``simulate`` does not record as an aborted
+    trajectory (data construction, init-time geometry, an elliptic solve,
+    the energy table) writes an aborted manifest, a configuration error
+    (the compatibility gate, the cadence) a config-error one; both are
+    re-raised.
     """
     settings = _completed(settings or {})
     t0 = time.perf_counter()
@@ -434,8 +434,9 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
         grid=(config.nx, config.ny),
     )
     grid = config.grid
+    q0 = h0 = None
     try:
-        if q0 is None and config.mode != KAPPA:
+        if config.mode != KAPPA:
             q0, h0 = initial_data(config)
             report = compat_residuals(grid, q0, h0, sigma=config.sigma)
             manifest.compat = {
@@ -451,8 +452,10 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
                     "compat.override to run anyway: " + report.summary()
                 )
         traj = simulate(config, q0=q0, h0=h0)
-    except (ConfigurationError, DataConstructionError, DegenerateMapError,
-            InvalidGeometryError, EllipticSolveError) as exc:
+        manifest.flags = list(traj.flags)
+        manifest.datum_solves = traj.datum_solves
+        reports = energy_table(traj)
+    except NumericsError as exc:
         manifest.status = (STATUS_CONFIG if isinstance(exc, ConfigurationError)
                            else STATUS_ABORTED)
         manifest.reason = f"{type(exc).__name__}: {exc}"
@@ -463,11 +466,8 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None,
             manifest.write(outdir)
         raise
     manifest.status = traj.status
-    manifest.flags = list(traj.flags)
-    manifest.datum_solves = traj.datum_solves
     if traj.status == STATUS_ABORTED:
         manifest.reason = traj.flags[-1] if traj.flags else "aborted"
-    reports = energy_table(traj)
     manifest.wall_time = time.perf_counter() - t0
     if outdir is not None:
         outdir = Path(outdir)
@@ -510,6 +510,9 @@ def sweep_sigma(config: SolverConfig, ladder=None,
     distances are trajectory max-norm distances to the reference.
     """
     ladder = _ladder_values(ladder, "sweep.sigma_ladder")
+    if not all(0.0 <= s < np.inf for s in ladder):
+        raise ConfigurationError(
+            f"sigma ladder entries must be >= 0 and finite, got {ladder}")
     if 0.0 not in ladder:
         raise ConfigurationError("the sigma ladder must include 0")
     trajs = _map_points(_sigma_point, [(config, s) for s in ladder], workers)
@@ -569,6 +572,10 @@ def sweep_kappa(config: SolverConfig, ladder=None,
                 workers: int = RUN_SETTINGS["sweep.workers"]) -> SweepResult:
     """Smoothing-width sweep: uniform energy bounds and the limit behavior."""
     ladder = _ladder_values(ladder, "sweep.kappa_ladder")
+    # kappa = 0 is the classical law, not a smoothing width
+    if not all(0.0 < k < np.inf for k in ladder):
+        raise ConfigurationError(
+            f"kappa ladder entries must be > 0 and finite, got {ladder}")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("the kappa ladder must be strictly decreasing")
     results = _map_points(_kappa_point, [(config, k) for k in ladder], workers)

@@ -308,7 +308,6 @@ def compat_residuals(
     q0: np.ndarray,
     h0: np.ndarray,
     sigma: float = 0.0,
-    bundle: MetricBundle | None = None,
 ) -> CompatReport:
     """Evaluate the interface and top-wall compatibility residuals.
 
@@ -316,8 +315,7 @@ def compat_residuals(
     squared-flux form (the one the explicit data satisfy identically),
     with the unsquared variant recorded alongside.
     """
-    if bundle is None:
-        bundle = metric_bundle(grid, h0)
+    bundle = metric_bundle(grid, h0)
     curv = mean_curvature(h0)
     r_dir = float(np.max(np.abs(q0[:, 0] - sigma * curv)))
 

@@ -21,7 +21,12 @@ from stefansim.initdata import (
     taylor_margin,
     transformed_laplacian_edge,
 )
-from stefansim.stepper import SolverConfig, init_state, initial_time_derivatives
+from stefansim.stepper import (
+    SolverConfig,
+    Snapshot,
+    init_state,
+    initial_time_derivatives,
+)
 from stefansim.analysis import (
     Trajectory,
     energy_report,
@@ -111,11 +116,8 @@ def test_criterion_04_initial_data_suite():
         ds = initial_time_derivatives(st, cfg)
         diff = Trajectory(
             config=base_cfg, times=[0.0],
-            snaps=[{
-                "q": st.q - st0.q, "h": st.h - st0.h, "v": st.v - st0.v,
-                "phi_edge": st.height - st0.height,
-                "w_edge": st.w_edge - st0.w_edge,
-            }],
+            snaps=[Snapshot(GRID, st.q - st0.q, st.h - st0.h,
+                            st.height - st0.height, st.w_edge - st0.w_edge)],
             margins=[taylor_margin(GRID, st.q - st0.q)],
             initial_derivatives={k: ds[k] - d0[k] for k in ds},
         )

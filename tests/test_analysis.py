@@ -17,13 +17,12 @@ from stefansim.numerics import (
 )
 from stefansim.geometry import extend_edge, metric_bundle
 from stefansim.mollifier import smooth_horizontal
-from stefansim.operators import compute_velocity
 from stefansim.initdata import DataSpec, taylor_margin
-from stefansim.stepper import SolverConfig, advance, init_state
+from stefansim.stepper import SolverConfig, Snapshot, advance, init_state
 from stefansim.analysis import (
     Trajectory,
     UsageError,
-    _DerivativeProvider,
+    _Window,
     _instant_norms,
     dissipation_residual,
     energy_report,
@@ -46,12 +45,8 @@ def _zero_derivs(grid):
 
 def _static_trajectory(config, q, h, n_snaps=5):
     grid = config.grid
-    bundle = metric_bundle(grid, h)
-    v = compute_velocity(grid, bundle, q)
     dt = config.dt * config.snapshot_every
-    snaps = [{"q": q, "h": h, "v": v, "phi_edge": bundle.height,
-              "w_edge": np.zeros(grid.nx)}
-             for _ in range(n_snaps)]
+    snaps = [Snapshot(grid, q, h, h, np.zeros(grid.nx))] * n_snaps
     return Trajectory(
         config=config,
         times=[i * dt for i in range(n_snaps)],
@@ -62,15 +57,9 @@ def _static_trajectory(config, q, h, n_snaps=5):
 
 
 def _roll_trajectory(traj, shift):
-    rolled = []
-    for s in traj.snaps:
-        rolled.append({
-            "q": np.roll(s["q"], shift, axis=0),
-            "h": np.roll(s["h"], shift),
-            "v": np.roll(s["v"], shift, axis=1),
-            "phi_edge": np.roll(s["phi_edge"], shift),
-            "w_edge": np.roll(s["w_edge"], shift),
-        })
+    rolled = [Snapshot(s.grid, np.roll(s.q, shift, axis=0), np.roll(s.h, shift),
+                       np.roll(s.phi_edge, shift), np.roll(s.w_edge, shift))
+              for s in traj.snaps]
     init = {
         k: np.roll(v, shift, axis=1 if v.ndim == 3 else 0)
         for k, v in traj.initial_derivatives.items()
@@ -290,7 +279,7 @@ def test_interface_speed_records_present():
     assert np.sign(rep.interface_speed_mean) == np.sign(rep.interface_flux_mean)
 
 
-def test_bundle_at_rebuilds_the_map_of_the_step():
+def test_window_rebuilds_the_map_of_the_step():
     # in kappa mode the map extends the smoothed height while the snapshot
     # keeps the raw one; the analysis must rebuild the map the step used
     cfg = SolverConfig(kappa=0.05, t_end=5e-4, snapshot_every=10,
@@ -304,12 +293,17 @@ def test_bundle_at_rebuilds_the_map_of_the_step():
         state = advance(state, cfg)
         if n % cfg.snapshot_every == 0:
             states.append(state)
+    window = _Window(traj)
     for i, snap in enumerate(traj.snaps):
-        bundle = traj.bundle_at(i)
-        # the rebuild from the stored edge row is the step's map bit for bit
-        assert np.array_equal(bundle.phi, states[i].phi)
-        assert np.array_equal(bundle.height, snap["phi_edge"])
-        assert not np.array_equal(bundle.height, snap["h"])
+        rows = window.row_map(i)
+        # the rebuild from the stored edge row is the step's map bit for
+        # bit: its edge rows, and the Jacobian, which reads the interior
+        assert np.array_equal(rows.height, states[i].height)
+        assert np.array_equal(rows.dheight, states[i].dheight)
+        assert np.array_equal(rows.jac_edge, states[i].jac[:, 0])
+        assert not np.array_equal(rows.height, snap["h"])
+        # the velocity on it is the step's up to rounding
+        assert np.allclose(window[i], states[i].v, rtol=0.0, atol=1e-13)
 
 
 def _short_kappa_run():
@@ -356,6 +350,19 @@ def test_energy_table_derives_each_velocity_once(monkeypatch):
                      ("stefansim.stepper", "compute_velocity"): n}
 
 
+def test_energy_table_identities_match_a_fresh_window():
+    # the table's rows read the identities through the pass's shared
+    # window; called alone, geometric_identities builds a window of its own
+    traj = _short_kappa_run()
+    for idx, row in enumerate(energy_table(traj)):
+        alone = geometric_identities(traj, idx)
+        assert alone.keys() == {
+            "curl_residual", "slip_residual", "curvature_identity_error",
+            "interface_speed_mean", "interface_flux_mean"}
+        for name, val in alone.items():
+            assert np.array_equal(getattr(row, name), val, equal_nan=True), name
+
+
 def test_energy_table_traced_allocation_peak(traced_peak):
     # a pass keeps four velocities and one snapshot's time derivatives at a
     # time, releases each once its families are done, and keeps two levels
@@ -395,17 +402,13 @@ def _moving_trajectory(config, seed, n_snaps=6, tau=0.01):
     heights = [profile(0.01)[:, 0] for _ in range(3)]
     temps = [(y - 0.5 * y * y) * (1.0 + profile(0.1)) for _ in range(3)]
     times = [i * tau for i in range(n_snaps)]
-    snaps = []
-    for t in times:
-        h = sum(t**m * f for m, f in enumerate(heights))
-        q = sum(t**m * f for m, f in enumerate(temps))
-        edge = smooth_horizontal(h, config.kappa) if config.kappa > 0 else h
-        bundle = metric_bundle(grid, edge)
-        snaps.append({"q": q, "h": h, "phi_edge": bundle.height,
-                      "v": compute_velocity(grid, bundle, q)})
-    for prev, snap in zip([None] + snaps, snaps):
-        snap["w_edge"] = (rng.standard_normal() * snap["phi_edge"] if prev is None
-                          else (snap["phi_edge"] - prev["phi_edge"]) / tau)
+    hs = [sum(t**m * f for m, f in enumerate(heights)) for t in times]
+    qs = [sum(t**m * f for m, f in enumerate(temps)) for t in times]
+    edges = [smooth_horizontal(h, config.kappa) if config.kappa > 0 else h
+             for h in hs]
+    w_edges = [rng.standard_normal() * edges[0]] + [
+        (b - a) / tau for a, b in zip(edges, edges[1:])]
+    snaps = [Snapshot(grid, *fields) for fields in zip(qs, hs, edges, w_edges)]
     initial = {"q_t": temps[1], "q_tt": 2.0 * temps[2], "h_t": heights[1],
                "h_tt": 2.0 * heights[2],
                "v_t": (snaps[1]["v"] - snaps[0]["v"]) / tau,
@@ -423,8 +426,11 @@ def _instant_norms_oracle(traj, idx):
     map and its rates by extend_edge of their edge rows."""
     grid = traj.grid
     kappa = traj.config.kappa
-    get = _DerivativeProvider(traj, idx)
-    bundle = traj.bundle_at(idx)
+    window = _Window(traj)
+    bundle = metric_bundle(grid, traj.snaps[idx].phi_edge)
+
+    def get(name, b=0):
+        return window(name, idx, b)
 
     def dx(f, a):
         return tangential_derivative(f, a) if a else f

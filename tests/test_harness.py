@@ -13,6 +13,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from stefansim.numerics import ConfigurationError, Grid
 from stefansim.elliptic import EllipticSolveError
+from stefansim.analysis import UsageError
 from stefansim.initdata import DataSpec
 from stefansim import harness, initdata, stepper
 from stefansim.stepper import SolverConfig
@@ -386,6 +387,26 @@ def test_kappa_init_abort_writes_manifest(tmp_path, monkeypatch):
     assert payload["reason"].startswith("EllipticSolveError")
 
 
+def test_energy_table_failure_writes_manifest(tmp_path, monkeypatch):
+    # a numerical failure after the run, in its energy table, ends with an
+    # aborted manifest as the CLI's exit 3 does, and the manifest keeps
+    # what the run recorded
+    def failing(traj):
+        raise UsageError("injected")
+
+    monkeypatch.setattr(harness, "energy_table", failing)
+    settings = _fast_settings(kappa=0.1, t_end=1e-4, snapshot_every=2,
+                              **{"data.h0_amplitude": 0.05})
+    with pytest.raises(UsageError):
+        run_simulation(build_config(settings), outdir=tmp_path,
+                       settings=settings)
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert payload["status"] == "aborted"
+    assert payload["exit_code"] == 3
+    assert payload["reason"] == "UsageError: injected"
+    assert len(payload["datum_solves"]) == 2
+
+
 def test_kappa_manifest_records_the_datum_solves(tmp_path, monkeypatch):
     # the iterations and residual of both fixed-point solves of the
     # regularized datum reach the manifest as the solver returned them
@@ -506,6 +527,7 @@ def test_sweep_settings_are_checked_before_any_run(monkeypatch):
     for command, override in (("sweep-sigma", "sweep.sigma_ladder=,"),
                               ("sweep-kappa", "sweep.kappa_ladder= , "),
                               ("sweep-kappa", "sweep.workers=-2"),
+                              ("sweep-kappa", "sweep.kappa_ladder=0.1,0"),
                               ("sweep-sigma", "sweep.workers=0")):
         assert cli_main([command, "--override", override]) == 4, override
     with pytest.raises(ConfigurationError, match="sweep.workers needs at least 1"):
@@ -517,6 +539,27 @@ def test_sweep_settings_are_checked_before_any_run(monkeypatch):
             with pytest.raises(ConfigurationError,
                                match=f"sweep.workers needs at least 1, got {workers}"):
                 sweep(config, workers=workers)
+
+
+@pytest.mark.parametrize("sweep, ladder", [
+    (sweep_kappa, [0.1, 0.0]),
+    (sweep_kappa, [0.1, -0.05]),
+    (sweep_kappa, [float("nan"), 0.1]),
+    (sweep_kappa, [float("inf"), 0.1]),
+    (sweep_sigma, [0.01, -0.001, 0.0]),
+    (sweep_sigma, [float("nan"), 0.0]),
+    (sweep_sigma, [float("inf"), 0.0]),
+])
+def test_sweep_ladder_entries_are_checked_before_any_run(monkeypatch, sweep,
+                                                         ladder):
+    # kappa = 0 is a classical run, not a smoothing width; a negative or
+    # non-finite entry is refused before the earlier points have run
+    def no_run(config, *args, **kwargs):
+        raise AssertionError("a sweep ran despite a bad ladder entry")
+
+    monkeypatch.setattr(harness, "simulate", no_run)
+    with pytest.raises(ConfigurationError, match="ladder entries must be"):
+        sweep(build_config(_fast_settings()), ladder=ladder)
 
 
 def test_mms_initial_sampling_exact():

@@ -12,9 +12,9 @@ and sweep harnesses live alongside the solver.
 
 __version__ = "0.1.0"
 
-from .numerics import Grid, boundary_norm, interior_norm
+from .numerics import Grid, boundary_norm, integrate_boundary, interior_norm
 from .geometry import harmonic_extend, mean_curvature, metric_bundle
-from .mollifier import smooth_2d, smooth_horizontal
+from .mollifier import commutator_defect, smooth_2d, smooth_horizontal
 from .initdata import (
     CompatReport,
     DataSpec,
@@ -46,9 +46,9 @@ from .harness import (
 )
 
 __all__ = [
-    "Grid", "boundary_norm", "interior_norm",
+    "Grid", "boundary_norm", "integrate_boundary", "interior_norm",
     "harmonic_extend", "mean_curvature", "metric_bundle",
-    "smooth_2d", "smooth_horizontal",
+    "commutator_defect", "smooth_2d", "smooth_horizontal",
     "CompatReport", "DataSpec", "build_classical_data",
     "build_regularized_datum", "build_sigma_data", "compat_residuals",
     "taylor_margin",

@@ -5,15 +5,17 @@ from __future__ import annotations
 import math
 
 _PALETTE = ("#1f6fb2", "#d1495b", "#3aa17e", "#8d6cab", "#c98a2b", "#5b5b5b")
+#: ticks per axis, at most
+_TICKS = 5
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / max(n, 1)))
+    step = 10 ** math.floor(math.log10(span / _TICKS))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= _TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -25,9 +27,9 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", size=(640, 420)):
+def line_plot(path, series, title="", xlabel="", ylabel=""):
     """Write a line plot; series is a list of (label, xs, ys)."""
-    w, h = size
+    w, h = 640, 420
     ml, mr, mt, mb = 64, 16, 32, 44
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if y == y and abs(y) < 1e300]

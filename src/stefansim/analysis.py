@@ -40,7 +40,7 @@ left on the snapshots.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -281,15 +281,6 @@ class EnergyReport:
     graph_sup: float
     low_confidence_high_order: bool = True
 
-    COLUMNS = (
-        "t", "energy", "energy_sigma", "energy_kappa", "energy_kappa_smoothed",
-        "lower_order", "natural_energy", "natural_energy_sigma",
-        "taylor_margin", "curl_residual", "slip_residual",
-        "curvature_identity_error", "dissipation_residual",
-        "interface_speed_mean", "interface_flux_mean", "norm_energy_ratio",
-        "graph_sup", "low_confidence_high_order",
-    )
-
     def row(self):
         out = []
         for name in self.COLUMNS:
@@ -301,6 +292,10 @@ class EnergyReport:
             else:
                 out.append(format(float(val), ".17g"))
         return out
+
+
+#: the CSV header: the field names in declaration order
+EnergyReport.COLUMNS = tuple(f.name for f in fields(EnergyReport))
 
 
 def geometric_identities(traj: Trajectory, idx: int = -1,
@@ -349,15 +344,17 @@ def geometric_identities(traj: Trajectory, idx: int = -1,
     }
 
 
-def _instant_norms(traj: Trajectory, idx: int, kappa: float,
+def _instant_norms(traj: Trajectory, idx: int,
                    window: _Window | None = None) -> dict:
     """All squared norms entering the functionals, at one snapshot.
 
     ``window`` is the table pass's window (a new one when not passed);
     the fields, their time derivatives, the snapshot's map edge rows and
-    interface flux come from it.
+    interface flux come from it.  The flux-weighted edge families ``wh``
+    and ``wht`` are the natural energy's edge summands.
     """
     grid = traj.grid
+    kappa = traj.config.kappa
     nx = grid.nx
     if window is None:
         window = _Window(traj)
@@ -480,7 +477,7 @@ def energy_table(traj: Trajectory) -> list:
     # row's norms and identities share its edge rows
     window = _Window(traj)
     for idx, t in enumerate(traj.times):
-        vals = _instant_norms(traj, idx, kappa, window)
+        vals = _instant_norms(traj, idx, window)
         acc.update(t, vals)
         while dis_next is not None and dis_next[0] <= t + 1e-15:
             dis_max = max(dis_max, abs(dis_next[1]))
@@ -565,22 +562,6 @@ def energy_table(traj: Trajectory) -> list:
 def energy_report(traj: Trajectory) -> EnergyReport:
     """The cumulative report at the trajectory's final instant."""
     return energy_table(traj)[-1]
-
-
-def natural_edge_terms(traj: Trajectory, idx: int = -1) -> list:
-    """The flux-weighted edge summands of the natural energy at one instant.
-
-    Each is nonnegative whenever the stability margin is positive; exposed
-    separately so that coercivity can be checked term by term.
-    """
-    idx = idx % len(traj)
-    vals = _instant_norms(traj, idx, traj.config.kappa)
-    out = []
-    for ab in _orders_eq(4):
-        out.append(vals[("wh",) + ab])
-    for ab in _orders_eq(3):
-        out.append(vals[("wht",) + ab])
-    return out
 
 
 def mixed_cnorm(traj_a: Trajectory, traj_b: Trajectory) -> float:

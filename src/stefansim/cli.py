@@ -4,8 +4,8 @@ Subcommands: ``run`` (one simulation with full reporting), ``sweep-sigma``
 and ``sweep-kappa`` (parameter ladders), ``check-data`` (compatibility
 report for the configured initial data), ``mms`` (manufactured-solution
 convergence study).  Exit codes (``harness.EXIT_CODES``): 0 completed, 2
-stability-margin flag or failed data check, 3 aborted, 4 configuration
-error.
+stability-margin flag or failed data check, 3 aborted (an unexpected
+exception too, with its traceback on stderr), 4 configuration error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from functools import partial
 from pathlib import Path
 
@@ -123,6 +124,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericsError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_ABORTED
+    except Exception:
+        # a run has written its aborted manifest
+        traceback.print_exc()
         return EXIT_ABORTED
 
 

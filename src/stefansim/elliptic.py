@@ -10,8 +10,8 @@ per mode, solved for all modes at once by cyclic reduction in numpy
 
 Variable-coefficient problems are reduced to this flat solve by a fixed
 point: the gauge-deviation part of the operator is lagged and iterated
-until the discrete residual of the full transformed equation meets the
-requested tolerance.
+until the discrete residual of the full transformed equation meets
+``FIXED_POINT_TOL`` relative to the data.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ ROBIN = "robin"
 #: Unknowns per mode at or below which cyclic reduction stops and the
 #: remaining system is inverted densely.
 _DENSE_BLOCK = 15
+#: Residual of the lagged-deviation fixed point, relative to the largest of
+#: the data and 1, and its iteration limit (``solve_transformed_poisson``).
+FIXED_POINT_TOL = 1e-8
+FIXED_POINT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,6 @@ def solve_transformed_poisson(
     bottom_values: np.ndarray,
     top: EdgeCondition,
     top_values: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ):
     """Solve  TransformedLaplacian(u) = rhs  with a lagged-deviation fixed point.
 
@@ -232,20 +234,19 @@ def solve_transformed_poisson(
     # enters negated
     u = solver.solve(-rhs, bottom_values, top_values)
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(bottom_values))), 1.0)
-    resid_tol = max(tol, 1e-8) * scale
     delta = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         deviation = gauge_deviation(grid, bundle, u)
         if deviation is None:
             deviation = 0.0
         full = flat_laplacian(grid, u) + deviation
         resid = float(np.max(np.abs((full - rhs)[:, 1:-1])))
-        if resid <= resid_tol or delta <= 1e-15 * scale:
+        if resid <= FIXED_POINT_TOL * scale or delta <= 1e-15 * scale:
             return u, resid, it - 1
         u_new = solver.solve(deviation - rhs, bottom_values, top_values)
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
     raise EllipticSolveError(
-        f"fixed-point solve stalled after {max_iter} iterations, "
+        f"fixed-point solve stalled after {FIXED_POINT_MAX_ITER} iterations, "
         f"residual {resid:.3e}, last increment {delta:.3e}"
     )

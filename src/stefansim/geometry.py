@@ -229,11 +229,6 @@ def metric_bundle(grid: Grid, h: np.ndarray) -> MetricBundle:
     )
 
 
-def identity_bundle(grid: Grid) -> MetricBundle:
-    """Bundle of the identity map (flat interface)."""
-    return metric_bundle(grid, np.zeros(grid.nx))
-
-
 def mean_curvature(h: np.ndarray) -> np.ndarray:
     """Signed curvature of the graph y = h(x): -h'' / (1 + h'^2)^{3/2}."""
     dh = tangential_derivative(h)

@@ -68,6 +68,10 @@ EXIT_CODES = {STATUS_COMPLETED: EXIT_OK, STATUS_TAYLOR: EXIT_FLAGGED,
               STATUS_ABORTED: EXIT_ABORTED, STATUS_CONFIG: EXIT_CONFIG}
 #: steps a run may continue with a nonpositive stability margin
 TAYLOR_GRACE_STEPS = 10
+#: interface profiles a run writes, evenly spaced over its snapshots
+INTERFACE_PROFILES = 5
+#: angular frequency of the manufactured time factor T = 1 + sin(rate t) / 2
+MMS_RATE = 40.0
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +368,9 @@ def write_energy_csv(outdir: Path, reports) -> str:
     return path.name
 
 
-def write_interface_csv(outdir: Path, traj: Trajectory, count: int = 5) -> list:
+def write_interface_csv(outdir: Path, traj: Trajectory) -> list:
     names = []
-    picks = sorted({0, len(traj) - 1,
-                    *np.linspace(0, len(traj) - 1, count).astype(int).tolist()})
+    picks = np.unique(np.linspace(0, len(traj) - 1, INTERFACE_PROFILES).astype(int))
     xs = traj.grid.xs
     for idx in picks:
         t = traj.times[idx]
@@ -417,11 +420,12 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None):
     error unless the override flag is set (curved initial interfaces have
     no exactly compatible explicit datum).  ``settings`` are checked as in
     ``build_config``.
-    Any numerical failure that ``simulate`` does not record as an aborted
-    trajectory (data construction, init-time geometry, an elliptic solve,
-    the energy table) writes an aborted manifest, a configuration error
-    (the compatibility gate, the cadence) a config-error one; both are
-    re-raised.
+    Any exception that ``simulate`` does not record as an aborted
+    trajectory writes a manifest and is re-raised: a configuration error
+    (the compatibility gate, the cadence) a config-error one, a numerical
+    failure (data construction, init-time geometry, an elliptic solve, the
+    energy table) an aborted one, and any other exception an aborted one
+    whose reason names the phase that raised it.
     """
     settings = _completed(settings or {})
     t0 = time.perf_counter()
@@ -435,6 +439,10 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None):
     )
     grid = config.grid
     q0 = h0 = None
+    if outdir is not None:
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+    phase = "data check"
     try:
         if config.mode != KAPPA:
             q0, h0 = initial_data(config)
@@ -451,31 +459,33 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None):
                     "initial data fails compatibility checks; set "
                     "compat.override to run anyway: " + report.summary()
                 )
+        phase = "simulate"
         traj = simulate(config, q0=q0, h0=h0)
         manifest.flags = list(traj.flags)
         manifest.datum_solves = traj.datum_solves
+        phase = "energy table"
         reports = energy_table(traj)
-    except NumericsError as exc:
-        manifest.status = (STATUS_CONFIG if isinstance(exc, ConfigurationError)
-                           else STATUS_ABORTED)
-        manifest.reason = f"{type(exc).__name__}: {exc}"
+        manifest.status = traj.status
+        if traj.status == STATUS_ABORTED:
+            manifest.reason = traj.flags[-1] if traj.flags else "aborted"
         manifest.wall_time = time.perf_counter() - t0
         if outdir is not None:
-            outdir = Path(outdir)
-            outdir.mkdir(parents=True, exist_ok=True)
+            phase = "output"
+            manifest.artifacts.append(write_energy_csv(outdir, reports))
+            manifest.artifacts.extend(write_interface_csv(outdir, traj))
+            if settings["output.svg"]:
+                manifest.artifacts.extend(_emit_plots(outdir, traj, reports))
+    except Exception as exc:
+        # the boundary of a run: every failure leaves a manifest
+        manifest.status = (STATUS_CONFIG if isinstance(exc, ConfigurationError)
+                           else STATUS_ABORTED)
+        where = "" if isinstance(exc, NumericsError) else f" in {phase}"
+        manifest.reason = f"{type(exc).__name__}{where}: {exc}"
+        manifest.wall_time = time.perf_counter() - t0
+        if outdir is not None:
             manifest.write(outdir)
         raise
-    manifest.status = traj.status
-    if traj.status == STATUS_ABORTED:
-        manifest.reason = traj.flags[-1] if traj.flags else "aborted"
-    manifest.wall_time = time.perf_counter() - t0
     if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        manifest.artifacts.append(write_energy_csv(outdir, reports))
-        manifest.artifacts.extend(write_interface_csv(outdir, traj))
-        if settings["output.svg"]:
-            manifest.artifacts.extend(_emit_plots(outdir, traj, reports))
         manifest.write(outdir)
     return traj, manifest
 
@@ -648,12 +658,10 @@ class ManufacturedCase:
     velocity, the gauge deviation (none when S = 0) and the sources.
     """
 
-    def __init__(self, grid: Grid, flat: bool = True, amp: float = 0.05,
-                 rate: float = 40.0):
+    def __init__(self, grid: Grid, flat: bool = True, amp: float = 0.05):
         self.grid = grid
         self.flat = flat
         self.amp = amp
-        self.rate = rate
         # the time-independent factors of the sources, built on first use
         self._factors = None
         # (t, source_q, source_h) of the last level: the stepper asks for
@@ -676,10 +684,10 @@ class ManufacturedCase:
         return self._vertical(y)[0] * (1.0 + 0.5 * np.cos(x))
 
     def _tfac(self, t: float) -> float:
-        return 1.0 + 0.5 * np.sin(self.rate * t)
+        return 1.0 + 0.5 * np.sin(MMS_RATE * t)
 
     def _dtfac(self, t: float) -> float:
-        return 0.5 * self.rate * np.cos(self.rate * t)
+        return 0.5 * MMS_RATE * np.cos(MMS_RATE * t)
 
     def _hfac(self, t: float) -> float:
         """S(t) with h = S(t) cos x."""
@@ -687,7 +695,7 @@ class ManufacturedCase:
 
     def _dhfac(self, t: float) -> float:
         """R(t) = S'(t)."""
-        return 0.0 if self.flat else 0.01 * self.rate * np.cos(self.rate * t)
+        return 0.0 if self.flat else 0.01 * MMS_RATE * np.cos(MMS_RATE * t)
 
     def temperature(self, grid: Grid, t: float):
         return self.amp * self._tfac(t) * self._profile(grid)
@@ -755,8 +763,7 @@ class ManufacturedCase:
 
     def run_error(self, nx: int, ny: int, dt: float, t_end: float) -> float:
         """Final-time interior L^2 error of the scheme against the fields."""
-        case = ManufacturedCase(Grid(nx, ny), flat=self.flat, amp=self.amp,
-                                rate=self.rate)
+        case = ManufacturedCase(Grid(nx, ny), flat=self.flat, amp=self.amp)
         cfg = SolverConfig(
             nx=nx, ny=ny, dt=dt, t_end=t_end,
             snapshot_every=max(1, round(t_end / dt)),
@@ -772,43 +779,50 @@ class ManufacturedCase:
         return float(np.sqrt(integrate_interior(dq * dq, grid)))
 
 
-def mms_convergence(spatial_levels=((16, 33), (32, 65), (64, 129)),
-                    dt_spatial: float = 2.0e-6,
-                    t_end_spatial: float = 1.0e-3,
-                    dts_temporal=(2.0e-5, 1.0e-5, 5.0e-6),
-                    grid_temporal=(64, 129),
-                    t_end_temporal: float = 2.0e-2) -> dict:
-    """Manufactured-solution convergence study.
+#: the manufactured-solution study of ``mms_convergence``
+MMS_STUDY = {
+    "spatial_levels": ((16, 33), (32, 65), (64, 129)),
+    "dt_spatial": 2.0e-6,
+    "t_end_spatial": 1.0e-3,
+    "dts_temporal": (2.0e-5, 1.0e-5, 5.0e-6),
+    "grid_temporal": (64, 129),
+    "t_end_temporal": 2.0e-2,
+}
+
+
+def mms_convergence() -> dict:
+    """Manufactured-solution convergence study over ``MMS_STUDY``.
 
     Spatial: curved-interface case at a time step small enough that the
     first-order splitting error is negligible.  Temporal: flat-geometry
     case whose fields the spatial stencils reproduce exactly, isolating
     the order-one time error.
     """
-    spatial_case = ManufacturedCase(Grid(*spatial_levels[-1]), flat=False)
-    spatial_errors = []
-    for nx, ny in spatial_levels:
-        spatial_errors.append(spatial_case.run_error(nx, ny, dt_spatial, t_end_spatial))
+    study = MMS_STUDY
+    levels, grid_t = study["spatial_levels"], study["grid_temporal"]
+    spatial_case = ManufacturedCase(Grid(*levels[-1]), flat=False)
+    spatial_errors = [
+        spatial_case.run_error(nx, ny, study["dt_spatial"], study["t_end_spatial"])
+        for nx, ny in levels
+    ]
     s_ratios = [a / b for a, b in zip(spatial_errors, spatial_errors[1:])]
-    s_order = float(np.log2(np.mean(s_ratios))) if s_ratios else float("nan")
 
-    temporal_case = ManufacturedCase(Grid(*grid_temporal), flat=True)
+    temporal_case = ManufacturedCase(Grid(*grid_t), flat=True)
     temporal_errors = [
-        temporal_case.run_error(*grid_temporal, dtv, t_end_temporal)
-        for dtv in dts_temporal
+        temporal_case.run_error(*grid_t, dt, study["t_end_temporal"])
+        for dt in study["dts_temporal"]
     ]
     t_ratios = [a / b for a, b in zip(temporal_errors, temporal_errors[1:])]
-    t_order = float(np.log2(np.mean(t_ratios))) if t_ratios else float("nan")
 
     return {
-        "spatial_levels": [list(lv) for lv in spatial_levels],
+        "spatial_levels": [list(lv) for lv in levels],
         "spatial_errors": spatial_errors,
         "spatial_ratios": s_ratios,
-        "spatial_order": s_order,
-        "temporal_dts": list(dts_temporal),
+        "spatial_order": float(np.log2(np.mean(s_ratios))),
+        "temporal_dts": list(study["dts_temporal"]),
         "temporal_errors": temporal_errors,
         "temporal_ratios": t_ratios,
-        "temporal_order": t_order,
-        "spatial_pass": bool(s_ratios and min(s_ratios) >= 3.6),
-        "temporal_pass": bool(t_ratios and min(t_ratios) >= 1.8),
+        "temporal_order": float(np.log2(np.mean(t_ratios))),
+        "spatial_pass": min(s_ratios) >= 3.6,
+        "temporal_pass": min(t_ratios) >= 1.8,
     }

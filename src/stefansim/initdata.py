@@ -264,8 +264,6 @@ def build_regularized_datum(
     q0: np.ndarray,
     h0: np.ndarray,
     width: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ):
     """Regularized initial temperature via the split fourth-order solve.
 
@@ -292,11 +290,9 @@ def build_regularized_datum(
     top_r = lap_q0[:, -1].copy()
     r_mid, resid_mid, iters_mid = solve_transformed_poisson(
         grid, bundle_k, source, bottom_r, EdgeCondition(DIRICHLET), top_r,
-        tol=tol, max_iter=max_iter,
     )
     q_reg, resid, iters = solve_transformed_poisson(
         grid, bundle_k, r_mid, np.zeros(grid.nx), EdgeCondition(NEUMANN),
-        tol=tol, max_iter=max_iter,
     )
     solves = [{"iterations": int(n), "residual": float(r)}
               for n, r in ((iters_mid, resid_mid), (iters, resid))]

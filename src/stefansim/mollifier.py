@@ -89,7 +89,10 @@ class Kernel:
 
 @lru_cache(maxsize=64)
 def _layer_symbol(width: float, nx: int) -> np.ndarray:
-    return Kernel.build(width).transform(wavenumbers(nx))
+    """The layer symbol over the rfft modes, shared and read-only."""
+    sym = Kernel.build(width).transform(wavenumbers(nx))
+    sym.flags.writeable = False
+    return sym
 
 
 def smooth_horizontal(f: np.ndarray, width: float) -> np.ndarray:
@@ -130,7 +133,7 @@ def _planar_rows(width: float, nx: int, hy: float):
     The kernel is sampled on horizontal lines u = l*hy, |l| <= width/hy;
     each line is transformed by quadrature in x (exact for band-limited
     fields) while y stays grid-sampled.  Weights are renormalized to unit
-    total mass so constants are preserved exactly.
+    total mass so constants are preserved exactly; the symbols are read-only.
     """
     layers = int(np.floor(width / hy))
     k = wavenumbers(nx)
@@ -149,6 +152,7 @@ def _planar_rows(width: float, nx: int, hy: float):
         masses.append(_simpson(vals, s))
     total = float(np.sum(masses)) * hy
     symbols = np.array(symbols) * hy / total
+    symbols.flags.writeable = False
     return layers, symbols
 
 

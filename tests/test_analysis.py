@@ -29,7 +29,6 @@ from stefansim.analysis import (
     energy_table,
     geometric_identities,
     mixed_cnorm,
-    natural_edge_terms,
 )
 from stefansim.harness import simulate
 
@@ -251,7 +250,11 @@ def test_natural_energy_edge_terms_nonnegative():
     cfg = SolverConfig(t_end=2e-3, snapshot_every=20,
                        data=DataSpec(alpha=1.0, h0_amplitude=0.05))
     traj = simulate(cfg)
-    for term in natural_edge_terms(traj, -1):
+    # the flux-weighted edge summands of the natural energy
+    vals = _instant_norms(traj, len(traj) - 1)
+    terms = [v for (name, *_), v in vals.items() if name in ("wh", "wht")]
+    assert len(terms) == 5
+    for term in terms:
         assert term == term and term >= 0.0
 
 
@@ -500,7 +503,7 @@ def test_instant_norms_match_the_per_family_formulas(law, seed):
                        **law)
     traj = _moving_trajectory(cfg, seed)
     for idx in range(len(traj)):
-        got = _instant_norms(traj, idx, cfg.kappa)
+        got = _instant_norms(traj, idx)
         want = _instant_norms_oracle(traj, idx)
         assert got.keys() == want.keys()
         for key, val in want.items():

@@ -22,7 +22,7 @@ from stefansim.elliptic import (
     EllipticSolveError,
     StripSolver,
 )
-from stefansim.geometry import identity_bundle
+from stefansim.geometry import metric_bundle
 from stefansim.operators import compute_velocity, flat_laplacian
 from stefansim.stepper import height_rate
 
@@ -128,7 +128,7 @@ def test_flat_robin_correction_vanishes_exactly():
     # one stencil, so the difference is exactly zero, not merely small
     rng = np.random.default_rng(4)
     q = rng.standard_normal((GRID.nx, GRID.ny))
-    bundle = identity_bundle(GRID)
+    bundle = metric_bundle(GRID, np.zeros(GRID.nx))
     v = compute_velocity(GRID, bundle, q)
     corr = height_rate(bundle, v) - wall_slope(q, GRID.hy)
     assert np.all(corr == 0.0)

@@ -23,7 +23,6 @@ from stefansim.geometry import (
     _extension_profiles,
     extend_edge,
     harmonic_extend,
-    identity_bundle,
     mean_curvature,
     metric_bundle,
 )
@@ -83,7 +82,7 @@ def test_graph_condition_gate():
 
 
 def test_bundle_flat_reference_values():
-    b = identity_bundle(GRID)
+    b = metric_bundle(GRID, np.zeros(GRID.nx))
     assert np.max(np.abs(b.jac - 1.0)) == 0.0
     # the scaled normal (h', -1) and tangent (1, h') are exactly the axes
     assert np.all(b.dheight == 0.0)

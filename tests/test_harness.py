@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from pathlib import Path
@@ -15,7 +14,7 @@ from stefansim.numerics import ConfigurationError, Grid
 from stefansim.elliptic import EllipticSolveError
 from stefansim.analysis import UsageError
 from stefansim.initdata import DataSpec
-from stefansim import harness, initdata, stepper
+from stefansim import elliptic, harness, initdata, stepper
 from stefansim.stepper import SolverConfig
 from stefansim.harness import (
     ManufacturedCase,
@@ -373,10 +372,7 @@ def test_cli_data_construction_abort_writes_manifest(tmp_path):
 
 def test_kappa_init_abort_writes_manifest(tmp_path, monkeypatch):
     # one fixed-point iteration cannot solve for the regularized datum
-    monkeypatch.setattr(
-        stepper, "build_regularized_datum",
-        functools.partial(stepper.build_regularized_datum, max_iter=1),
-    )
+    monkeypatch.setattr(elliptic, "FIXED_POINT_MAX_ITER", 1)
     config = SolverConfig(kappa=0.1, t_end=1e-3,
                           snapshot_every=10,
                           data=DataSpec(h0_amplitude=0.05))
@@ -405,6 +401,25 @@ def test_energy_table_failure_writes_manifest(tmp_path, monkeypatch):
     assert payload["exit_code"] == 3
     assert payload["reason"] == "UsageError: injected"
     assert len(payload["datum_solves"]) == 2
+
+
+def test_unexpected_failure_writes_manifest_and_exits_3(tmp_path, monkeypatch,
+                                                      capsys):
+    # a failure that is not a NumericsError (here a program fault in the
+    # energy table) still ends with an aborted manifest naming the phase,
+    # and the CLI exits with the manifest's exit code, traceback on stderr
+    def failing(traj):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(harness, "energy_table", failing)
+    out = tmp_path / "r"
+    code = cli_main(["run", "--out", str(out), "--override", "t_end=1e-4",
+                     "--override", "snapshot_every=2"])
+    payload = json.loads((out / "manifest.json").read_text())
+    assert code == 3 == payload["exit_code"]
+    assert payload["status"] == "aborted"
+    assert payload["reason"] == "RuntimeError in energy table: injected"
+    assert "Traceback" in capsys.readouterr().err
 
 
 def test_kappa_manifest_records_the_datum_solves(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from stefansim.numerics import Grid, edge_derivative, interior_norm
-from stefansim.geometry import identity_bundle, metric_bundle
+from stefansim.geometry import metric_bundle
 from stefansim.initdata import (
     DataConstructionError,
     DataSpec,
@@ -122,7 +122,7 @@ def test_compat_negative_margin_detected():
 
 def test_regularized_datum_traces_and_limit():
     q0, h0 = build_classical_data(GRID, SPEC)
-    b0 = identity_bundle(GRID)
+    b0 = metric_bundle(GRID, np.zeros(GRID.nx))
     q2 = edge_derivative(q0, GRID.hy, 1)
     prev = None
     for width in (0.2, 0.1, 0.05):

@@ -11,6 +11,8 @@ import pytest
 from stefansim.numerics import ConfigurationError, Grid, boundary_norm, tangential_derivative
 from stefansim.mollifier import (
     Kernel,
+    _layer_symbol,
+    _planar_rows,
     bump,
     commutator_defect,
     smooth_2d,
@@ -110,6 +112,17 @@ def test_smooth_2d_constant_and_convergence():
         d = smooth_2d(f, width, GRID) - f
         errs.append(np.sqrt(np.mean(d * d)))
     assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+def test_cached_symbols_are_shared_and_read_only():
+    # every smoothing of one width and grid reads the same cached symbols,
+    # so a caller writing into one would change every later smoothing
+    sym = _layer_symbol(0.1, GRID.nx)
+    _, rows = _planar_rows(0.1, GRID.nx, GRID.hy)
+    assert _layer_symbol(0.1, GRID.nx) is sym
+    for table in (sym, rows):
+        with pytest.raises(ValueError):
+            table[1] = 0.0
 
 
 def test_smooth_2d_width_gate():

@@ -1,11 +1,13 @@
-"""Source hygiene of the package: no dead imports, no orphaned private helpers.
+"""Source hygiene of the package: no dead imports, no orphaned helpers.
 
 Parsed with ``ast`` only, so the check costs milliseconds and imports
 nothing.  An import must be used in its module or re-exported through
 ``__all__``; a module-level ``_private`` function or class must be named
 somewhere else in the package (another module may import it, as the CLI
-does ``_ladder``); no setting takes its default from a literal at the use
-site.
+does ``_ladder``); so must a public one, unless ``stefansim.__all__``
+exports it or the benchmark's span tracer wraps it (``perfbench/spans.py``,
+read as text), so that no entry point exists only for the tests; no
+setting takes its default from a literal at the use site.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stefansim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stefansim"
 MODULES = sorted(SRC.glob("*.py"))
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -72,24 +76,50 @@ def test_every_import_is_used_or_exported():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def test_every_private_helper_is_referenced():
+def _unreferenced(private: bool) -> list:
+    """``module:line name`` of each module-level function or class, private
+    or public, that no code of the package names: neither its defining
+    module, the definition itself aside, nor another module, imports
+    included."""
     trees = {path.name: _tree(path) for path in MODULES}
     orphans = []
     for name, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
+            if node.name.startswith("_") != private or node.name.startswith("__"):
                 continue
-            # references in the defining module, the definition itself aside,
-            # and in every other module of the package, imports included
             used = _used_names(tree, skip=(node,))
             for other, other_tree in trees.items():
                 if other != name:
                     used |= _used_names(other_tree, imports=True)
             if node.name not in used:
                 orphans.append(f"{name}:{node.lineno} {node.name}")
+    return orphans
+
+
+def test_every_private_helper_is_referenced():
+    orphans = _unreferenced(private=True)
     assert not orphans, "unreferenced private helpers: " + ", ".join(orphans)
+
+
+def _traced_names() -> set:
+    """Every module-level name in the ``TRACED`` table of ``SPANS``: a
+    function, or the class of a traced method."""
+    for node in _tree(SPANS).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return {attr.split(".")[0]
+                    for _, _, attr in ast.literal_eval(node.value)}
+    raise AssertionError(f"no TRACED table in {SPANS}")
+
+
+def test_every_public_name_is_used_exported_or_traced():
+    # a public function or class that only tests call is API with no user
+    reached = _exported(_tree(SRC / "__init__.py")) | _traced_names()
+    orphans = [entry for entry in _unreferenced(private=False)
+               if entry.rpartition(" ")[2] not in reached]
+    assert not orphans, "public names only tests reach: " + ", ".join(orphans)
 
 
 def _is_literal(node: ast.AST) -> bool:

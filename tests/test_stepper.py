@@ -12,7 +12,6 @@ from stefansim.numerics import Grid, ConfigurationError
 from stefansim.geometry import (
     extend_edge,
     harmonic_extend,
-    identity_bundle,
     metric_bundle,
 )
 from stefansim.operators import (
@@ -42,7 +41,7 @@ def _short_config(**kw):
 
 
 def test_velocity_identity_map_linear_field():
-    b = identity_bundle(GRID)
+    b = metric_bundle(GRID, np.zeros(GRID.nx))
     y = GRID.ys
     q = np.broadcast_to(y, (GRID.nx, GRID.ny)).copy()
     v = compute_velocity(GRID, b, q)
@@ -54,7 +53,7 @@ def test_velocity_slab_profile_hand_oracle():
     # q = alpha y - alpha^2 y^2 / 2 gives v = (0, alpha^2 y - alpha) and an
     # interface trace (0, -alpha)
     alpha = 1.0
-    b = identity_bundle(GRID)
+    b = metric_bundle(GRID, np.zeros(GRID.nx))
     y = GRID.ys
     q = np.broadcast_to(alpha * y - 0.5 * alpha**2 * y * y,
                         (GRID.nx, GRID.ny)).copy()
@@ -79,7 +78,7 @@ def test_velocity_curl_free_residual_refines():
 
 
 def test_transformed_laplacian_flat_matches_plain():
-    b = identity_bundle(GRID)
+    b = metric_bundle(GRID, np.zeros(GRID.nx))
     x, y = GRID.mesh()
     q = np.sin(2 * x) * (y**2 - y**3)
     exact = -4 * np.sin(2 * x) * (y**2 - y**3) + np.sin(2 * x) * (2 - 6 * y)

@@ -12,7 +12,9 @@ snapshots.  The interface speed is differentiated as its own stored
 series, so no stored field needs more than two time derivatives.
 Interior Sobolev norms, the velocity families included, come from
 discrete Parseval in x (``numerics.mixed_squares``): one x-transform per
-field, the y-stencils applied to its modes, the trapezoid rule in y.
+field, the y-stencils applied to its modes, the trapezoid rule in y.  The
+transform of each time order of q also gives its gauge-combination
+x-derivatives.
 Those above third order in y compose first/second difference stencils,
 and rows embedding them carry a lower-confidence flag.  Each edge field,
 the height and the interface speed, stacks its three time orders into
@@ -54,7 +56,6 @@ from .numerics import (
     edge_derivative,
     edge_squares,
     integrate_interior,
-    interior_norms,
     mixed_squares,
     tangential_derivative,
     time_derivative,
@@ -368,42 +369,43 @@ def _instant_norms(traj: Trajectory, idx: int,
             for a in range(amax + 1):
                 out[("v", a, b)] = None
             continue
-        sq = mixed_squares(vb, grid, amax, y_top=0)
+        sq = mixed_squares(np.fft.rfft(vb, axis=-2), grid, amax, y_top=0)
         for a in range(amax + 1):
             out[("v", a, b)] = sq[a, 0]
 
-    # per time order c of q: the temperature Sobolev families H^{4-2c} and
-    # H^{5-2c} (the energy) and H^{2-2c}, H^{3-2c} (the lower-order
-    # monitor); then the gauge-combination interior families at the
-    # identity orders a + 2b = 4 (combo) and, one time order up, a + 2b = 3
-    # (combot): time order c enters at x-orders 4 - 2c and 5 - 2c, from one
-    # transform per field.  The map's derivative
-    # d^a_x d^c_t is (0, d^a_x phi_c), since c = 0 only with a = 4 and the
-    # identity's horizontal part has no such one; phi_c extends the edge
-    # series' c-th time derivative, so its modes are the extension modes of
-    # that edge row
+    # per time order c of q, from one transform: the gauge-combination
+    # interior families at the identity orders a + 2b = 4 (combo) and, one
+    # time order up, a + 2b = 3 (combot), where time order c enters at
+    # x-orders 4 - 2c and 5 - 2c; then the temperature Sobolev families
+    # H^{4-2c} and H^{5-2c} (the energy) and H^{2-2c}, H^{3-2c} (the
+    # lower-order monitor).  The map's derivative d^a_x d^c_t is
+    # (0, d^a_x phi_c), since c = 0 only with a = 4 and the identity's
+    # horizontal part has no such one; phi_c extends the edge series' c-th
+    # time derivative, so its modes are the extension modes of that edge row
     v1 = window("v", idx)[1]
     for c in range(3):
         qc = window.try_call("q", idx, c)
+        pc = window.try_call("phi_edge", idx, c)
         orders = range(max(2 - 2 * c, 0), 6 - 2 * c)
-        norms = [None] * len(orders) if qc is None else [
-            n ** 2 for n in interior_norms(qc, grid, orders)]
-        out.update({("qH", s, c): sq for s, sq in zip(orders, norms)})
-
         keys = [("combo", 4 - 2 * c, c)]
         if c:
             keys.append(("combot", 5 - 2 * c, c - 1))
-        pc = window.try_call("phi_edge", idx, c)
-        if qc is None or pc is None:
-            out.update(dict.fromkeys(keys))
-        else:
-            x_orders = [a for _, a, _ in keys]
-            dq = x_derivatives(np.fft.rfft(qc, axis=0), x_orders, nx)
-            dp = x_derivatives(_extension_modes(grid, pc), x_orders, nx)
-            for key, dqa, dpa in zip(keys, dq, dp):
-                out[key] = integrate_interior((dqa + dpa * v1) ** 2, grid)
-            del dq, dp
+        # q's time orders need the most snapshots: phi_c is there when q_c is
+        if qc is None:
+            out.update(dict.fromkeys(keys + [("qH", s, c) for s in orders]))
+            continue
+        coef = np.fft.rfft(qc, axis=0)
         del qc
+        x_orders = [a for _, a, _ in keys]
+        dq = x_derivatives(coef, x_orders, nx)
+        dp = x_derivatives(_extension_modes(grid, pc), x_orders, nx)
+        for key, dqa, dpa in zip(keys, dq, dp):
+            out[key] = integrate_interior((dqa + dpa * v1) ** 2, grid)
+        del dq, dp
+        sq = mixed_squares(coef, grid, orders[-1])
+        del coef
+        out.update({("qH", s, c): sum(val for (a, b), val in sq.items() if a + b <= s)
+                    for s in orders})
 
     # edge families (module docstring): unsupported time orders enter as
     # zeros, and the smoothed modes are the raw ones at kappa = 0

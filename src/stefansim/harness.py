@@ -370,9 +370,9 @@ def write_energy_csv(outdir: Path, reports) -> str:
 
 def write_interface_csv(outdir: Path, traj: Trajectory) -> list:
     names = []
-    picks = np.unique(np.linspace(0, len(traj) - 1, INTERFACE_PROFILES).astype(int))
+    picks = np.linspace(0, len(traj) - 1, INTERFACE_PROFILES).astype(int).tolist()
     xs = traj.grid.xs
-    for idx in picks:
+    for idx in sorted(set(picks)):
         t = traj.times[idx]
         name = f"interface_t{t:.6f}.csv"
         rows = [

@@ -27,7 +27,7 @@ from .numerics import (
 from .geometry import MetricBundle, mean_curvature, metric_bundle
 from .mollifier import smooth_2d, smooth_double
 from .elliptic import DIRICHLET, NEUMANN, EdgeCondition, solve_transformed_poisson
-from .operators import transformed_laplacian_expanded
+from .operators import deviation_from_derivatives, transformed_laplacian_expanded
 
 
 class DataConstructionError(NumericsError):
@@ -171,6 +171,13 @@ def taylor_margin(grid: Grid, q: np.ndarray) -> float:
     return float(np.min(edge_derivative(q, grid.hy, 1)))
 
 
+#: bounds of ``CompatReport.passed`` on the interface Dirichlet residual,
+#: the second-order condition and the top-wall Neumann residual
+TOL_DIRICHLET = 1e-8
+TOL_SECOND = 1e-6
+TOL_NEUMANN = 1e-8
+
+
 @dataclass(frozen=True)
 class CompatReport:
     """Interface/top-wall residuals of the initial data.
@@ -187,16 +194,13 @@ class CompatReport:
     r_second_linear: float
     taylor_margin: float
     neumann_top: float
-    tol_dirichlet: float = 1e-8
-    tol_second: float = 1e-6
-    tol_neumann: float = 1e-8
 
     @property
     def passed(self) -> bool:
         return (
-            self.r_dirichlet <= self.tol_dirichlet
-            and self.r_second <= self.tol_second
-            and self.neumann_top <= self.tol_neumann
+            self.r_dirichlet <= TOL_DIRICHLET
+            and self.r_second <= TOL_SECOND
+            and self.neumann_top <= TOL_NEUMANN
             and self.taylor_margin > 0.0
         )
 
@@ -226,16 +230,16 @@ def _edge_traces(grid: Grid, q: np.ndarray):
 def transformed_laplacian_edge(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:
     """Interface trace of the gauge-transformed Laplacian.
 
-    Expanded (not divergence) form, q_xx + 2a q_xy + (a^2 + c^2) q_yy +
-    (a_x + a a_y + c c_y) q_y, with direct high-order edge stencils for
-    the vertical derivatives, so the flat-geometry value is exact on the
-    cubic data families.
+    Expanded (not divergence) form, q_xx + q_yy plus the gauge deviation
+    (``operators.deviation_from_derivatives``) of the edge traces, with direct
+    high-order edge stencils for the vertical derivatives, so the
+    flat-geometry value is exact on the cubic data families.
     """
     _, _, q2, q11, q12, q22 = _edge_traces(grid, q)
     a, c = bundle.a[:, 0], bundle.c[:, 0]
     drift = (tangential_derivative(a) + a * edge_derivative(bundle.a, grid.hy, 1)
              + c * edge_derivative(bundle.c, grid.hy, 1))
-    return q11 + 2.0 * a * q12 + (a * a + c * c) * q22 + drift * q2
+    return q11 + q22 + deviation_from_derivatives(a, c, drift, q2, q22, q12)
 
 
 def _compat_rhs_sigma(grid: Grid, bundle: MetricBundle, q: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ Quadrature is the rectangle rule in x (exact for the resolved modes) and
 the trapezoid rule in y, applied as a product with cached y-weights.
 From a field's rfft modes, ``x_derivatives`` gives several x-derivative
 orders in one inverse transform and ``edge_squares`` its H^s edge norms.
-Interior Sobolev norms come from discrete Parseval in x: one transform per
-field, the y-stencils applied to its modes, and each mixed derivative's
-square read off as a weighted sum over the modes.
+Interior Sobolev norms come from discrete Parseval in x: ``mixed_squares``
+applies the y-stencils to a field's rfft modes and reads each mixed
+derivative's square off as a weighted sum over the modes.
 
 Conventions
 -----------
@@ -289,25 +289,24 @@ def boundary_norm(phi: np.ndarray, s: float) -> float:
     return float(np.sqrt(edge_squares(np.fft.rfft(phi), (s,))[0]))
 
 
-def mixed_squares(f: np.ndarray, grid: Grid, top: int, y_top: int | None = None) -> dict:
-    """``{(a, b): integral of (d_x^a d_y^b f)^2}`` for a + b <= top, b <= y_top.
+def mixed_squares(coef: np.ndarray, grid: Grid, top: int, y_top: int | None = None) -> dict:
+    """``{(a, b): integral of (d_x^a d_y^b f)^2}`` for a + b <= top, b <= y_top,
+    from the rfft modes ``coef`` of f (x on axis -2).
 
-    Discrete Parseval in x: one rfft of f, the y-derivatives taken on its
-    modes (the stencils act along y only, so they commute with the
-    transform), and each square summed as k^(2a) |mode|^2 against the
-    trapezoid weights in y.  This is the quadrature of ``integrate_interior``
-    applied to the spectrally differentiated field, up to rounding.  Odd b
-    take one first difference after (b - 1)/2 composed second differences,
-    so only the last even level of the y-ladder is kept.  Stacked fields
-    (x on axis -2) sum their components; top is at most 5.
+    Discrete Parseval in x: the y-derivatives taken on the modes (the
+    stencils act along y only, so they commute with the transform), and
+    each square summed as k^(2a) |mode|^2 against the trapezoid weights in
+    y.  This is the quadrature of ``integrate_interior`` applied to the
+    spectrally differentiated field, up to rounding.  Odd b take one first
+    difference after (b - 1)/2 composed second differences, so only the
+    last even level of the y-ladder is kept.  Stacked fields sum their
+    components; top is at most 5.
     """
     y_top = top if y_top is None else min(y_top, top)
     w_x = _parseval_weights(grid.nx)
     w_y = _trapezoid_weights(grid.ny)
-    coef = np.fft.rfft(f, axis=-2)
     # the stencils run faster on real arrays: real and imaginary parts stacked
     even = np.stack((coef.real, coef.imag))
-    del coef
     sq = {}
     for b in range(y_top + 1):
         if b % 2:
@@ -325,25 +324,17 @@ def mixed_squares(f: np.ndarray, grid: Grid, top: int, y_top: int | None = None)
 
 
 def interior_norm(f: np.ndarray, grid: Grid, s: int) -> float:
-    """H^s(strip) norm, integer s in 0..5, summing all mixed derivatives."""
-    return interior_norms(f, grid, (s,))[0]
-
-
-def interior_norms(f: np.ndarray, grid: Grid, orders) -> list:
-    """``interior_norm`` for each s in ``orders``, from one ``mixed_squares``.
+    """H^s(strip) norm, integer s in 0..5, summing all mixed derivatives.
 
     y-derivatives above second order compose the first/second difference
     stencils, so accuracy degrades near the walls.
     """
-    if any(not isinstance(s, (int, np.integer)) or s < 0 for s in orders):
+    if not isinstance(s, (int, np.integer)) or s < 0:
         raise ValueError("s must be a nonnegative integer")
-    top = max(orders)
-    if top > 5:
+    if s > 5:
         raise ConfigurationError("interior norms above H^5 are unsupported")
-    sq = mixed_squares(f, grid, top)
-    return [float(np.sqrt(sum(sq[a, b] for a in range(s + 1)
-                              for b in range(s + 1 - a))))
-            for s in orders]
+    sq = mixed_squares(np.fft.rfft(f, axis=-2), grid, s)
+    return float(np.sqrt(sum(sq.values())))
 
 
 def time_derivative(times, values, order: int, index: int = -1) -> np.ndarray:

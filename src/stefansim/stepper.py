@@ -467,9 +467,9 @@ def _speed_rates(config: SolverConfig, q: np.ndarray, h: np.ndarray,
                  alpha: np.ndarray | None):
     """``(h_t, h_tt, rest)`` of data (q, h) at t = 0 by equation substitution:
     the kappa bootstrap reads the speeds alone, and q_tt builds on ``rest``,
-    the fields (bundle, v, w, q_t, q_x, q_y, a_t, c_t, v_t)."""
+    the fields (bundle, v, w, q_t, q_y, a_t, c_t, v_t)."""
     grid = config.grid
-    b, (q_x, q_y), v, h_t, w_edge = _instant(config, q, h)
+    b, (_, q_y), v, h_t, w_edge = _instant(config, q, h)
     w = extend_edge(grid, w_edge)
 
     q_t = transformed_laplacian_expanded(grid, b, q) - v[1] * w
@@ -491,7 +491,7 @@ def _speed_rates(config: SolverConfig, q: np.ndarray, h: np.ndarray,
 
     # interface speed rate: differentiate v0 h' - v1 on the edge
     h_tt = height_rate(b, v_t) + v[0, :, 0] * tangential_derivative(w_edge)
-    return h_t, h_tt, (b, v, w, q_t, q_x, q_y, a_t, c_t, v_t)
+    return h_t, h_tt, (b, v, w, q_t, q_y, a_t, c_t, v_t)
 
 
 def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
@@ -505,13 +505,13 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     acceleration, is returned by its edge row, whose harmonic extension it
     is.
     """
-    h_t, h_tt, (b, v, w, q_t, q_x, q_y, a_t, c_t, v_t) = _speed_rates(
+    h_t, h_tt, (b, v, w, q_t, q_y, a_t, c_t, v_t) = _speed_rates(
         config, state.q, state.h, state.alpha)
     grid, a, c = config.grid, b.a, b.c
     w_t_edge = _smoothed(h_tt, config)
 
     # q_tt = d/dt [TransformedLaplacian(q)] - v_t . w - v . w_t
-    flux, flux_t = np.stack((q_x + a * q_y, c * q_y)), -v_t
+    flux, flux_t = -v, -v_t
     dflux_y = vertical_derivative(flux, grid.hy, 1)
     dflux_t_y = vertical_derivative(flux_t, grid.hy, 1)
     lap_t = (a_t * dflux_y[0] + c_t * dflux_y[1]

@@ -353,6 +353,26 @@ def test_energy_table_derives_each_velocity_once(monkeypatch):
                      ("stefansim.stepper", "compute_velocity"): n}
 
 
+def test_energy_table_transforms_each_temperature_field_once(monkeypatch):
+    # per snapshot, one x-transform of each time order of q feeds both its
+    # Sobolev and its gauge-combination families; the velocity and the curl
+    # take one more each
+    traj = simulate(SolverConfig(kappa=0.05, t_end=5e-4, snapshot_every=5,
+                                 data=DataSpec(alpha=1.0, h0_amplitude=0.05)))
+    grid = traj.grid
+    rfft = np.fft.rfft
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    energy_table(traj)
+    assert len(traj) == 5
+    assert calls.count((grid.nx, grid.ny)) == 5 * len(traj)
+
+
 def test_energy_table_identities_match_a_fresh_window():
     # the table's rows read the identities through the pass's shared
     # window; called alone, geometric_identities builds a window of its own

@@ -762,20 +762,20 @@ class ManufacturedCase:
         return self._sources(t)[1].copy()
 
     def run_error(self, nx: int, ny: int, dt: float, t_end: float) -> float:
-        """Final-time interior L^2 error of the scheme against the fields."""
-        case = ManufacturedCase(Grid(nx, ny), flat=self.flat, amp=self.amp)
-        cfg = SolverConfig(
-            nx=nx, ny=ny, dt=dt, t_end=t_end,
-            snapshot_every=max(1, round(t_end / dt)),
-            source_q=case.source_q, source_h=case.source_h,
-        )
-        grid = cfg.grid
-        q0 = case.temperature(grid, 0.0)
-        h0 = case.height(grid, 0.0)
-        state = init_state(cfg, q0=q0, h0=h0)
-        for _ in range(cfg.n_steps):
-            state = advance(state, cfg)
-        dq = state.q - case.temperature(grid, cfg.t_end)
+        """Final-time interior L^2 error of the scheme against the fields.
+
+        One ``simulate`` run, snapshots at the ends only, on the case's own
+        grid, which (nx, ny) must name; a run that does not complete raises."""
+        grid = self.grid
+        if (nx, ny) != (grid.nx, grid.ny):
+            raise ConfigurationError(f"run_error({nx}, {ny}) on a {grid} case")
+        cfg = SolverConfig(nx=nx, ny=ny, dt=dt, t_end=t_end,
+                           snapshot_every=max(1, round(t_end / dt)),
+                           source_q=self.source_q, source_h=self.source_h)
+        traj = simulate(cfg, self.temperature(grid, 0.0), self.height(grid, 0.0))
+        if traj.status != STATUS_COMPLETED:
+            raise NumericsError(f"MMS run {traj.status}: {'; '.join(traj.flags)}")
+        dq = traj.snaps[-1]["q"] - self.temperature(grid, t_end)
         return float(np.sqrt(integrate_interior(dq * dq, grid)))
 
 
@@ -796,22 +796,21 @@ def mms_convergence() -> dict:
     Spatial: curved-interface case at a time step small enough that the
     first-order splitting error is negligible.  Temporal: flat-geometry
     case whose fields the spatial stencils reproduce exactly, isolating
-    the order-one time error.
+    the order-one time error.  Each of the six runs is one ``simulate``
+    call on a case of its own (``ManufacturedCase.run_error``).
     """
     study = MMS_STUDY
     levels, grid_t = study["spatial_levels"], study["grid_temporal"]
-    spatial_case = ManufacturedCase(Grid(*levels[-1]), flat=False)
-    spatial_errors = [
-        spatial_case.run_error(nx, ny, study["dt_spatial"], study["t_end_spatial"])
-        for nx, ny in levels
-    ]
-    s_ratios = [a / b for a, b in zip(spatial_errors, spatial_errors[1:])]
 
-    temporal_case = ManufacturedCase(Grid(*grid_t), flat=True)
-    temporal_errors = [
-        temporal_case.run_error(*grid_t, dt, study["t_end_temporal"])
-        for dt in study["dts_temporal"]
-    ]
+    def run(shape, flat, dt, t_end):
+        case = ManufacturedCase(Grid(*shape), flat=flat)
+        return case.run_error(*shape, dt, t_end)
+
+    spatial_errors = [run(lv, False, study["dt_spatial"], study["t_end_spatial"])
+                      for lv in levels]
+    s_ratios = [a / b for a, b in zip(spatial_errors, spatial_errors[1:])]
+    temporal_errors = [run(grid_t, True, dt, study["t_end_temporal"])
+                       for dt in study["dts_temporal"]]
     t_ratios = [a / b for a, b in zip(temporal_errors, temporal_errors[1:])]
 
     return {

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from stefansim.numerics import ConfigurationError, Grid
+from stefansim.numerics import (
+    ConfigurationError,
+    Grid,
+    NumericsError,
+    integrate_interior,
+)
 from stefansim.elliptic import EllipticSolveError
 from stefansim.analysis import UsageError
 from stefansim.initdata import DataSpec
@@ -647,6 +652,57 @@ def test_mms_sources_match_direct_evaluation(flat, shape):
         assert np.array_equal(source(t), expected)
 
 
+@pytest.mark.parametrize("flat", [True, False])
+def test_mms_run_error_is_one_simulate_run(monkeypatch, flat):
+    # run_error is one simulate call, bit for bit the init_state + advance
+    # loop on the case's own grid and sources
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate", counted)
+    dt, t_end = 2.5e-5, 5e-4
+    error = ManufacturedCase(Grid(16, 33), flat=flat).run_error(16, 33, dt, t_end)
+    assert len(calls) == 1
+
+    case = ManufacturedCase(Grid(16, 33), flat=flat)
+    config = SolverConfig(nx=16, ny=33, dt=dt, t_end=t_end,
+                          source_q=case.source_q, source_h=case.source_h)
+    grid = config.grid
+    state = stepper.init_state(config, q0=case.temperature(grid, 0.0),
+                               h0=case.height(grid, 0.0))
+    assert config.n_steps == 20
+    for _ in range(config.n_steps):
+        state = stepper.advance(state, config)
+    dq = state.q - case.temperature(grid, t_end)
+    assert error == float(np.sqrt(integrate_interior(dq * dq, grid)))
+
+
+def test_mms_run_error_refuses_a_run_that_stops_early(monkeypatch):
+    # a run that aborts yields no error value
+    taken = []
+
+    def diverging(state, config):
+        taken.append(state.step)
+        if len(taken) == 3:
+            raise stepper.StepDivergedError("injected at the third step")
+        return stepper.advance(state, config)
+
+    monkeypatch.setattr(harness, "advance", diverging)
+    case = ManufacturedCase(Grid(16, 33), flat=False)
+    with pytest.raises(NumericsError, match="injected at the third step"):
+        case.run_error(16, 33, 2.5e-5, 5e-4)
+    assert len(taken) == 3
+
+
+def test_mms_run_error_runs_on_the_case_grid():
+    case = ManufacturedCase(Grid(16, 33), flat=False)
+    with pytest.raises(ConfigurationError, match="run_error"):
+        case.run_error(32, 65, 2.5e-5, 5e-4)
+
+
 def test_svg_emission_listed_in_manifest(tmp_path):
     settings = _fast_settings()
     settings["output.svg"] = True
@@ -699,8 +755,6 @@ def test_sweep_parallel_workers_match_serial():
 def test_dissipation_series_is_the_two_state_formula():
     # each heat content is computed once and carried to the next step; the
     # series is bit for bit the formula evaluated on both states of a step
-    from stefansim.numerics import integrate_interior
-
     config = build_config(_fast_settings(t_end=1e-4, snapshot_every=2,
                                          **{"data.h0_amplitude": 0.05}))
     traj = simulate(config)

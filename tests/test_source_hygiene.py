@@ -7,7 +7,9 @@ somewhere else in the package (another module may import it, as the CLI
 does ``_ladder``); so must a public one, unless ``stefansim.__all__``
 exports it or the benchmark's span tracer wraps it (``perfbench/spans.py``,
 read as text), so that no entry point exists only for the tests; no
-setting takes its default from a literal at the use site.
+setting takes its default from a literal at the use site; and runs step
+in one loop: ``harness.simulate`` is the one function that names
+``advance``, the stepper's kappa bootstrap aside.
 """
 
 from __future__ import annotations
@@ -144,3 +146,31 @@ def test_no_setting_default_at_a_use_site():
                     and len(node.args) == 2 and _is_literal(node.args[1])):
                 sites.append(f"{path.name}:{node.lineno}")
     assert not sites, "literal setting defaults: " + ", ".join(sites)
+
+
+def _naming_functions(name: str) -> set:
+    """``module:function`` of each function whose own body names ``name``,
+    as a variable or an attribute (a call, or a reference passed on); a
+    nested function or method is its own scope, dotted under its owner."""
+    found = set()
+
+    def visit(node, module: str, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.add(f"{module}:{scope or '<module>'}")
+            visit(child, module, scope)
+
+    for path in MODULES:
+        visit(_tree(path), path.name, "")
+    return found
+
+
+def test_simulate_is_the_one_run_loop():
+    # every run steps inside harness.simulate; the one other loop is the
+    # kappa datum's bootstrap, whose micro-steps fit the Robin data
+    assert _naming_functions("advance") == {"harness.py:simulate",
+                                            "stepper.py:_bootstrap_beta"}

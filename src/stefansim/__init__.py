@@ -12,9 +12,9 @@ and sweep harnesses live alongside the solver.
 
 __version__ = "0.1.0"
 
-from .numerics import Grid, boundary_norm, integrate_boundary, interior_norm
-from .geometry import harmonic_extend, mean_curvature, metric_bundle
-from .mollifier import commutator_defect, smooth_2d, smooth_horizontal
+from .numerics import Grid
+from .geometry import mean_curvature, metric_bundle
+from .mollifier import smooth_2d, smooth_horizontal
 from .initdata import (
     CompatReport,
     DataSpec,
@@ -29,8 +29,6 @@ from .stepper import SolverConfig, SolverState, advance, init_state
 from .analysis import (
     EnergyReport,
     Trajectory,
-    dissipation_residual,
-    energy_report,
     energy_table,
     geometric_identities,
     mixed_cnorm,
@@ -46,16 +44,14 @@ from .harness import (
 )
 
 __all__ = [
-    "Grid", "boundary_norm", "integrate_boundary", "interior_norm",
-    "harmonic_extend", "mean_curvature", "metric_bundle",
-    "commutator_defect", "smooth_2d", "smooth_horizontal",
+    "Grid", "mean_curvature", "metric_bundle", "smooth_2d", "smooth_horizontal",
     "CompatReport", "DataSpec", "build_classical_data",
     "build_regularized_datum", "build_sigma_data", "compat_residuals",
     "taylor_margin",
     "compute_velocity",
     "SolverConfig", "SolverState", "advance", "init_state",
-    "EnergyReport", "Trajectory", "dissipation_residual", "energy_report",
-    "energy_table", "geometric_identities", "mixed_cnorm",
+    "EnergyReport", "Trajectory", "energy_table", "geometric_identities",
+    "mixed_cnorm",
     "RunManifest", "SweepResult", "mms_convergence", "run_simulation",
     "simulate", "sweep_kappa", "sweep_sigma",
 ]

@@ -65,7 +65,7 @@ from .numerics import (
 from .geometry import _extension_modes, metric_bundle
 from .mollifier import _layer_symbol
 from .operators import curl_residual
-from .stepper import CLASSICAL, SolverConfig, height_rate
+from .stepper import SolverConfig, height_rate
 
 
 class UsageError(NumericsError):
@@ -561,11 +561,6 @@ def energy_table(traj: Trajectory) -> list:
     return reports
 
 
-def energy_report(traj: Trajectory) -> EnergyReport:
-    """The cumulative report at the trajectory's final instant."""
-    return energy_table(traj)[-1]
-
-
 def mixed_cnorm(traj_a: Trajectory, traj_b: Trajectory) -> float:
     """Max-norm trajectory distance: values, time derivative, gradient,
     Hessian of the temperature plus the edge analog in the height.
@@ -618,17 +613,3 @@ def dissipation_defect(grid: Grid, heat_old: float, heat_new: float, new,
     b_new = integrate_interior((new.v[0] ** 2 + new.v[1] ** 2) * new.jac, grid)
     defect = (heat_new - heat_old) / dt + b_new
     return (new.t, defect / max(b_new, 1e-30))
-
-
-def dissipation_residual(traj: Trajectory) -> float:
-    """Largest normalized defect of the energy dissipation law on the run.
-
-    Only meaningful for the pinned-zero interface condition (the law has
-    no boundary production term there); the per-step series of
-    ``dissipation_defect`` is recorded by ``harness.simulate``.
-    """
-    if traj.config.mode != CLASSICAL:
-        raise UsageError("dissipation law requires the classical mode")
-    if not traj.dissipation:
-        return 0.0
-    return float(max(abs(d) for _, d in traj.dissipation))

@@ -107,20 +107,25 @@ def _blended_profile(spec: DataSpec, y: np.ndarray) -> np.ndarray:
     a = spec.eps_slab
     width = spec.blend_window
     b = a + width
-    # flux in the blend region as a polynomial in u = (y - a)/width:
+    # flux in the blend region as a polynomial in u = (y - a)/width,
+    # coefficients in increasing order:
     # alpha (1 - alpha (a + width u)) * (1 - S(u)),  S the quintic step
-    flux = np.polynomial.Polynomial([alpha * (1.0 - alpha * a), -(alpha**2) * width])
-    step = np.polynomial.Polynomial([0.0] * 6 + list(_STEP_COEFFS))
-    anti = (flux * (1.0 - step)).integ()
+    flux = np.convolve([alpha * (1.0 - alpha * a), -(alpha**2) * width],
+                       np.r_[1.0, np.zeros(5), np.negative(_STEP_COEFFS)])
+    anti = np.r_[0.0, flux / np.arange(1, flux.size + 1)]
     q_a = alpha * a - 0.5 * alpha**2 * a * a
 
     out = np.empty_like(y)
     slab = y <= a
     out[slab] = alpha * y[slab] - 0.5 * alpha**2 * y[slab] ** 2
     mid = (y > a) & (y < b)
-    u = (y[mid] - a) / width
-    out[mid] = q_a + width * anti(u)
-    out[y >= b] = q_a + width * anti(1.0)
+    # the antiderivative by Horner at the blend samples and, last, at u = 1
+    u = np.append((y[mid] - a) / width, 1.0)
+    acc = anti[-1]
+    for c in anti[-2::-1]:
+        acc = c + acc * u
+    out[mid] = q_a + width * acc[:-1]
+    out[y >= b] = q_a + width * acc[-1]
     return out
 
 

@@ -20,13 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (
-    ConfigurationError,
-    Grid,
-    boundary_norm,
-    tangential_derivative,
-    wavenumbers,
-)
+from .numerics import ConfigurationError, Grid, wavenumbers
 
 #: Minimum number of sample points across a kernel's support.
 KERNEL_SAMPLES = 257
@@ -173,22 +167,3 @@ def smooth_2d(f: np.ndarray, width: float, grid: Grid) -> np.ndarray:
 def smooth_double(f: np.ndarray, width: float) -> np.ndarray:
     """The composition smooth_horizontal o smooth_horizontal."""
     return smooth_horizontal(smooth_horizontal(f, width), width)
-
-
-def commutator_defect(F: np.ndarray, G: np.ndarray, width: float) -> float:
-    """Normalized layer-commutator size for the product rule with smoothing.
-
-    Returns |L(F G') - F L(G')|_0 / (|F|_{W^{1,inf}} |G|_0) where L is the
-    layer smoother; a uniform-in-width bound on this ratio is the content
-    of the commutator estimate the energy method relies on.
-    """
-    g0 = boundary_norm(G, 0.0)
-    if g0 == 0.0:
-        return 0.0
-    dG = tangential_derivative(G)
-    inner = smooth_horizontal(F * dG, width) - F * smooth_horizontal(dG, width)
-    w1inf = max(float(np.max(np.abs(F))),
-                float(np.max(np.abs(tangential_derivative(F)))))
-    if w1inf == 0.0:
-        return 0.0
-    return boundary_norm(inner, 0.0) / (w1inf * g0)

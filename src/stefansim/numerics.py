@@ -265,11 +265,6 @@ def integrate_interior(f: np.ndarray, grid: Grid) -> float:
     return float((f @ _trapezoid_weights(grid.ny)).sum() * grid.hx)
 
 
-def integrate_boundary(phi: np.ndarray, grid: Grid) -> float:
-    """Integral over the periodic edge (rectangle rule, spectrally exact)."""
-    return float(phi.sum(axis=-1) * grid.hx)
-
-
 def edge_squares(coef: np.ndarray, orders) -> np.ndarray:
     """Squared H^s edge norms, Fourier weights (1 + k^2)^s, for each s in
     ``orders``, from the rfft modes (on axis 0) of edge fields of even
@@ -282,11 +277,6 @@ def edge_squares(coef: np.ndarray, orders) -> np.ndarray:
     power = w * (coef.real**2 + coef.imag**2) / TWO_PI
     table = (1.0 + wavenumbers(nx) ** 2) ** np.array(orders, float)[:, None]
     return np.einsum("sk,k...->s...", table, power)
-
-
-def boundary_norm(phi: np.ndarray, s: float) -> float:
-    """H^s norm on the periodic edge via Fourier weights (1 + k^2)^s."""
-    return float(np.sqrt(edge_squares(np.fft.rfft(phi), (s,))[0]))
 
 
 def mixed_squares(coef: np.ndarray, grid: Grid, top: int, y_top: int | None = None) -> dict:
@@ -321,20 +311,6 @@ def mixed_squares(coef: np.ndarray, grid: Grid, top: int, y_top: int | None = No
         for a in range(top + 1 - b):
             sq[a, b] = float(w_x[a] @ power)
     return sq
-
-
-def interior_norm(f: np.ndarray, grid: Grid, s: int) -> float:
-    """H^s(strip) norm, integer s in 0..5, summing all mixed derivatives.
-
-    y-derivatives above second order compose the first/second difference
-    stencils, so accuracy degrades near the walls.
-    """
-    if not isinstance(s, (int, np.integer)) or s < 0:
-        raise ValueError("s must be a nonnegative integer")
-    if s > 5:
-        raise ConfigurationError("interior norms above H^5 are unsupported")
-    sq = mixed_squares(np.fft.rfft(f, axis=-2), grid, s)
-    return float(np.sqrt(sum(sq.values())))
 
 
 def time_derivative(times, values, order: int, index: int = -1) -> np.ndarray:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from stefansim.numerics import Grid, boundary_norm, edge_derivative, interior_norm
+from stefansim.numerics import Grid, edge_derivative
 from stefansim.geometry import harmonic_extend, metric_bundle
-from stefansim.mollifier import commutator_defect, smooth_horizontal
+from stefansim.mollifier import smooth_horizontal
 from stefansim.initdata import (
     DataSpec,
     build_classical_data,
@@ -30,10 +30,16 @@ from stefansim.stepper import (
 from stefansim.analysis import (
     Trajectory,
     _instant_norms,
-    energy_report,
+    energy_table,
     geometric_identities,
 )
 from stefansim.harness import build_config, run_simulation, simulate
+from diagnostics import (
+    boundary_norm,
+    commutator_defect,
+    dissipation_residual,
+    interior_norm,
+)
 
 GRID = Grid(64, 129)
 
@@ -123,7 +129,7 @@ def test_criterion_04_initial_data_suite():
         )
         # the functional is quadratic in its argument, so the distance it
         # induces is the square root
-        dists.append(np.sqrt(energy_report(diff).energy))
+        dists.append(np.sqrt(energy_table(diff)[-1].energy))
     slope = np.polyfit(np.log(sigmas), np.log(dists), 1)[0]
     ok_all = ok and sig_ok and abs(slope - 1.0) <= 0.1
     _verdict(4, ok_all,
@@ -182,8 +188,6 @@ def test_criterion_07_invariant_suite(invariant_run, invariant_probe_pair,
         (idc["slip_residual"] <= floor and idf["slip_residual"] <= floor)
         or idc["slip_residual"] / max(idf["slip_residual"], 1e-300) >= 3.5
     )
-
-    from stefansim.analysis import dissipation_residual
 
     d_base = dissipation_residual(baseline_run)
     d_half = dissipation_residual(baseline_run_half_dt)

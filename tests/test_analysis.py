@@ -7,11 +7,8 @@ import pytest
 
 from stefansim.numerics import (
     Grid,
-    boundary_norm,
     edge_derivative,
-    integrate_boundary,
     integrate_interior,
-    interior_norm,
     tangential_derivative,
     vertical_derivative,
 )
@@ -24,13 +21,12 @@ from stefansim.analysis import (
     UsageError,
     _Window,
     _instant_norms,
-    dissipation_residual,
-    energy_report,
     energy_table,
     geometric_identities,
     mixed_cnorm,
 )
 from stefansim.harness import simulate
+from diagnostics import boundary_norm, integrate_boundary, interior_norm
 
 GRID = Grid(64, 129)
 
@@ -77,7 +73,7 @@ CFG = SolverConfig(t_end=2e-3, snapshot_every=20,
 def test_zero_trajectory_all_energies_zero():
     traj = _static_trajectory(CFG, np.zeros((GRID.nx, GRID.ny)),
                               np.zeros(GRID.nx))
-    rep = energy_report(traj)
+    rep = energy_table(traj)[-1]
     assert rep.energy == 0.0
     assert rep.lower_order == 0.0
     # zero data has zero stability margin, so the flux-weighted edge part
@@ -93,7 +89,7 @@ def test_static_trajectory_term_by_term_oracle():
     q = 0.1 * np.sin(x) * (y - 0.5 * y * y)
     h = 0.02 * np.cos(GRID.xs)
     traj = _static_trajectory(CFG, q, h)
-    rep = energy_report(traj)
+    rep = energy_table(traj)[-1]
     T = traj.times[-1]
     v = traj.snaps[0]["v"]
 
@@ -118,7 +114,7 @@ def test_static_trajectory_lower_order_term_by_term_oracle():
     q = 0.1 * np.sin(x) * (y - 0.5 * y * y)
     h = 0.02 * np.cos(GRID.xs)
     traj = _static_trajectory(CFG, q, h)
-    rep = energy_report(traj)
+    rep = energy_table(traj)[-1]
     T = traj.times[-1]
     v = traj.snaps[0]["v"]
 
@@ -143,7 +139,7 @@ def test_static_trajectory_natural_energy_oracle():
     h = 0.02 * np.cos(GRID.xs) + 0.005 * np.sin(2 * GRID.xs)
     traj = _static_trajectory(CFG, q, h)
     assert traj.margins[0] == pytest.approx(0.9, rel=1e-12)
-    rep = energy_report(traj)
+    rep = energy_table(traj)[-1]
     T = traj.times[-1]
     v = traj.snaps[0]["v"]
     bundle = metric_bundle(GRID, h)
@@ -175,8 +171,8 @@ def test_energy_translation_invariance():
     h = 0.03 * np.cos(GRID.xs)
     traj = _static_trajectory(CFG, q, h)
     rolled = _roll_trajectory(traj, 7)
-    r0 = energy_report(traj)
-    r1 = energy_report(rolled)
+    r0 = energy_table(traj)[-1]
+    r1 = energy_table(rolled)[-1]
     for name in ("energy", "energy_sigma", "lower_order", "natural_energy",
                  "natural_energy_sigma"):
         a, b = getattr(r0, name), getattr(r1, name)
@@ -258,23 +254,11 @@ def test_natural_energy_edge_terms_nonnegative():
         assert term == term and term >= 0.0
 
 
-def test_dissipation_zero_and_mode_guard():
-    traj = _static_trajectory(CFG, np.zeros((GRID.nx, GRID.ny)),
-                              np.zeros(GRID.nx))
-    assert dissipation_residual(traj) == 0.0
-    scfg = SolverConfig(sigma=0.1, t_end=2e-3,
-                        snapshot_every=20, data=DataSpec(alpha=1.0))
-    straj = _static_trajectory(scfg, np.zeros((GRID.nx, GRID.ny)),
-                               np.zeros(GRID.nx))
-    with pytest.raises(UsageError):
-        dissipation_residual(straj)
-
-
 def test_interface_speed_records_present():
     cfg = SolverConfig(t_end=2e-3, snapshot_every=20,
                        data=DataSpec(alpha=1.0))
     traj = simulate(cfg)
-    rep = energy_report(traj)
+    rep = energy_table(traj)[-1]
     # both sides of the interface-speed record are finite and agree in sign
     # for the flat expanding run
     assert rep.interface_speed_mean == rep.interface_speed_mean

@@ -8,13 +8,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from stefansim import elliptic
-from stefansim.numerics import (
-    Grid,
-    boundary_norm,
-    interior_norm,
-    tangential_derivative,
-    vertical_derivative,
-)
+from stefansim.numerics import Grid, tangential_derivative, vertical_derivative
 from stefansim.elliptic import NEUMANN, EdgeCondition, solve_transformed_poisson
 from stefansim.mollifier import smooth_double
 from stefansim.geometry import (
@@ -26,6 +20,7 @@ from stefansim.geometry import (
     mean_curvature,
     metric_bundle,
 )
+from diagnostics import boundary_norm, interior_norm
 
 GRID = Grid(64, 129)
 

@@ -784,14 +784,16 @@ def test_package_import_leaves_process_pool_unloaded():
 
 def test_run_with_output_leaves_masked_arrays_unloaded(tmp_path):
     # numpy.ma costs about 10 ms to import; the first np.unique loads it,
-    # so a run and its CSV and SVG output use none
+    # so a run and its CSV and SVG output use none; numpy.polynomial (about
+    # 0.75 MB and 3 ms) is not needed for the classical datum either
     import subprocess
     import sys
 
     code = ("import sys; from stefansim.harness import build_config, run_simulation; "
             "run_simulation(build_config({'grid.nx': 16, 'grid.ny': 33, "
             "'t_end': 1e-3, 'snapshot_every': 10}), sys.argv[1]); "
-            "assert 'numpy.ma' not in sys.modules")
+            "assert 'numpy.ma' not in sys.modules; "
+            "assert 'numpy.polynomial' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from stefansim.numerics import Grid, edge_derivative, interior_norm
+from stefansim.numerics import Grid, edge_derivative
 from stefansim.geometry import metric_bundle
 from stefansim.initdata import (
     DataConstructionError,
@@ -18,6 +18,7 @@ from stefansim.initdata import (
     taylor_margin,
     transformed_laplacian_edge,
 )
+from diagnostics import interior_norm
 
 GRID = Grid(64, 129)
 SPEC = DataSpec(alpha=1.0)

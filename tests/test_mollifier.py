@@ -8,17 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from stefansim.numerics import ConfigurationError, Grid, boundary_norm, tangential_derivative
+from stefansim.numerics import ConfigurationError, Grid, tangential_derivative
 from stefansim.mollifier import (
     Kernel,
     _layer_symbol,
     _planar_rows,
     bump,
-    commutator_defect,
     smooth_2d,
     smooth_double,
     smooth_horizontal,
 )
+from diagnostics import boundary_norm, commutator_defect
 
 GRID = Grid(64, 129)
 

@@ -12,18 +12,16 @@ from stefansim.numerics import (
     Grid,
     NeedsMoreStepsError,
     ResolutionError,
-    boundary_norm,
     edge_derivative,
     edge_squares,
-    integrate_boundary,
     integrate_interior,
-    interior_norm,
     mixed_squares,
     tangential_derivative,
     time_derivative,
     vertical_derivative,
     x_derivatives,
 )
+from diagnostics import boundary_norm, integrate_boundary, interior_norm
 
 GRID = Grid(64, 129)
 
@@ -188,15 +186,6 @@ def test_interior_norm_sums_one_set_of_mixed_squares():
     for s in (5, 0, 2, 3):
         want = np.sqrt(sum(v for (a, b), v in sq.items() if a + b <= s))
         assert interior_norm(f, GRID, s) == want
-
-
-def test_interior_norm_unsupported_order():
-    zero = np.zeros((GRID.nx, GRID.ny))
-    with pytest.raises(ConfigurationError):
-        interior_norm(zero, GRID, 6)
-    for bad in (-1, 1.0, 2.5, np.float64(2.0)):
-        with pytest.raises(ValueError):
-            interior_norm(zero, GRID, bad)
 
 
 @pytest.mark.parametrize("shape", [(64, 129), (128, 257)])

@@ -5,22 +5,25 @@ nothing.  An import must be used in its module or re-exported through
 ``__all__``; a module-level ``_private`` function or class must be named
 somewhere else in the package (another module may import it, as the CLI
 does ``_ladder``); so must a public one, unless ``stefansim.__all__``
-exports it or the benchmark's span tracer wraps it (``perfbench/spans.py``,
-read as text), so that no entry point exists only for the tests; no
-setting takes its default from a literal at the use site; and runs step
-in one loop: ``harness.simulate`` is the one function that names
-``advance``, the stepper's kappa bootstrap aside.
+exports it and the README's "Python API" section documents it, or the
+benchmark's span tracer wraps it (``perfbench/spans.py``, read as text),
+so that no entry point exists only for the tests; every exported name is
+documented there; no setting takes its default from a literal at the use
+site; and runs step in one loop: ``harness.simulate`` is the one function
+that names ``advance``, the stepper's kappa bootstrap aside.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "stefansim"
 MODULES = sorted(SRC.glob("*.py"))
 SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -45,10 +48,12 @@ def _exported(tree: ast.Module) -> set:
     return set()
 
 
-def _used_names(tree: ast.Module, skip=(), imports=False) -> set:
+def _used_names(tree: ast.Module, skip=()) -> set:
     """Every Name and attribute name outside the ``skip`` nodes.
 
-    With ``imports`` the names a module imports count as used too.
+    An import is not a use, and neither is the name of an annotated field
+    in a class body (a dataclass field such as
+    ``EnergyReport.dissipation_residual``): it names the field.
     """
     skipped = {id(node) for node in skip}
     used = set()
@@ -57,12 +62,13 @@ def _used_names(tree: ast.Module, skip=(), imports=False) -> set:
         node = stack.pop()
         if id(node) in skipped:
             continue
+        if isinstance(node, ast.ClassDef):
+            skipped |= {id(stmt.target) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)}
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-        elif imports and isinstance(node, ast.alias):
-            used.add(node.name)
         stack.extend(ast.iter_child_nodes(node))
     return used
 
@@ -81,8 +87,8 @@ def test_every_import_is_used_or_exported():
 def _unreferenced(private: bool) -> list:
     """``module:line name`` of each module-level function or class, private
     or public, that no code of the package names: neither its defining
-    module, the definition itself aside, nor another module, imports
-    included."""
+    module, the definition itself aside, nor another module.  The imports
+    of ``__init__`` are exports, not uses."""
     trees = {path.name: _tree(path) for path in MODULES}
     orphans = []
     for name, tree in trees.items():
@@ -94,7 +100,7 @@ def _unreferenced(private: bool) -> list:
             used = _used_names(tree, skip=(node,))
             for other, other_tree in trees.items():
                 if other != name:
-                    used |= _used_names(other_tree, imports=True)
+                    used |= _used_names(other_tree)
             if node.name not in used:
                 orphans.append(f"{name}:{node.lineno} {node.name}")
     return orphans
@@ -116,12 +122,25 @@ def _traced_names() -> set:
     raise AssertionError(f"no TRACED table in {SPANS}")
 
 
+def _documented() -> set:
+    """Every name in backticks in the README's "Python API" section."""
+    section = re.search(r"^## Python API\n(.*?)(?=^## |\Z)", README.read_text(),
+                        re.M | re.S)
+    return set(re.findall(r"`(\w+)`", section[1])) if section else set()
+
+
 def test_every_public_name_is_used_exported_or_traced():
-    # a public function or class that only tests call is API with no user
-    reached = _exported(_tree(SRC / "__init__.py")) | _traced_names()
+    # a public function or class that only tests call is API with no user;
+    # an export counts as a use only when the README documents it
+    exported = _exported(_tree(SRC / "__init__.py"))
+    documented = _documented()
+    reached = (exported & documented) | _traced_names()
     orphans = [entry for entry in _unreferenced(private=False)
                if entry.rpartition(" ")[2] not in reached]
     assert not orphans, "public names only tests reach: " + ", ".join(orphans)
+    undocumented = sorted(exported - documented)
+    assert not undocumented, ("exported names missing from the README's "
+                              "Python API section: " + ", ".join(undocumented))
 
 
 def _is_literal(node: ast.AST) -> bool:

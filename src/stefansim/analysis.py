@@ -345,20 +345,17 @@ def geometric_identities(traj: Trajectory, idx: int = -1,
     }
 
 
-def _instant_norms(traj: Trajectory, idx: int,
-                   window: _Window | None = None) -> dict:
+def _instant_norms(traj: Trajectory, idx: int, window: _Window) -> dict:
     """All squared norms entering the functionals, at one snapshot.
 
-    ``window`` is the table pass's window (a new one when not passed);
-    the fields, their time derivatives, the snapshot's map edge rows and
-    interface flux come from it.  The flux-weighted edge families ``wh``
-    and ``wht`` are the natural energy's edge summands.
+    ``window`` is the table pass's window (``_Window(traj)``); the fields,
+    their time derivatives, the snapshot's map edge rows and interface
+    flux come from it.  The flux-weighted edge families ``wh`` and ``wht``
+    are the natural energy's edge summands.
     """
     grid = traj.grid
     kappa = traj.config.kappa
     nx = grid.nx
-    if window is None:
-        window = _Window(traj)
     edges = window.row_map(idx)
     out = {}
 

@@ -34,7 +34,6 @@ from .harness import (
     sweep_sigma,
     write_sweep,
     _completed,
-    _ladder,
 )
 
 def _add_common(parser):
@@ -68,8 +67,7 @@ def _cmd_sweep(ladder_key, sweep, verdict, args) -> int:
     """A parameter ladder: passes if monotone and ``verdict`` holds."""
     settings = _settings(args)
     config = build_config(settings)
-    result = sweep(config, _ladder(settings, ladder_key),
-                   workers=int(settings["sweep.workers"]))
+    result = sweep(config, settings[ladder_key])
     if args.out is not None:
         write_sweep(args.out, result)
     print(json.dumps(result.to_json(), indent=2, sort_keys=True))

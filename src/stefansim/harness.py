@@ -84,7 +84,6 @@ RUN_SETTINGS = {
     "output.svg": True,
     "sweep.sigma_ladder": "0.1,0.01,0.001,0.0001,0",
     "sweep.kappa_ladder": "0.2,0.1,0.05,0.025",
-    "sweep.workers": 1,
 }
 
 
@@ -153,8 +152,7 @@ def _completed(settings: dict) -> dict:
     Keys outside the defaults and values of the wrong type are rejected: a
     misspelt key would leave its default in force without notice; a
     boolean key takes true or false (``flase`` would pass as truthy), an
-    integer key an integral number (64.5 would be truncated to 64).  A
-    sweep needs at least one worker.
+    integer key an integral number (64.5 would be truncated to 64).
     """
     defaults = default_config()
     unknown = sorted(set(settings) - set(defaults))
@@ -174,16 +172,7 @@ def _completed(settings: dict) -> dict:
         if not ok:
             raise ConfigurationError(
                 f"config key {key} needs {wanted}, got {value!r}")
-    merged = defaults | settings
-    _check_workers(merged["sweep.workers"])
-    return merged
-
-
-def _check_workers(workers) -> None:
-    """A sweep needs at least one worker, from the settings or a caller."""
-    if workers < 1:
-        raise ConfigurationError(
-            f"config key sweep.workers needs at least 1, got {workers!r}")
+    return defaults | settings
 
 
 def build_config(settings: dict) -> SolverConfig:
@@ -196,28 +185,26 @@ def build_config(settings: dict) -> SolverConfig:
     return SolverConfig(data=DataSpec(**data), **solver)
 
 
-def _ladder(settings: dict, key: str) -> list:
-    """The ladder of sweep ``key`` in completed ``settings`` (``_completed``)."""
-    raw = settings[key]
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return [float(raw)]
-    tokens = [tok for tok in str(raw).split(",") if tok.strip() != ""]
-    try:
-        return _ladder_values(tokens, key)
-    except ValueError:
-        raise ConfigurationError(
-            f"config key {key} needs comma-separated numbers, got {raw!r}"
-        ) from None
-
-
-def _ladder_values(ladder, key: str) -> list:
-    """``ladder`` as floats, the default of sweep ``key`` if it is None.
+def _ladder(raw, key: str) -> list:
+    """The ladder of sweep ``key`` as floats: ``raw`` is None (the default
+    ladder), a comma-separated string, a number or a sequence of numbers.
 
     An empty ladder is an error, not a request for the default.
     """
-    if ladder is None:
-        return _ladder(RUN_SETTINGS, key)
-    values = [float(v) for v in ladder]
+    if raw is None:
+        raw = RUN_SETTINGS[key]
+    if isinstance(raw, str):
+        entries = [tok for tok in raw.split(",") if tok.strip()]
+    else:
+        entries = [raw] if isinstance(raw, Real) else list(raw)
+    bad = ConfigurationError(
+        f"config key {key} needs comma-separated numbers, got {raw!r}")
+    if any(isinstance(v, bool) for v in entries):
+        raise bad
+    try:
+        values = [float(v) for v in entries]
+    except (TypeError, ValueError):
+        raise bad from None
     if not values:
         raise ConfigurationError(f"{key} is empty: a sweep needs a ladder")
     return values
@@ -494,38 +481,20 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None):
 # sweeps
 
 
-def _map_points(point, jobs, workers: int) -> list:
-    """``point`` applied to every job, in a process pool when workers > 1."""
-    _check_workers(workers)
-    if workers > 1:
-        # imported here, not at module import: only a parallel sweep uses it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(point, jobs))
-    return [point(j) for j in jobs]
-
-
-def _sigma_point(args):
-    config, sigma = args
-    return simulate(replace(config, sigma=float(sigma), kappa=0.0))
-
-
-def sweep_sigma(config: SolverConfig, ladder=None,
-                workers: int = RUN_SETTINGS["sweep.workers"]) -> SweepResult:
+def sweep_sigma(config: SolverConfig, ladder=None) -> SweepResult:
     """Vanishing-surface-tension sweep against the zero-tension reference.
 
     Every ladder point runs the same horizon from the one data family, so
     the reference is its sigma = 0 member on the same initial interface;
     distances are trajectory max-norm distances to the reference.
     """
-    ladder = _ladder_values(ladder, "sweep.sigma_ladder")
+    ladder = _ladder(ladder, "sweep.sigma_ladder")
     if not all(0.0 <= s < np.inf for s in ladder):
         raise ConfigurationError(
             f"sigma ladder entries must be >= 0 and finite, got {ladder}")
     if 0.0 not in ladder:
         raise ConfigurationError("the sigma ladder must include 0")
-    trajs = _map_points(_sigma_point, [(config, s) for s in ladder], workers)
+    trajs = [simulate(replace(config, sigma=s, kappa=0.0)) for s in ladder]
     by_sigma = dict(zip(ladder, trajs))
     ref = by_sigma[0.0]
     distances = []
@@ -553,10 +522,8 @@ def sweep_sigma(config: SolverConfig, ladder=None,
     )
 
 
-def _kappa_point(args):
-    config, kappa = args
-    cfg = replace(config, kappa=float(kappa), sigma=0.0)
-    traj = simulate(cfg)
+def _kappa_point(config: SolverConfig, kappa: float):
+    traj = simulate(replace(config, kappa=kappa, sigma=0.0))
     table = energy_table(traj)
     sup_e = max(r.energy_kappa for r in table)
     robin = max(float(np.max(np.abs(s["q"][:, 0]))) for s in traj.snaps)
@@ -578,17 +545,16 @@ def _kappa_point(args):
     }
 
 
-def sweep_kappa(config: SolverConfig, ladder=None,
-                workers: int = RUN_SETTINGS["sweep.workers"]) -> SweepResult:
+def sweep_kappa(config: SolverConfig, ladder=None) -> SweepResult:
     """Smoothing-width sweep: uniform energy bounds and the limit behavior."""
-    ladder = _ladder_values(ladder, "sweep.kappa_ladder")
+    ladder = _ladder(ladder, "sweep.kappa_ladder")
     # kappa = 0 is the classical law, not a smoothing width
     if not all(0.0 < k < np.inf for k in ladder):
         raise ConfigurationError(
             f"kappa ladder entries must be > 0 and finite, got {ladder}")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("the kappa ladder must be strictly decreasing")
-    results = _map_points(_kappa_point, [(config, k) for k in ladder], workers)
+    results = [_kappa_point(config, k) for k in ladder]
     trajs = [r[0] for r in results]
     stats = [r[1] for r in results]
     distances = [

@@ -179,7 +179,6 @@ class SolverState:
     ``datum_solves``.
     """
 
-    step: int
     t: float
     grid: Grid
     q: np.ndarray
@@ -217,8 +216,7 @@ class Snapshot(Mapping):
     rounding.  The velocity -(q_x + a q_y, c q_y) depends on q and the map
     alone, so ``snap["v"]`` derives it on every read and nothing is cached:
     it equals the step's v up to rounding (bit for bit at t = 0).  It reads
-    as a mapping of its five keys, and, a module-level class, it pickles
-    with the trajectory that a process-pool sweep sends back.
+    as a mapping of its five keys.
     """
 
     grid: Grid
@@ -353,7 +351,6 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         flags = flags + ("smallness",)
 
     return SolverState(
-        step=state.step + 1,
         t=t_new,
         grid=grid,
         q=q_new,
@@ -395,7 +392,7 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
     if config.mode == KAPPA:
         alpha = _alpha_forcing(grid, q0, h0, bundle)
         beta_poly = _bootstrap_beta(config, q0, h0, alpha)
-    return SolverState(step=0, t=0.0, grid=grid, q=q0, h=h0, v=v,
+    return SolverState(t=0.0, grid=grid, q=q0, h=h0, v=v,
                        margin=taylor_margin(grid, q0), q_y=q_y,
                        q_xy=tangential_derivative(q_y),
                        w_edge=w_edge, alpha=alpha, beta_poly=beta_poly,

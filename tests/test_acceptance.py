@@ -29,6 +29,7 @@ from stefansim.stepper import (
 )
 from stefansim.analysis import (
     Trajectory,
+    _Window,
     _instant_norms,
     energy_table,
     geometric_identities,
@@ -251,7 +252,7 @@ def test_criterion_11_energy_order_echoes(kappa_sweep_result):
                        snapshot_every=20, data=DataSpec(alpha=1.0))
     traj = simulate(cfg)
     # the flux-weighted edge summands of the natural energy
-    vals = _instant_norms(traj, len(traj) - 1)
+    vals = _instant_norms(traj, len(traj) - 1, _Window(traj))
     terms = [v for (name, *_), v in vals.items() if name in ("wh", "wht")]
     coercive_ok = all(t == t and t >= 0.0 for t in terms)
     _verdict(11, order_ok and band_ok and coercive_ok,

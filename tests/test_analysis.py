@@ -247,7 +247,7 @@ def test_natural_energy_edge_terms_nonnegative():
                        data=DataSpec(alpha=1.0, h0_amplitude=0.05))
     traj = simulate(cfg)
     # the flux-weighted edge summands of the natural energy
-    vals = _instant_norms(traj, len(traj) - 1)
+    vals = _instant_norms(traj, len(traj) - 1, _Window(traj))
     terms = [v for (name, *_), v in vals.items() if name in ("wh", "wht")]
     assert len(terms) == 5
     for term in terms:
@@ -507,7 +507,7 @@ def test_instant_norms_match_the_per_family_formulas(law, seed):
                        **law)
     traj = _moving_trajectory(cfg, seed)
     for idx in range(len(traj)):
-        got = _instant_norms(traj, idx)
+        got = _instant_norms(traj, idx, _Window(traj))
         want = _instant_norms_oracle(traj, idx)
         assert got.keys() == want.keys()
         for key, val in want.items():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from stefansim import elliptic, harness, initdata, stepper
 from stefansim.stepper import SolverConfig
 from stefansim.harness import (
     ManufacturedCase,
-    _completed,
     _config_dict,
     _ladder,
     apply_overrides,
@@ -107,7 +107,7 @@ def test_config_errors(tmp_path):
             build_config(settings)
     # an integer key takes no fraction: 64.5 would be truncated to 64
     for key, raw in (("grid.nx", "64.5"), ("snapshot_every", "2.5"),
-                     ("data.b_mode", "1.5"), ("sweep.workers", "inf")):
+                     ("data.b_mode", "1.5"), ("grid.ny", "inf")):
         settings = apply_overrides({}, [f"{key}={raw}"])
         with pytest.raises(ConfigurationError,
                            match=f"config key {key} needs an integer"):
@@ -534,9 +534,14 @@ def test_sweep_ladder_validation():
     for sweep in (sweep_sigma, sweep_kappa):
         with pytest.raises(ConfigurationError, match="is empty"):
             sweep(config, ladder=[])
+        # a boolean is no ladder entry, though float(True) is 1.0
+        for ladder in ([0.1, True], [0.1, "abc"], False):
+            with pytest.raises(ConfigurationError,
+                               match="needs comma-separated numbers"):
+                sweep(config, ladder=ladder)
     for key in ("sweep.sigma_ladder", "sweep.kappa_ladder"):
         with pytest.raises(ConfigurationError, match=f"{key} is empty"):
-            _ladder(_completed(apply_overrides({}, [f"{key}=,"])), key)
+            _ladder(apply_overrides({}, [f"{key}=,"])[key], key)
 
 
 def test_sweep_settings_are_checked_before_any_run(monkeypatch):
@@ -546,19 +551,12 @@ def test_sweep_settings_are_checked_before_any_run(monkeypatch):
     monkeypatch.setattr(harness, "simulate", no_run)
     for command, override in (("sweep-sigma", "sweep.sigma_ladder=,"),
                               ("sweep-kappa", "sweep.kappa_ladder= , "),
-                              ("sweep-kappa", "sweep.workers=-2"),
                               ("sweep-kappa", "sweep.kappa_ladder=0.1,0"),
-                              ("sweep-sigma", "sweep.workers=0")):
+                              ("sweep-sigma", "sweep.sigma_ladder=true"),
+                              # sweeps run in the calling process: a
+                              # worker count is an unknown key
+                              ("sweep-kappa", "sweep.workers=2")):
         assert cli_main([command, "--override", override]) == 4, override
-    with pytest.raises(ConfigurationError, match="sweep.workers needs at least 1"):
-        build_config({"sweep.workers": 0})
-    # called from Python, the sweeps check their worker count the same way
-    config = build_config(_fast_settings())
-    for sweep in (sweep_sigma, sweep_kappa):
-        for workers in (0, -2):
-            with pytest.raises(ConfigurationError,
-                               match=f"sweep.workers needs at least 1, got {workers}"):
-                sweep(config, workers=workers)
 
 
 @pytest.mark.parametrize("sweep, ladder", [
@@ -685,7 +683,7 @@ def test_mms_run_error_refuses_a_run_that_stops_early(monkeypatch):
     taken = []
 
     def diverging(state, config):
-        taken.append(state.step)
+        taken.append(state.t)
         if len(taken) == 3:
             raise stepper.StepDivergedError("injected at the third step")
         return stepper.advance(state, config)
@@ -745,11 +743,22 @@ def test_zero_data_runs_to_completion():
     assert np.max(np.abs(traj.snaps[-1]["h"])) == 0.0
 
 
-def test_sweep_parallel_workers_match_serial():
-    config = build_config(_fast_settings())
-    serial = sweep_sigma(config, ladder=[0.05, 0.0], workers=1)
-    parallel = sweep_sigma(config, ladder=[0.05, 0.0], workers=2)
-    assert serial.distances == parallel.distances
+def test_sweeps_run_each_point_once_in_the_calling_process(monkeypatch):
+    # every ladder point is one harness.simulate call, made in ladder order
+    # by this process; the benchmark collects a sweep's trajectories there
+    calls = []
+
+    def counted(config, *args, **kwargs):
+        calls.append((os.getpid(), config.sigma, config.kappa))
+        return simulate(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate", counted)
+    config = build_config(_fast_settings(**{"grid.nx": 16, "grid.ny": 33}))
+    sweep_sigma(config, ladder=[0.05, 0.0])
+    sweep_kappa(config, ladder=[0.2, 0.1])
+    pid = os.getpid()
+    assert calls == [(pid, 0.05, 0.0), (pid, 0.0, 0.0),
+                     (pid, 0.0, 0.2), (pid, 0.0, 0.1)]
 
 
 def test_dissipation_series_is_the_two_state_formula():
@@ -769,17 +778,6 @@ def test_dissipation_series_is_the_two_state_formula():
         expected.append((old.t + dt, ((a_new - a_old) / dt + b_new) / max(b_new, 1e-30)))
         old = new
     assert traj.dissipation == expected
-
-
-def test_package_import_leaves_process_pool_unloaded():
-    # only a sweep with workers > 1 imports the process pool
-    import subprocess
-    import sys
-
-    code = ("import sys, stefansim.cli, stefansim.harness; "
-            "assert 'concurrent.futures.process' not in sys.modules")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_with_output_leaves_masked_arrays_unloaded(tmp_path):

@@ -4,7 +4,7 @@ Parsed with ``ast`` only, so the check costs milliseconds and imports
 nothing.  An import must be used in its module or re-exported through
 ``__all__``; a module-level ``_private`` function or class must be named
 somewhere else in the package (another module may import it, as the CLI
-does ``_ladder``); so must a public one, unless ``stefansim.__all__``
+does ``_completed``); so must a public one, unless ``stefansim.__all__``
 exports it and the README's "Python API" section documents it, or the
 benchmark's span tracer wraps it (``perfbench/spans.py``, read as text),
 so that no entry point exists only for the tests; every exported name is

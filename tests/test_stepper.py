@@ -208,7 +208,7 @@ def test_config_grid_built_once():
     assert finer.grid.nx == 128 and finer.grid.ny == 257
     assert c.grid == Grid(64, 129)
     assert "grid" not in asdict(c)
-    # the sweeps send configs to worker processes
+    # the cached grid survives a pickle round trip
     back = pickle.loads(pickle.dumps(c))
     assert back == c and back.grid == c.grid
 
@@ -424,7 +424,7 @@ def test_snapshot_velocity_is_the_step_velocity(law):
 
 
 def test_snapshot_pickle_round_trip():
-    # a process-pool sweep pickles its trajectories
+    # the derived velocity survives a pickle round trip
     cfg = _curved_config(kappa=0.05)
     snap = advance(init_state(cfg), cfg).snapshot()
     back = pickle.loads(pickle.dumps(snap))

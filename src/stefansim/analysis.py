@@ -145,12 +145,14 @@ class _Window(Sequence):
     Called with a field name, a snapshot index and a time order, it returns
     that time derivative: equation-substituted at the initial instant,
     differenced over the stored snapshots later.  ``"rate"`` names the
-    interface speed h_t, whose series is formed once per window.
+    interface speed h_t; its series, and each stored field's, is formed
+    once per window.
     """
 
     def __init__(self, traj: Trajectory):
         self.traj = traj
         self._kept: dict = {}   # least recently used first
+        self._stored: dict = {}  # field name -> its series, listed once
 
     def __len__(self) -> int:
         return len(self.traj.snaps)
@@ -195,7 +197,9 @@ class _Window(Sequence):
         if idx == 0 and (name, b) in _INITIAL_KEYS:
             return self.traj.initial_derivatives[_INITIAL_KEYS[name, b]]
         series = (self if name == "v" else self._rates if name == "rate"
-                  else [s[name] for s in self.traj.snaps])
+                  else self._stored.get(name))
+        if series is None:
+            series = self._stored[name] = [s[name] for s in self.traj.snaps]
         if b:
             return time_derivative(self.traj.times, series, b, idx)
         return series[idx]

@@ -1,28 +1,32 @@
 """Mollification operators: horizontal convolution by layers and 2-D smoothing.
 
+Both operators sample one compactly supported bump,
+rho(x) = c * exp(-1/(1-x^2)) on |x| < 1, scaled to a width and normalized
+to unit mass, through one sampler, ``_bump_rows``: on each horizontal line
+u of the radial bump rho(|(s, u)|/width) it takes the Simpson
+cos-transform over the rfft modes and the line's mass.
+
 The layer operator convolves each horizontal line of a field with the
-compactly supported bump rho_width(x) = (1/width) * rho(x/width),
-rho(x) = c * exp(-1/(1-x^2)) on |x| < 1, normalized to unit mass.  On the
-periodic grid it is realized as a Fourier multiplier whose symbol is the
-quadrature transform of the sampled kernel; this is the exact periodic
-convolution for band-limited data, it preserves constants exactly and
-commutes with the spectral x-derivative.
+bump's line u = 0, realized on the periodic grid as a Fourier multiplier;
+this is the exact periodic convolution for band-limited data, it preserves
+constants exactly and commutes with the spectral x-derivative.
 
 The 2-D smoother extends a field across both walls by second-order
-polynomial reflection, convolves with the radial bump of the same shape,
-and restricts back to the strip.
+polynomial reflection, convolves with the radial bump sampled on the grid's
+lines u = l*hy (transformed in x, grid-sampled in y), applied to every row
+at once as one contraction, and restricts back to the strip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import ConfigurationError, Grid, wavenumbers
 
-#: Minimum number of sample points across a kernel's support.
+#: Number of sample points across each line of a kernel's support.
 KERNEL_SAMPLES = 257
 
 
@@ -47,52 +51,41 @@ def bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Sampled one-dimensional mollifier of a given width."""
+def _bump_rows(width: float, us: np.ndarray, nx: int):
+    """Cos-transforms over the rfft modes and masses of the bump's lines.
 
-    width: float
-    offsets: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def build(cls, width: float, samples: int = KERNEL_SAMPLES) -> "Kernel":
-        if width <= 0:
-            raise ConfigurationError("kernel width must be positive")
-        if samples < 64:
-            raise ConfigurationError("kernel must be sampled at >= 64 points")
-        if samples % 2 == 0:
-            raise ConfigurationError("Simpson's rule needs an odd sample count")
-        # the samples of [-1, 1] mirror each other bit for bit, so the
-        # kernel is exactly even (linspace alone is off by a few ulps)
-        u = np.linspace(-1.0, 1.0, samples)
-        u = 0.5 * (u - u[::-1])
-        offsets = width * u
-        values = bump(u) / width
-        mass = _simpson(values, offsets)
-        return cls(width=width, offsets=offsets, values=values / mass)
-
-    def mass(self) -> float:
-        return float(_simpson(self.values, self.offsets))
-
-    def transform(self, k: np.ndarray) -> np.ndarray:
-        """Fourier symbol c(k) = integral rho_width(s) cos(ks) ds, |c| <= 1."""
-        return _simpson(self.values * np.cos(np.outer(k, self.offsets)),
-                        self.offsets)
+    Line u samples bump(sqrt(s^2 + u^2)/width) on its chord
+    |s| <= width*sqrt(1 - (u/width)^2) at KERNEL_SAMPLES points that mirror
+    each other bit for bit, so every line is exactly even (linspace alone
+    is off by a few ulps); a line off the support has zero transform and
+    mass.
+    """
+    t = np.linspace(-1.0, 1.0, KERNEL_SAMPLES)
+    t = 0.5 * (t - t[::-1])
+    k = wavenumbers(nx)
+    symbols, masses = [], []
+    for u in us:
+        s = width * np.sqrt(max(1.0 - (u / width) ** 2, 0.0)) * t
+        vals = bump(np.sqrt(s * s + u * u) / width)
+        symbols.append(_simpson(vals * np.cos(np.outer(k, s)), s))
+        masses.append(_simpson(vals, s))
+    return np.array(symbols), np.array(masses)
 
 
 @lru_cache(maxsize=64)
 def _layer_symbol(width: float, nx: int) -> np.ndarray:
-    """The layer symbol over the rfft modes, shared and read-only."""
-    sym = Kernel.build(width).transform(wavenumbers(nx))
+    """The layer symbol over the rfft modes, |c| <= 1, shared and read-only."""
+    symbols, masses = _bump_rows(width, [0.0], nx)
+    sym = symbols[0] / masses[0]
     sym.flags.writeable = False
     return sym
 
 
 def smooth_horizontal(f: np.ndarray, width: float) -> np.ndarray:
     """Horizontal convolution by layers at every fixed y (or on an edge field)."""
-    if width >= np.pi:
-        raise ConfigurationError("kernel width must be < pi to fit the torus once")
+    if not 0.0 < width < np.pi:
+        raise ConfigurationError(
+            "kernel width must be positive and < pi to fit the torus once")
     nx = f.shape[0]
     sym = _layer_symbol(float(width), nx)
     coef = np.fft.rfft(f, axis=0)
@@ -122,46 +115,28 @@ def _reflect_extend(f: np.ndarray, layers: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _planar_rows(width: float, nx: int, hy: float):
-    """Per-row Fourier symbols and weights of the radial 2-D mollifier.
+    """Per-row Fourier symbols of the radial 2-D mollifier, row -L first.
 
-    The kernel is sampled on horizontal lines u = l*hy, |l| <= width/hy;
-    each line is transformed by quadrature in x (exact for band-limited
-    fields) while y stays grid-sampled.  Weights are renormalized to unit
-    total mass so constants are preserved exactly; the symbols are read-only.
+    The bump's lines u = l*hy, |l| <= L = floor(width/hy), are divided by
+    their total mass, so constants are preserved exactly; the symbols are
+    read-only.
     """
     layers = int(np.floor(width / hy))
-    k = wavenumbers(nx)
-    symbols = []
-    masses = []
-    for l in range(-layers, layers + 1):
-        u = l * hy
-        half = width * np.sqrt(max(1.0 - (u / width) ** 2, 0.0))
-        if half <= 0.0:
-            symbols.append(np.zeros_like(k))
-            masses.append(0.0)
-            continue
-        s = np.linspace(-half, half, KERNEL_SAMPLES)
-        vals = bump(np.sqrt(s * s + u * u) / width)
-        symbols.append(_simpson(vals * np.cos(np.outer(k, s)), s))
-        masses.append(_simpson(vals, s))
-    total = float(np.sum(masses)) * hy
-    symbols = np.array(symbols) * hy / total
+    symbols, masses = _bump_rows(width, hy * np.arange(-layers, layers + 1), nx)
+    symbols /= masses.sum()
     symbols.flags.writeable = False
     return layers, symbols
 
 
 def smooth_2d(f: np.ndarray, width: float, grid: Grid) -> np.ndarray:
     """Two-dimensional mollification with wall extension, restricted back."""
-    if width > 0.2:
-        raise ConfigurationError("2-D smoothing width must be <= 0.2")
+    if not 0.0 < width <= 0.2:
+        raise ConfigurationError("2-D smoothing width must lie in (0, 0.2]")
     layers, symbols = _planar_rows(float(width), grid.nx, grid.hy)
-    ext = _reflect_extend(f, layers)
-    coef = np.fft.rfft(ext, axis=0)
-    out = np.zeros_like(coef[:, layers : layers + grid.ny])
-    for idx, l in enumerate(range(-layers, layers + 1)):
-        sl = coef[:, layers + l : layers + l + grid.ny]
-        out += symbols[idx][:, None] * sl
-    return np.fft.irfft(out, n=grid.nx, axis=0)
+    coef = np.fft.rfft(_reflect_extend(f, layers), axis=0)
+    # window l of each mode's extended column is the rows shifted by l - L
+    rows = sliding_window_view(coef, grid.ny, axis=1)
+    return np.fft.irfft(np.einsum("lk,kly->ky", symbols, rows), n=grid.nx, axis=0)
 
 
 def smooth_double(f: np.ndarray, width: float) -> np.ndarray:

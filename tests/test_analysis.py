@@ -337,6 +337,26 @@ def test_energy_table_derives_each_velocity_once(monkeypatch):
                      ("stefansim.stepper", "compute_velocity"): n}
 
 
+def test_energy_table_lists_each_stored_series_once(monkeypatch):
+    # a time derivative reads a stored field's series; listing it from the
+    # snapshots on every call made a pass read them quadratically often
+    traj = simulate(SolverConfig(nx=16, ny=33, kappa=0.05, t_end=1e-3,
+                                 snapshot_every=2,
+                                 data=DataSpec(alpha=1.0, h0_amplitude=0.05)))
+    reads = []
+    getitem = Snapshot.__getitem__
+
+    def counted(self, key):
+        reads.append(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(Snapshot, "__getitem__", counted)
+    energy_table(traj)
+    n = len(traj)
+    assert n == 21
+    assert len(reads) <= 12 * n
+
+
 def test_energy_table_transforms_each_temperature_field_once(monkeypatch):
     # per snapshot, one x-transform of each time order of q feeds both its
     # Sobolev and its gauge-combination families; the velocity and the curl

@@ -10,7 +10,6 @@ import pytest
 
 from stefansim.numerics import ConfigurationError, Grid, tangential_derivative
 from stefansim.mollifier import (
-    Kernel,
     _layer_symbol,
     _planar_rows,
     bump,
@@ -23,23 +22,30 @@ from diagnostics import boundary_norm, commutator_defect
 GRID = Grid(64, 129)
 
 
+def _dense_kernel(width: float, samples: int):
+    """Offsets and values of the unit-mass bump of the given width, sampled
+    densely across its support (independent of the module's sampler)."""
+    offsets = np.linspace(-width, width, samples)
+    values = bump(offsets / width)
+    return offsets, values / np.trapezoid(values, offsets)
+
+
 def test_kernel_mass_evenness_support():
+    # the symbols at k = 0 are the kernels' masses; an even kernel has a
+    # real symbol bounded by its mass, and the radial bump's rows mirror
     for width in (0.4, 0.1, 0.03):
-        k = Kernel.build(width)
-        assert abs(k.mass() - 1.0) <= 1e-10
-        assert np.max(np.abs(k.values - k.values[::-1])) <= 1e-14
-        assert k.values[0] == 0.0 and k.values[-1] == 0.0
-        assert np.all(k.values[np.abs(k.offsets) < width * 0.999] >= 0.0)
-        outside = bump(np.array([1.0, 1.5, -2.0]))
-        assert np.all(outside == 0.0)
-
-
-def test_kernel_too_few_samples_rejected():
-    with pytest.raises(ConfigurationError):
-        Kernel.build(0.1, samples=32)
-    # Simpson's rule pairs the sample intervals
-    with pytest.raises(ConfigurationError):
-        Kernel.build(0.1, samples=256)
+        sym = _layer_symbol(width, GRID.nx)
+        assert abs(sym[0] - 1.0) <= 1e-10
+        assert np.all(np.abs(sym) <= 1.0)
+    for width in (0.2, 0.1, 0.03):
+        layers, rows = _planar_rows(width, GRID.nx, GRID.hy)
+        assert rows.shape == (2 * layers + 1, GRID.nx // 2 + 1)
+        assert abs(np.sum(rows[:, 0]) - 1.0) <= 1e-10
+        assert np.array_equal(rows, rows[::-1])
+        assert np.all(np.abs(rows) <= rows[:, :1])
+    outside = bump(np.array([1.0, 1.5, -2.0, -1.0]))
+    assert np.all(outside == 0.0)
+    assert np.all(bump(np.array([0.0, 0.5, -0.999])) > 0.0)
 
 
 def test_constants_preserved():
@@ -50,8 +56,12 @@ def test_constants_preserved():
 
 
 def test_width_must_fit_torus():
-    with pytest.raises(ConfigurationError):
-        smooth_horizontal(np.zeros(GRID.nx), np.pi)
+    # a layer width lies in (0, pi): positive, and the support fits the
+    # torus once
+    for smooth in (smooth_horizontal, smooth_double):
+        for width in (0.0, -0.1, np.pi):
+            with pytest.raises(ConfigurationError):
+                smooth(np.zeros(GRID.nx), width)
 
 
 @pytest.mark.parametrize("k_mode", [1, 3, 7])
@@ -59,11 +69,10 @@ def test_cosine_damping_matches_quadrature_oracle(k_mode):
     # oracle: dense direct convolution sum of the sampled kernel against
     # the cosine, evaluated pointwise
     width = 0.15
-    kern = Kernel.build(width, samples=2001)
+    offsets, values = _dense_kernel(width, 2001)
     x0 = GRID.xs[5]
-    weights = np.gradient(kern.offsets)
-    oracle = float(np.sum(kern.values * np.cos(k_mode * (x0 - kern.offsets))
-                          * weights))
+    weights = np.gradient(offsets)
+    oracle = float(np.sum(values * np.cos(k_mode * (x0 - offsets)) * weights))
     got = smooth_horizontal(np.cos(k_mode * GRID.xs), width)[5]
     assert abs(got - oracle) <= 5e-6
     damping = got / np.cos(k_mode * x0)
@@ -89,10 +98,10 @@ def test_double_smoothing_is_self_convolution():
     # oracle: the double layer pass equals one pass with the kernel's
     # self-convolution, computed by dense quadrature
     width = 0.2
-    kern = Kernel.build(width, samples=801)
-    ds = kern.offsets[1] - kern.offsets[0]
-    auto = np.convolve(kern.values, kern.values) * ds
-    offsets = np.linspace(2 * kern.offsets[0], 2 * kern.offsets[-1], len(auto))
+    kern_offsets, kern_values = _dense_kernel(width, 801)
+    ds = kern_offsets[1] - kern_offsets[0]
+    auto = np.convolve(kern_values, kern_values) * ds
+    offsets = np.linspace(2 * kern_offsets[0], 2 * kern_offsets[-1], len(auto))
     f = np.cos(3 * GRID.xs) - 0.4 * np.sin(GRID.xs)
     x0 = GRID.xs[11]
     weights = np.gradient(offsets)
@@ -126,8 +135,9 @@ def test_cached_symbols_are_shared_and_read_only():
 
 
 def test_smooth_2d_width_gate():
-    with pytest.raises(ConfigurationError):
-        smooth_2d(np.zeros((GRID.nx, GRID.ny)), 0.3, GRID)
+    for width in (0.3, 0.0, -0.1):
+        with pytest.raises(ConfigurationError):
+            smooth_2d(np.zeros((GRID.nx, GRID.ny)), width, GRID)
 
 
 def test_smooth_2d_marginal_kernel_oracle():
@@ -162,13 +172,13 @@ def test_commutator_value_against_quadrature_oracle():
     width = 0.1
     F = np.sin(GRID.xs)
     G = np.cos(5 * GRID.xs)
-    kern = Kernel.build(width, samples=3001)
-    w = np.gradient(kern.offsets)
+    offsets, values = _dense_kernel(width, 3001)
+    w = np.gradient(offsets)
     x = GRID.xs[:, None]
-    s = kern.offsets[None, :]
+    s = offsets[None, :]
     dG = -5.0 * np.sin(5.0 * (x - s))
-    smooth_FdG = np.sum(kern.values * np.sin(x - s) * dG * w, axis=1)
-    smooth_dG = np.sum(kern.values * dG * w, axis=1)
+    smooth_FdG = np.sum(values * np.sin(x - s) * dG * w, axis=1)
+    smooth_dG = np.sum(values * dG * w, axis=1)
     inner_oracle = smooth_FdG - F * smooth_dG
     denom = max(np.max(np.abs(F)), np.max(np.abs(np.cos(GRID.xs)))) \
         * boundary_norm(G, 0.0)

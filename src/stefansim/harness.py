@@ -33,7 +33,7 @@ from .geometry import (
     harmonic_drift,
     inverse_gradient,
 )
-from .initdata import DataSpec, compat_residuals
+from .initdata import DataSpec, compat_residuals, taylor_margin
 from .operators import deviation_from_derivatives, velocity_from_derivatives
 from .stepper import (
     CLASSICAL,
@@ -68,6 +68,8 @@ EXIT_CODES = {STATUS_COMPLETED: EXIT_OK, STATUS_TAYLOR: EXIT_FLAGGED,
               STATUS_ABORTED: EXIT_ABORTED, STATUS_CONFIG: EXIT_CONFIG}
 #: steps a run may continue with a nonpositive stability margin
 TAYLOR_GRACE_STEPS = 10
+#: bound on sup|h| + sup|h'| above which a run is flagged "smallness"
+SMALLNESS = 0.3
 #: interface profiles a run writes, evenly spaced over its snapshots
 INTERFACE_PROFILES = 5
 #: angular frequency of the manufactured time factor T = 1 + sin(rate t) / 2
@@ -281,11 +283,12 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
     """Run one simulation and return its trajectory (no file output).
 
     Snapshots are recorded every ``snapshot_every`` steps (including the
-    initial and final instants), and in unforced classical runs the
-    dissipation defect after every step.  A nonpositive stability margin
-    flags the run and stops it after ``TAYLOR_GRACE_STEPS`` steps; geometry
-    loss or a diverged update aborts it.  A kappa run's trajectory records
-    the solves of its regularized datum (``SolverState.datum_solves``).
+    initial and final instants) with their stability margins, and in
+    unforced classical runs the dissipation defect after every step.  A
+    negative margin flags the run ``taylor`` and stops it after
+    ``TAYLOR_GRACE_STEPS`` steps, sup|h| + sup|h'| > ``SMALLNESS`` flags it
+    ``smallness``; geometry loss or a diverged update aborts it.  A kappa
+    run records the solves of its regularized datum (``datum_solves``).
     """
     cadence = config.snapshot_every
     n_steps = config.n_steps
@@ -297,17 +300,19 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
     datum_solves = list(state.datum_solves)
     times = [0.0]
     snaps = [state.snapshot()]
-    margins = [state.margin]
+    margins = [taylor_margin(config.grid, state.q)]
     dissipation = []
     monitor = config.mode == CLASSICAL and config.source_q is None
     heat = heat_content(config.grid, state) if monitor else None
     initial = initial_time_derivatives(state, config)
     status = STATUS_COMPLETED
     reason = ""
+    flags = []
     flagged_at = None
     try:
         for n in range(1, n_steps + 1):
             state = advance(state, config)
+            margin = taylor_margin(config.grid, state.q)
             if monitor:
                 heat_old, heat = heat, heat_content(config.grid, state)
                 dissipation.append(dissipation_defect(
@@ -315,18 +320,24 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
             if n % cadence == 0:
                 times.append(state.t)
                 snaps.append(state.snapshot())
-                margins.append(state.margin)
-            if state.margin < 0.0:
+                margins.append(margin)
+            # strictly negative: the all-zero rest state sits exactly at zero
+            # and is a legitimate (if degenerate) complete run
+            if margin < 0.0:
                 status = STATUS_TAYLOR
+                if "taylor" not in flags:
+                    flags.append("taylor")
                 if flagged_at is None:
                     flagged_at = n
                 elif n - flagged_at >= TAYLOR_GRACE_STEPS:
-                    reason = (
-                        f"stability margin nonpositive since step {flagged_at}"
-                    )
-                    break
+                    reason = f"stability margin nonpositive since step {flagged_at}"
             else:
                 flagged_at = None
+            if "smallness" not in flags and (
+                    np.max(np.abs(state.h)) + np.max(np.abs(state.dheight)) > SMALLNESS):
+                flags.append("smallness")
+            if reason:
+                break
     except (DegenerateMapError, InvalidGeometryError, StepDivergedError) as exc:
         status = STATUS_ABORTED
         reason = f"{type(exc).__name__}: {exc}"
@@ -338,7 +349,7 @@ def simulate(config: SolverConfig, q0=None, h0=None) -> Trajectory:
         initial_derivatives=initial,
         dissipation=dissipation,
         status=status,
-        flags=state.flags + ((reason,) if reason else ()),
+        flags=tuple(flags) + ((reason,) if reason else ()),
         datum_solves=datum_solves,
     )
 

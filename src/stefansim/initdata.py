@@ -280,9 +280,12 @@ def build_regularized_datum(
     back through two second-order solves on the smoothed-interface
     geometry: first for the intermediate field with the squared-flux
     interface trace, then for the datum itself with a zero interface trace
-    and the homogeneous Neumann condition at the top wall.  As the width
-    shrinks the output converges to ``q0``.  Returns the datum and, per
-    solve, its fixed-point iterations and final residual as
+    and the homogeneous Neumann condition at the top wall.  On a flat
+    interface the output converges to ``q0`` as the width shrinks: at
+    16x129, max|q - q0| is 1.24e-3, 1.17e-4 and 9.9e-6 at widths 0.1, 0.03
+    and 0.01.  On a curved one it does not: at h0 amplitude 0.05 the same
+    distance stays at 1.10e-3 from width 0.03 down to 0.001.  Returns the
+    datum and, per solve, its fixed-point iterations and final residual as
     ``{"iterations": n, "residual": r}``.
     """
     if not 0.0 < width <= 0.2:

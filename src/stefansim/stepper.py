@@ -9,8 +9,9 @@ interface law (``SolverConfig.mode``): melting temperature pinned to zero
 (classical, sigma = kappa = 0), pinned to sigma times the interface
 curvature (surface tension, sigma > 0), or a penalized width^2-weighted
 Robin condition with consistency forcings (regularized, kappa > 0).  A
-step computes no diagnostic: the run loop in ``harness`` applies
-the monitors of ``analysis`` to consecutive states.
+step computes no diagnostic: the run loop in ``harness`` takes each
+state's stability margin, raises the run's flags and applies the monitors
+of ``analysis`` to consecutive states.
 
 Data flow of one step, with the transforms it makes (x is spectral, y is
 finite-difference, and the two commute up to rounding):
@@ -71,12 +72,7 @@ from .operators import (
     velocity_from_derivatives,
 )
 from .elliptic import DIRICHLET, NEUMANN, ROBIN, EdgeCondition, StripSolver
-from .initdata import (
-    DataSpec,
-    build_regularized_datum,
-    build_sigma_data,
-    taylor_margin,
-)
+from .initdata import DataSpec, build_regularized_datum, build_sigma_data
 
 CLASSICAL = "classical"
 SURFACE_TENSION = "surface_tension"
@@ -84,8 +80,6 @@ KAPPA = "kappa"
 
 #: dt may be at most this multiple of min(hx, hy)^2
 CFL_SAFETY = 0.5
-#: bound on sup|h| + sup|h'| above which a state is flagged "smallness"
-SMALLNESS = 0.3
 #: micro step of the kappa-mode beta bootstrap, independent of the run's dt
 BOOTSTRAP_DT = 2.5e-7
 
@@ -127,6 +121,11 @@ class SolverConfig:
             raise ConfigurationError(
                 f"dt={self.dt:.3e} exceeds the diffusive limit {limit:.3e}"
             )
+        # on nx nodes cos(m x) aliases for |m| > nx / 2; the Nyquist slope is 0
+        for name in ("h0_mode", "b_mode"):
+            if abs(getattr(self.data, name)) >= self.nx // 2:
+                raise ConfigurationError(
+                    f"data.{name} must be below nx // 2 = {self.nx // 2}")
 
     @property
     def mode(self) -> str:
@@ -184,7 +183,6 @@ class SolverState:
     q: np.ndarray
     h: np.ndarray
     v: np.ndarray
-    margin: float
     q_y: np.ndarray
     q_xy: np.ndarray
     phi: np.ndarray
@@ -194,7 +192,6 @@ class SolverState:
     w_edge: np.ndarray
     alpha: np.ndarray | None = None
     beta_poly: tuple | None = None
-    flags: tuple = ()
     datum_solves: tuple = ()
 
     def snapshot(self) -> Snapshot:
@@ -290,12 +287,11 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     """One operator-split step; returns the new state.
 
     Raises DegenerateMapError / InvalidGeometryError on geometry loss and
-    StepDivergedError if the heat update produces non-finite values.  A
-    nonpositive stability margin only flags the state.  The new map's
-    bundle, its drift and the right side are local, and the new state
-    keeps only the fields ``SolverState`` lists.  q_yy and the drift are
-    dropped once the deviation is formed, the interior map velocity once
-    its edge row is taken.  The right side and the solved modes live to
+    StepDivergedError if the heat update produces non-finite values.  The
+    new map's bundle, its drift and the right side are local, and the new
+    state keeps only the fields ``SolverState`` lists.  q_yy and the drift
+    are dropped once the deviation is formed, the interior map velocity
+    once its edge row is taken.  The right side and the solved modes live to
     the end: freed earlier, they let the allocator trim and regrow the heap
     top within the step, which raised the page faults per step.
     """
@@ -340,15 +336,6 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     q_new = fields[0].copy()
     q_y, q_xy = vertical_derivative(fields, grid.hy, 1)
     v_new = velocity_from_derivatives(bundle_new.a, bundle_new.c, fields[1], q_y)
-    margin = taylor_margin(grid, q_new)
-    flags = state.flags
-    # strictly negative: the all-zero rest state sits exactly at zero and
-    # is a legitimate (if degenerate) complete run
-    if margin < 0.0 and "taylor" not in flags:
-        flags = flags + ("taylor",)
-    sup_h = float(np.max(np.abs(h_new)) + np.max(np.abs(bundle_new.dheight)))
-    if sup_h > SMALLNESS and "smallness" not in flags:
-        flags = flags + ("smallness",)
 
     return SolverState(
         t=t_new,
@@ -356,14 +343,12 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         q=q_new,
         h=h_new,
         v=v_new,
-        margin=margin,
         q_y=q_y,
         q_xy=q_xy,
         w_edge=w_edge,
         **_kept_of(bundle_new),
         alpha=state.alpha,
         beta_poly=state.beta_poly,
-        flags=flags,
         datum_solves=state.datum_solves,
     )
 
@@ -392,8 +377,7 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
     if config.mode == KAPPA:
         alpha = _alpha_forcing(grid, q0, h0, bundle)
         beta_poly = _bootstrap_beta(config, q0, h0, alpha)
-    return SolverState(t=0.0, grid=grid, q=q0, h=h0, v=v,
-                       margin=taylor_margin(grid, q0), q_y=q_y,
+    return SolverState(t=0.0, grid=grid, q=q0, h=h0, v=v, q_y=q_y,
                        q_xy=tangential_derivative(q_y),
                        w_edge=w_edge, alpha=alpha, beta_poly=beta_poly,
                        datum_solves=tuple(solves), **_kept_of(bundle))

@@ -1,7 +1,8 @@
-"""Reference diagnostics of the tests: the norms, the commutator ratio and
-the dissipation residual that the acceptance verdicts measure, and that
-independent oracles (such as the per-family formulas of the energy table)
-are written in.  No run of the package calls them.
+"""Reference diagnostics of the tests: the norms, the commutator ratio,
+the dissipation residual and the enthalpy that the acceptance verdicts and
+the limit tests measure, and that independent oracles (such as the
+per-family formulas of the energy table) are written in.  No run of the
+package calls them.
 
 Edge fields follow the package's Fourier convention
 ``phi_hat_k = (1/2pi) * integral(phi * e^{-ikx})``, so the H^0 boundary
@@ -12,8 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from stefansim.geometry import metric_bundle
 from stefansim.mollifier import smooth_horizontal
-from stefansim.numerics import Grid, edge_squares, mixed_squares, tangential_derivative
+from stefansim.numerics import (
+    Grid,
+    edge_squares,
+    integrate_interior,
+    mixed_squares,
+    tangential_derivative,
+)
 
 
 def integrate_boundary(phi: np.ndarray, grid: Grid) -> float:
@@ -61,3 +69,20 @@ def dissipation_residual(traj) -> float:
     the per-step series of ``analysis.dissipation_defect`` that
     ``harness.simulate`` records."""
     return float(max(abs(d) for _, d in traj.dissipation))
+
+
+def enthalpy(snap, sigma: float = 0.0) -> float:
+    """E = integral of q J over the strip + integral of h over the edge, plus
+    sigma times the interface length for the surface-tension law.
+
+    Heat leaves the strip only through the interface and the front moves by
+    that flux, so the classical and sigma laws conserve E up to the
+    discretization error.  J is the Jacobian of the snapshot's map, rebuilt
+    from its edge row; the edge integrals are exact means in x, with h_x
+    spectral.
+    """
+    grid = snap.grid
+    jac = metric_bundle(grid, snap.phi_edge).jac
+    length = np.sqrt(1.0 + tangential_derivative(snap.h) ** 2)
+    return (integrate_interior(snap.q * jac, grid)
+            + 2.0 * np.pi * float(np.mean(snap.h + sigma * length)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -19,7 +20,8 @@ from stefansim.operators import (
     curl_residual,
     transformed_laplacian_expanded,
 )
-from stefansim import stepper
+from stefansim import initdata, stepper
+from stefansim.harness import simulate
 from stefansim.initdata import DataSpec
 from stefansim.stepper import (
     SolverConfig,
@@ -173,13 +175,14 @@ def test_boundary_slip_machine_zero_classical():
 
 
 def test_margin_flag_raised_on_sign_violation():
-    cfg = _short_config()
-    y = GRID.ys
-    q0 = np.broadcast_to(-0.2 * y, (GRID.nx, GRID.ny)).copy()
-    st = init_state(cfg, q0=q0, h0=np.zeros(GRID.nx))
-    assert st.margin < 0.0
-    st = advance(st, cfg)
-    assert "taylor" in st.flags
+    # the run loop takes the margins and raises the flags; 20 steps outlast
+    # the 10 grace steps after the first nonpositive margin
+    cfg = _short_config(t_end=5e-4)
+    q0 = np.broadcast_to(-0.3 * GRID.ys, (GRID.nx, GRID.ny)).copy()
+    traj = simulate(cfg, q0=q0, h0=np.zeros(GRID.nx))
+    assert traj.margins[0] < 0.0
+    assert traj.status == "taylor-flag"
+    assert traj.flags == ("taylor", "stability margin nonpositive since step 1")
 
 
 def test_config_validation():
@@ -482,23 +485,28 @@ def test_kappa_beta_does_not_depend_on_the_run_step(monkeypatch):
 def test_kappa_init_builds_each_map_once(monkeypatch):
     # the bootstrap's samples are data, not states: one kappa init builds
     # the state's map, the raw map of alpha, the micro init's map, the two
-    # micro steps' maps and one map per sample, and takes the margins of
-    # the state, the micro init and the two micro steps alone
+    # micro steps' maps and one map per sample, and takes no margin (the
+    # run loop takes those)
     counts = {"metric_bundle": 0, "taylor_margin": 0}
 
-    def counting(name):
-        original = getattr(stepper, name)
-
+    def counting(name, original):
         def wrapped(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
         return wrapped
 
-    for name in counts:
-        monkeypatch.setattr(stepper, name, counting(name))
+    monkeypatch.setattr(stepper, "metric_bundle",
+                        counting("metric_bundle", stepper.metric_bundle))
+    # the margin under every name the package binds it to
+    original = initdata.taylor_margin
+    for key, module in list(sys.modules.items()):
+        if (key.startswith("stefansim")
+                and getattr(module, "taylor_margin", None) is original):
+            monkeypatch.setattr(module, "taylor_margin",
+                                counting("taylor_margin", original))
     init_state(_curved_config(kappa=0.05))
     assert counts["metric_bundle"] <= 8
-    assert counts["taylor_margin"] <= 4
+    assert counts["taylor_margin"] == 0
 
 
 @pytest.mark.parametrize("amplitude", [0.0, 0.05])

@@ -18,7 +18,6 @@ from .mollifier import smooth_2d, smooth_horizontal
 from .initdata import (
     CompatReport,
     DataSpec,
-    build_classical_data,
     build_regularized_datum,
     build_sigma_data,
     compat_residuals,
@@ -45,9 +44,8 @@ from .harness import (
 
 __all__ = [
     "Grid", "mean_curvature", "metric_bundle", "smooth_2d", "smooth_horizontal",
-    "CompatReport", "DataSpec", "build_classical_data",
-    "build_regularized_datum", "build_sigma_data", "compat_residuals",
-    "taylor_margin",
+    "CompatReport", "DataSpec", "build_regularized_datum", "build_sigma_data",
+    "compat_residuals", "taylor_margin",
     "compute_velocity",
     "SolverConfig", "SolverState", "advance", "init_state",
     "EnergyReport", "Trajectory", "energy_table", "geometric_identities",

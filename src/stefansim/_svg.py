@@ -18,13 +18,10 @@ def _ticks(lo: float, hi: float):
         if span / (step * mult) <= _TICKS:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        out.append(t)
-        t += step
-    return out
+    # integer multiples of the step: a step below half an ulp of lo cannot
+    # advance a running sum, but the count of multiples is finite
+    last = math.floor((hi + 1e-12 * span) / step)
+    return [i * step for i in range(math.ceil(lo / step), last + 1)]
 
 
 def line_plot(path, series, title="", xlabel="", ylabel=""):

@@ -18,8 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .numerics import ConfigurationError, NumericsError
-from .initdata import compat_residuals
-from .stepper import initial_data
+from .initdata import build_sigma_data, compat_residuals
 from .harness import (
     EXIT_ABORTED,
     EXIT_CONFIG,
@@ -78,7 +77,7 @@ def _cmd_sweep(ladder_key, sweep, verdict, args) -> int:
 def _cmd_check_data(args) -> int:
     settings = _settings(args)
     config = build_config(settings)
-    q0, h0 = initial_data(config)
+    q0, h0 = build_sigma_data(config.grid, config.data, config.sigma)
     report = compat_residuals(config.grid, q0, h0, sigma=config.sigma)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_FLAGGED

@@ -33,7 +33,7 @@ from .geometry import (
     harmonic_drift,
     inverse_gradient,
 )
-from .initdata import DataSpec, compat_residuals, taylor_margin
+from .initdata import DataSpec, build_sigma_data, compat_residuals, taylor_margin
 from .operators import deviation_from_derivatives, velocity_from_derivatives
 from .stepper import (
     CLASSICAL,
@@ -42,7 +42,6 @@ from .stepper import (
     StepDivergedError,
     advance,
     init_state,
-    initial_data,
     initial_time_derivatives,
 )
 from .analysis import (
@@ -126,8 +125,12 @@ def _parse_value(raw: str):
 
 def parse_config_file(path) -> dict:
     """``key = value`` lines; a ``#`` starts a comment, inline ones too."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.partition("#")[0].strip()
         if not stripped:
             continue
@@ -367,12 +370,18 @@ def write_energy_csv(outdir: Path, reports) -> str:
 
 
 def write_interface_csv(outdir: Path, traj: Trajectory) -> list:
+    """One ``interface_t<t>.csv`` per picked snapshot; t has the fewest
+    decimals, at least 6, that keep the picked times' names distinct."""
+    picks = sorted(set(
+        np.linspace(0, len(traj) - 1, INTERFACE_PROFILES).astype(int).tolist()))
+    times = [traj.times[idx] for idx in picks]
+    digits = 6
+    while len({f"{t:.{digits}f}" for t in times}) < len(set(times)):
+        digits += 1
     names = []
-    picks = np.linspace(0, len(traj) - 1, INTERFACE_PROFILES).astype(int).tolist()
     xs = traj.grid.xs
-    for idx in sorted(set(picks)):
-        t = traj.times[idx]
-        name = f"interface_t{t:.6f}.csv"
+    for idx, t in zip(picks, times):
+        name = f"interface_t{t:.{digits}f}.csv"
         rows = [
             (format(x, ".17g"), format(hval, ".17g"))
             for x, hval in zip(xs, traj.snaps[idx]["h"])
@@ -443,7 +452,7 @@ def run_simulation(config: SolverConfig, outdir=None, settings=None):
     phase = "data check"
     try:
         if config.mode != KAPPA:
-            q0, h0 = initial_data(config)
+            q0, h0 = build_sigma_data(grid, config.data, config.sigma)
             report = compat_residuals(grid, q0, h0, sigma=config.sigma)
             manifest.compat = {
                 "r_dirichlet": report.r_dirichlet,
@@ -518,7 +527,8 @@ def sweep_sigma(config: SolverConfig, ladder=None) -> SweepResult:
         distances.append(0.0 if s == 0.0 else mixed_cnorm(tr, ref))
     pos = [(s, d) for s, d in zip(ladder, distances) if s > 0 and d > 0]
     fit = _fit_loglog(pos)
-    nonzero = [d for s, d in zip(ladder, distances) if s > 0]
+    # by decreasing sigma: the ladder's order is free
+    nonzero = [d for s, d in sorted(zip(ladder, distances), reverse=True) if s > 0]
     monotone = all(a >= b - 1e-15 for a, b in zip(nonzero, nonzero[1:]))
     same_horizon = all(st == STATUS_COMPLETED for st in statuses)
     return SweepResult(

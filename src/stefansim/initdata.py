@@ -1,14 +1,14 @@
 """Initial data construction, compatibility checks, and the regularized datum.
 
-The explicit data family lives in a slab above the interface where the
+The explicit datum lives in a slab above the interface where the
 temperature is the quadratic profile  alpha*y - alpha^2*y^2/2  (the
-classical datum, sigma = 0) augmented by  sigma*b(x)*y^3.  A C^2
+classical datum, sigma = 0) augmented by  sigma*cos(x)*y^3.  A C^2
 polynomial cutoff in y blends the profile to zero well below the top wall
 so the homogeneous Neumann condition there holds identically.
 
 Compatibility residuals are evaluated on the interface row with one-sided
 stencils of higher order than the bulk operators (exact on the cubic-in-y
-families), so the analytic zeros of the explicit data survive discretely.
+data), so the analytic zeros of the explicit datum survive discretely.
 """
 
 from __future__ import annotations
@@ -36,45 +36,33 @@ class DataConstructionError(NumericsError):
 
 @dataclass(frozen=True)
 class DataSpec:
-    """Parameters of the explicit initial-data families.
+    """Parameters of the explicit initial datum.
 
     ``alpha`` is the interface heat-flux slope (the Taylor margin of the
-    built datum), ``eps_slab`` the height of the exact-profile slab,
-    ``blend_end`` where the cutoff reaches zero, ``b_*`` the smooth
-    x-profile multiplying the sigma-term, ``h0_*`` the initial interface.
+    built datum), ``h0_*`` the initial interface h0 = A cos(m x).
     """
 
     alpha: float = 1.0
-    eps_slab: float = 0.25
-    b_amplitude: float = 1.0
-    b_mode: int = 1
     h0_amplitude: float = 0.0
     h0_mode: int = 1
-    #: width of the cutoff transition; the cutoff is identically zero above
-    #: eps_slab + blend_window, comfortably below the top wall.
-    blend_window: float = 0.55
 
     def __post_init__(self):
         # chained comparisons are False on NaN, so NaN fails them too
         if not 0.0 < self.alpha < np.inf:
             raise ConfigurationError("alpha must be positive and finite")
-        if not 0.0 < self.eps_slab < 0.5:
-            raise ConfigurationError("eps_slab must lie in (0, 0.5)")
-        if not (0.0 < self.blend_window and self.eps_slab + self.blend_window < 1.0):
-            raise ConfigurationError(
-                "blend_window must be positive and fit below the top with the slab")
-        if not (-np.inf < self.b_amplitude < np.inf
-                and -np.inf < self.h0_amplitude < np.inf):
-            raise ConfigurationError("b_amplitude and h0_amplitude must be finite")
-
-    def b_profile(self, grid: Grid) -> np.ndarray:
-        return self.b_amplitude * np.cos(self.b_mode * grid.xs)
+        if not -np.inf < self.h0_amplitude < np.inf:
+            raise ConfigurationError("h0_amplitude must be finite")
 
     def h0_profile(self, grid: Grid) -> np.ndarray:
         # + 0.0 makes the -0.0 of a zero amplitude +0.0; all else is unchanged
         return self.h0_amplitude * np.cos(self.h0_mode * grid.xs) + 0.0
 
 
+#: height of the slab in which the datum is the exact quadratic profile
+EPS_SLAB = 0.25
+#: width of the cutoff transition; the cutoff is identically zero above
+#: EPS_SLAB + BLEND_WINDOW, comfortably below the top wall
+BLEND_WINDOW = 0.55
 #: degree-11 polynomial step: 0 -> 1 on [0, 1] with five vanishing
 #: derivatives at both ends, so blended data stay bounded in H^5
 _STEP_COEFFS = (462.0, -1980.0, 3465.0, -3080.0, 1386.0, -252.0)
@@ -88,14 +76,14 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u**6 * acc
 
 
-def blend_cutoff(spec: DataSpec, y: np.ndarray) -> np.ndarray:
+def blend_cutoff(y: np.ndarray) -> np.ndarray:
     """C^2 cutoff: 1 on the slab, 0 from the blend end up to the top wall."""
-    a = spec.eps_slab
-    b = spec.eps_slab + spec.blend_window
+    a = EPS_SLAB
+    b = EPS_SLAB + BLEND_WINDOW
     return 1.0 - _smoothstep((y - a) / (b - a))
 
 
-def _blended_profile(spec: DataSpec, y: np.ndarray) -> np.ndarray:
+def _blended_profile(alpha: float, y: np.ndarray) -> np.ndarray:
     """Temperature profile whose vertical flux is the slab flux times the cutoff.
 
     Integrating the cutoff flux (rather than cutting the temperature
@@ -103,9 +91,8 @@ def _blended_profile(spec: DataSpec, y: np.ndarray) -> np.ndarray:
     content above the slab, and with it the interface flux, decays slowly.
     The closed-form antiderivative makes every sample exact.
     """
-    alpha = spec.alpha
-    a = spec.eps_slab
-    width = spec.blend_window
+    a = EPS_SLAB
+    width = BLEND_WINDOW
     b = a + width
     # flux in the blend region as a polynomial in u = (y - a)/width,
     # coefficients in increasing order:
@@ -129,41 +116,32 @@ def _blended_profile(spec: DataSpec, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_classical_data(grid: Grid, spec: DataSpec):
-    """Classical datum (q0, h0): exact slab quadratic, flux-blended above.
-
-    In the slab y <= eps_slab the temperature is exactly
-    alpha*y - alpha^2 y^2/2, so the interface traces q0 = 0 and
-    q0_yy + (q0_y)^2 = 0 hold analytically; the flux (and the profile's
-    y-dependence altogether) vanishes identically above the blend window,
-    so the top-wall Neumann trace is exact.  The blend is C^5, keeping
-    fifth-order Sobolev norms of the datum grid-stable.
-    """
-    if spec.alpha * spec.eps_slab >= 1.0:
-        raise DataConstructionError(
-            "alpha * eps_slab >= 1 makes the flux change sign inside the slab"
-        )
-    profile = _blended_profile(spec, grid.ys)
-    q0 = np.broadcast_to(profile, (grid.nx, grid.ny)).copy()
-    h0 = spec.h0_profile(grid)
-    return q0, h0
-
-
 def build_sigma_data(grid: Grid, spec: DataSpec, sigma: float):
-    """The data family (q0, h0): the classical datum plus sigma*b(x)*y^3.
+    """The explicit datum (q0, h0): the classical datum plus sigma*cos(x)*y^3.
 
-    At sigma = 0 it is the classical datum of ``spec`` bit for bit, so
-    every interface law starts from this one family.  The extra term
-    vanishes to second order at the interface, so every trace entering
-    the flat compatibility conditions is unchanged and the family's energy
-    distance to the sigma = 0 member scales linearly in sigma.
+    The classical datum (sigma = 0) is the exact slab quadratic
+    alpha*y - alpha^2 y^2/2 for y <= EPS_SLAB, so the interface traces
+    q0 = 0 and q0_yy + (q0_y)^2 = 0 hold analytically; above the slab its
+    flux is blended to zero, so the profile does not depend on y above the
+    blend window and the top-wall Neumann trace is exact.  The blend is
+    C^5, keeping fifth-order Sobolev norms of the datum grid-stable.  At
+    sigma = 0 the extra term adds zeros, so the classical datum comes out
+    bit for bit and every interface law starts from this one family.  The
+    term vanishes to second order at the interface, so every trace
+    entering the flat compatibility conditions is unchanged and the
+    family's energy distance to the sigma = 0 member scales linearly in
+    sigma.
     """
     if sigma < 0:
         raise ConfigurationError("sigma must be >= 0")
-    q0, h0 = build_classical_data(grid, spec)
+    if spec.alpha * EPS_SLAB >= 1.0:
+        raise DataConstructionError(
+            "alpha * EPS_SLAB >= 1 makes the flux change sign inside the slab"
+        )
     y = grid.ys
-    q0 += sigma * spec.b_profile(grid)[:, None] * (y**3 * blend_cutoff(spec, y))[None, :]
-    return q0, h0
+    q0 = np.broadcast_to(_blended_profile(spec.alpha, y), (grid.nx, grid.ny)).copy()
+    q0 += sigma * np.cos(grid.xs)[:, None] * (y**3 * blend_cutoff(y))[None, :]
+    return q0, spec.h0_profile(grid)
 
 
 def taylor_margin(grid: Grid, q: np.ndarray) -> float:

@@ -122,10 +122,9 @@ class SolverConfig:
                 f"dt={self.dt:.3e} exceeds the diffusive limit {limit:.3e}"
             )
         # on nx nodes cos(m x) aliases for |m| > nx / 2; the Nyquist slope is 0
-        for name in ("h0_mode", "b_mode"):
-            if abs(getattr(self.data, name)) >= self.nx // 2:
-                raise ConfigurationError(
-                    f"data.{name} must be below nx // 2 = {self.nx // 2}")
+        if abs(self.data.h0_mode) >= self.nx // 2:
+            raise ConfigurationError(
+                f"data.h0_mode must be below nx // 2 = {self.nx // 2}")
 
     @property
     def mode(self) -> str:
@@ -353,22 +352,13 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     )
 
 
-def initial_data(config: SolverConfig):
-    """The explicit datum (q0, h0): the sigma family at the config's sigma.
-
-    At sigma = 0 it is the classical datum; a kappa run lifts it through
-    the regularized datum in ``init_state``.
-    """
-    return build_sigma_data(config.grid, config.data, config.sigma)
-
-
 def init_state(config: SolverConfig, q0: np.ndarray | None = None,
                h0: np.ndarray | None = None) -> SolverState:
     """Build the initial state: data, geometry, velocity, forcings."""
     grid = config.grid
     solves = ()
     if q0 is None or h0 is None:
-        q0, h0 = initial_data(config)
+        q0, h0 = build_sigma_data(grid, config.data, config.sigma)
         if config.mode == KAPPA:
             q0, solves = build_regularized_datum(grid, q0, h0, config.kappa)
     check_graph_condition(h0)

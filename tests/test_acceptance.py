@@ -14,7 +14,6 @@ from stefansim.geometry import harmonic_extend, metric_bundle
 from stefansim.mollifier import smooth_horizontal
 from stefansim.initdata import (
     DataSpec,
-    build_classical_data,
     build_regularized_datum,
     build_sigma_data,
     compat_residuals,
@@ -103,7 +102,7 @@ def test_criterion_03_mollifier_suite():
 
 
 def test_criterion_04_initial_data_suite():
-    rep = compat_residuals(GRID, *build_classical_data(GRID, DataSpec(alpha=1.0)))
+    rep = compat_residuals(GRID, *build_sigma_data(GRID, DataSpec(alpha=1.0), 0.0))
     ok = (rep.r_dirichlet == 0.0 and rep.r_second <= 1e-8
           and rep.neumann_top <= 1e-10
           and abs(rep.taylor_margin - 1.0) <= 1e-10)
@@ -139,7 +138,7 @@ def test_criterion_04_initial_data_suite():
 
 
 def test_criterion_05_regularized_datum():
-    q0, h0 = build_classical_data(GRID, DataSpec(alpha=1.0))
+    q0, h0 = build_sigma_data(GRID, DataSpec(alpha=1.0), 0.0)
     b0 = metric_bundle(GRID, np.zeros(GRID.nx))
     q2 = edge_derivative(q0, GRID.hy, 1)
     errs = []

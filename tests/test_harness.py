@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from stefansim.numerics import (
 from stefansim.elliptic import EllipticSolveError
 from stefansim.analysis import UsageError
 from stefansim.initdata import DataSpec
-from stefansim import elliptic, harness, initdata, stepper
+from stefansim import _svg, elliptic, harness, initdata, stepper
 from stefansim.stepper import SolverConfig
 from stefansim.harness import (
     ManufacturedCase,
@@ -87,6 +88,13 @@ def test_config_errors(tmp_path):
     bad.write_text("just a line without equals\n")
     with pytest.raises(ConfigurationError):
         parse_config_file(bad)
+    # a file that cannot be read is a configuration error too, naming it
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"data.alpha = 1.0  # \xe9\n")
+    for path in (tmp_path / "missing.cfg", latin):
+        with pytest.raises(ConfigurationError, match=path.name):
+            parse_config_file(path)
+    assert cli_main(["run", "--config", str(tmp_path / "missing.cfg")]) == 4
     with pytest.raises(ConfigurationError):
         apply_overrides({}, ["oops"])
     # a misspelt key must not leave its default silently in force
@@ -99,6 +107,9 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigurationError) as err:
         build_config({"mode": "kappa", "kappa": 0.05})
     assert str(err.value) == "unknown config keys: mode"
+    # the slab height is a constant of the datum: its retired key is
+    # unknown even at its old value
+    assert cli_main(["run", "--override", "data.eps_slab=0.25"]) == 4
     # a value must have its default's type: "flase" is no boolean
     for key, raw in (("compat.override", "flase"), ("output.svg", "nope"),
                      ("grid.nx", "abc"), ("dt", "fast"), ("kappa", "true")):
@@ -107,7 +118,7 @@ def test_config_errors(tmp_path):
             build_config(settings)
     # an integer key takes no fraction: 64.5 would be truncated to 64
     for key, raw in (("grid.nx", "64.5"), ("snapshot_every", "2.5"),
-                     ("data.b_mode", "1.5"), ("grid.ny", "inf")):
+                     ("data.h0_mode", "1.5"), ("grid.ny", "inf")):
         settings = apply_overrides({}, [f"{key}={raw}"])
         with pytest.raises(ConfigurationError,
                            match=f"config key {key} needs an integer"):
@@ -154,6 +165,21 @@ def test_interface_profiles_roundtrip(tmp_path):
     assert rows[0] == "x,h"
     x0, h0 = map(float, rows[1].split(","))
     assert x0 == 0.0
+
+
+def test_interface_profiles_of_close_snapshots_keep_distinct_names(tmp_path):
+    # snapshots 1e-7 apart share their name at 6 decimals; the names take
+    # as many decimals as the picked times need, and each is listed once
+    settings = _fast_settings(**{"grid.nx": 16, "grid.ny": 17, "dt": 1e-7,
+                                 "t_end": 1e-6, "snapshot_every": 1})
+    _, manifest = run_simulation(build_config(settings), outdir=tmp_path,
+                                 settings=settings)
+    profiles = [p for p in manifest.artifacts if p.startswith("interface")]
+    assert profiles == ["interface_t0.0000000.csv", "interface_t0.0000002.csv",
+                        "interface_t0.0000005.csv", "interface_t0.0000007.csv",
+                        "interface_t0.0000010.csv"]
+    assert len(set(manifest.artifacts)) == len(manifest.artifacts)
+    assert set(manifest.artifacts) == {p.name for p in tmp_path.iterdir()}
 
 
 def test_flat_initial_interface_prints_no_negative_zero(tmp_path):
@@ -240,15 +266,12 @@ def test_cli_rejects_non_finite_step_and_horizon(capsys):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("alpha", "nan"), ("eps_slab", "nan"), ("blend_window", "nan"),
-    ("b_amplitude", "nan"), ("h0_amplitude", "inf"),
-    ("h0_mode", "40"), ("b_mode", "32"),
+    ("alpha", "nan"), ("h0_amplitude", "inf"), ("h0_mode", "40"),
 ])
 def test_cli_rejects_non_finite_data(tmp_path, capsys, field, value):
     # a NaN or infinite data parameter fails the data's own check, not the
-    # first step with margin = nan; sigma * b(x) is 0 * NaN even classically.
-    # So does a mode the 64 nodes cannot hold: cos 40x is cos 24x there, and
-    # mode 32 is the Nyquist mode, whose spectral slope is zeroed
+    # first step with margin = nan.  So does a mode the 64 nodes cannot
+    # hold: cos 40x is cos 24x there
     assert cli_main(["run", "--out", str(tmp_path / "out"),
                      "--override", "compat.override=true",
                      "--override", f"data.{field}={value}"]) == 4
@@ -328,7 +351,6 @@ def _valid_settings(draw):
     nx = 2 * draw(st.integers(8, 64))
     ny = draw(st.integers(17, 257))
     limit = 0.5 * min(2 * np.pi / nx, 1.0 / (ny - 1)) ** 2
-    eps_slab = draw(st.floats(min_value=0.01, max_value=0.49))
     law = draw(st.sampled_from(["classical", "surface_tension", "kappa"]))
     positive = st.floats(min_value=1e-6, max_value=1.0)
     return {
@@ -340,11 +362,6 @@ def _valid_settings(draw):
         "t_end": draw(st.floats(min_value=1e-4, max_value=1.0)),
         "snapshot_every": draw(st.integers(1, 100)),
         "data.alpha": draw(st.floats(min_value=0.1, max_value=3.0)),
-        "data.eps_slab": eps_slab,
-        "data.blend_window": draw(st.floats(min_value=0.01,
-                                            max_value=0.99 - eps_slab)),
-        "data.b_amplitude": draw(st.floats(min_value=-2.0, max_value=2.0)),
-        "data.b_mode": draw(st.integers(0, nx // 2 - 1)),
         "data.h0_amplitude": draw(st.floats(min_value=-0.1, max_value=0.1)),
         "data.h0_mode": draw(st.integers(0, nx // 2 - 1)),
     }, law
@@ -368,7 +385,7 @@ def test_settings_roundtrip_through_config(case):
 
 
 def test_cli_data_construction_abort_writes_manifest(tmp_path):
-    # alpha * eps_slab >= 1 admits no classical datum: the run stops at init
+    # alpha * EPS_SLAB >= 1 admits no classical datum: the run stops at init
     out = tmp_path / "d"
     code = cli_main(["run", "--out", str(out), "--override", "data.alpha=5"])
     assert code == 3
@@ -484,8 +501,9 @@ def test_classical_run_builds_its_datum_once(monkeypatch):
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(initdata, "build_sigma_data", counted)
-    monkeypatch.setattr(stepper, "build_sigma_data", counted)
+    # under every name the package binds it to
+    for module in (initdata, stepper, harness):
+        monkeypatch.setattr(module, "build_sigma_data", counted)
     settings = _fast_settings()
     run_simulation(build_config(settings), settings=settings)
     assert len(calls) == 1
@@ -716,6 +734,25 @@ def test_svg_emission_listed_in_manifest(tmp_path):
         assert body.startswith("<svg") and body.endswith("</svg>")
 
 
+def test_svg_ticks_end_on_an_axis_one_ulp_wide(tmp_path):
+    # a tick step below half an ulp of the axis start cannot advance a
+    # running sum; the alarm turns such a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("tick loop did not end")
+
+    one_up = float(np.nextafter(1.0, 2.0))
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        ticks = _svg._ticks(1.0, one_up)
+        _svg.line_plot(tmp_path / "ulp.svg", [("y", [0.0, 1.0], [1.0, one_up])])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert 1 <= len(ticks) <= 2 * _svg._TICKS
+    assert (tmp_path / "ulp.svg").read_text().endswith("</svg>")
+
+
 def test_sweep_points_order_independent():
     config = build_config(_fast_settings())
     a = sweep_sigma(config, ladder=[0.05, 0.01, 0.0])
@@ -723,6 +760,8 @@ def test_sweep_points_order_independent():
     by_sigma_a = dict(zip(a.values, a.distances))
     by_sigma_b = dict(zip(b.values, b.distances))
     assert by_sigma_a == by_sigma_b
+    # the verdict too: distances are compared by decreasing sigma
+    assert a.monotone == b.monotone
 
 
 def test_sweep_json_roundtrip(tmp_path):

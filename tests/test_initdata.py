@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from stefansim import initdata
 from stefansim.numerics import Grid, edge_derivative
 from stefansim.geometry import metric_bundle
 from stefansim.initdata import (
+    EPS_SLAB,
     DataConstructionError,
     DataSpec,
-    build_classical_data,
+    blend_cutoff,
     build_regularized_datum,
     build_sigma_data,
     compat_residuals,
@@ -25,14 +27,14 @@ SPEC = DataSpec(alpha=1.0)
 
 
 def test_classical_interface_trace_zero():
-    q0, h0 = build_classical_data(GRID, SPEC)
+    q0, h0 = build_sigma_data(GRID, SPEC, 0.0)
     assert np.max(np.abs(q0[:, 0])) == 0.0
     assert np.max(np.abs(h0)) == 0.0
 
 
 def test_classical_worked_example_second_condition():
     # flat geometry: the slab profile satisfies q_yy + (q_y)^2 = 0 at the edge
-    q0, _ = build_classical_data(GRID, SPEC)
+    q0, _ = build_sigma_data(GRID, SPEC, 0.0)
     q2 = edge_derivative(q0, GRID.hy, 1)
     q22 = edge_derivative(q0, GRID.hy, 2)
     assert np.max(np.abs(q22 + q2 * q2)) <= 1e-9
@@ -40,46 +42,54 @@ def test_classical_worked_example_second_condition():
 
 def test_classical_margin_equals_slope():
     spec = DataSpec(alpha=0.5)
-    q0, _ = build_classical_data(GRID, spec)
+    q0, _ = build_sigma_data(GRID, spec, 0.0)
     assert taylor_margin(GRID, q0) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_classical_slab_profile_exact():
-    q0, _ = build_classical_data(GRID, SPEC)
+    q0, _ = build_sigma_data(GRID, SPEC, 0.0)
     y = GRID.ys
-    slab = y <= SPEC.eps_slab
+    slab = y <= EPS_SLAB
     exact = SPEC.alpha * y[slab] - 0.5 * SPEC.alpha**2 * y[slab] ** 2
     assert np.max(np.abs(q0[0, slab] - exact)) <= 1e-15
 
 
 def test_classical_top_neumann_exact():
-    q0, _ = build_classical_data(GRID, SPEC)
+    q0, _ = build_sigma_data(GRID, SPEC, 0.0)
     top = edge_derivative(q0, GRID.hy, 1, top=True)
     assert np.max(np.abs(top)) <= 1e-12
 
 
 def test_classical_flux_sign_guard():
     with pytest.raises(DataConstructionError):
-        build_classical_data(GRID, DataSpec(alpha=4.0, eps_slab=0.3))
+        build_sigma_data(GRID, DataSpec(alpha=4.0), 0.0)
 
 
 @pytest.mark.parametrize("blend_window", [0.55, 0.4])
-def test_sigma_zero_reduces_to_classical(blend_window):
-    spec = DataSpec(alpha=1.0, blend_window=blend_window)
-    qc, _ = build_classical_data(GRID, spec)
-    qs, hs = build_sigma_data(GRID, spec, 0.0)
-    assert np.max(np.abs(qc - qs)) == 0.0
+def test_sigma_zero_reduces_to_classical(blend_window, monkeypatch):
+    # at sigma = 0 the one builder gives the classical datum: the blended
+    # slab profile in every column and the spec's interface, for the
+    # default blend window and a narrower one
+    monkeypatch.setattr(initdata, "BLEND_WINDOW", blend_window)
+    qs, hs = build_sigma_data(GRID, SPEC, 0.0)
+    assert np.array_equal(qs, np.broadcast_to(qs[0], qs.shape))
     assert np.max(np.abs(hs)) == 0.0
-    # one family: the sigma data keep the spec's interface
-    curved = DataSpec(alpha=1.0, blend_window=blend_window, h0_amplitude=0.05)
-    assert np.array_equal(build_sigma_data(GRID, curved, 0.01)[1],
-                          build_classical_data(GRID, curved)[1])
+    curved = DataSpec(alpha=1.0, h0_amplitude=0.05)
+    q_flat, _ = build_sigma_data(GRID, curved, 0.0)
+    assert np.array_equal(q_flat, qs)
+    # one family: sigma > 0 keeps the interface and adds only
+    # sigma*cos(x)*y^3 times the cutoff, which is 0 at both walls
+    q_sig, h_sig = build_sigma_data(GRID, curved, 0.01)
+    assert np.array_equal(h_sig, curved.h0_profile(GRID))
+    term = 0.01 * np.cos(GRID.xs)[:, None] * (GRID.ys**3 * blend_cutoff(GRID.ys))
+    assert np.max(np.abs(q_sig - qs - term)) <= 1e-15
+    assert np.array_equal(q_sig[:, [0, -1]], qs[:, [0, -1]])
 
 
 @pytest.mark.parametrize("sigma", [1e-1, 1e-2, 1e-3, 1e-4])
 def test_sigma_family_flat_second_condition(sigma):
     # symbolic oracle: q_yy + q_y^2 - sigma*q_y11 vanishes at y = 0 for the
-    # slab form alpha*y - alpha^2 y^2/2 + sigma*b(x)*y^3
+    # slab form alpha*y - alpha^2 y^2/2 + sigma*cos(x)*y^3
     x, y, a, s = sp.symbols("x y a s")
     q = a * y - a**2 * y**2 / 2 + s * sp.cos(x) * y**3
     resid = (sp.diff(q, y, 2) + sp.diff(q, y) ** 2
@@ -94,14 +104,14 @@ def test_sigma_family_flat_second_condition(sigma):
 
 
 def test_sigma_family_third_trace_derivative():
-    # (q0)_yyy at the interface is 6 sigma b(x); symbolic oracle above,
+    # (q0)_yyy at the interface is 6 sigma cos(x); symbolic oracle above,
     # discrete check with a one-sided cubic-exact difference on the slab
     sigma = 0.05
     spec = DataSpec(alpha=1.0)
     q0, _ = build_sigma_data(GRID, spec, sigma)
     hy = GRID.hy
     d3 = (-q0[:, 0] + 3 * q0[:, 1] - 3 * q0[:, 2] + q0[:, 3]) / hy**3
-    expected = 6.0 * sigma * spec.b_profile(GRID)
+    expected = 6.0 * sigma * np.cos(GRID.xs)
     assert np.max(np.abs(d3 - expected)) <= 1e-6
 
 
@@ -122,7 +132,7 @@ def test_compat_negative_margin_detected():
 
 
 def test_regularized_datum_traces_and_limit():
-    q0, h0 = build_classical_data(GRID, SPEC)
+    q0, h0 = build_sigma_data(GRID, SPEC, 0.0)
     b0 = metric_bundle(GRID, np.zeros(GRID.nx))
     q2 = edge_derivative(q0, GRID.hy, 1)
     prev = None
@@ -141,7 +151,7 @@ def test_regularized_datum_traces_and_limit():
 
 def test_regularized_datum_curved_interface():
     spec = DataSpec(alpha=1.0, h0_amplitude=0.04)
-    q0, h0 = build_classical_data(GRID, spec)
+    q0, h0 = build_sigma_data(GRID, spec, 0.0)
     qr, _ = build_regularized_datum(GRID, q0, h0, 0.1)
     assert np.max(np.abs(qr[:, 0])) <= 1e-8
     assert np.all(np.isfinite(qr))
@@ -160,9 +170,5 @@ def test_regularized_datum_curved_interface():
 def test_spec_validation():
     with pytest.raises(Exception):
         DataSpec(alpha=-1.0)
-    with pytest.raises(Exception):
-        DataSpec(eps_slab=0.7)
-    with pytest.raises(Exception):
-        DataSpec(eps_slab=0.45, blend_window=0.6)
     with pytest.raises(Exception):
         build_sigma_data(GRID, SPEC, -0.1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 _PALETTE = ("#1f6fb2", "#d1495b", "#3aa17e", "#8d6cab", "#c98a2b", "#5b5b5b")
 #: ticks per axis, at most
@@ -13,15 +14,22 @@ def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / _TICKS))
-    for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= _TICKS:
-            step *= mult
-            break
-    # integer multiples of the step: a step below half an ulp of lo cannot
-    # advance a running sum, but the count of multiples is finite
-    last = math.floor((hi + 1e-12 * span) / step)
-    return [i * step for i in range(math.ceil(lo / step), last + 1)]
+    # a rounding slop past hi keeps a multiple of the step that lands on it
+    end = hi + 1e-12 * span
+    ticks = []
+    # an axis whose span or end overflows, or whose tick step would be
+    # subnormal, gets its two ends
+    if span / _TICKS >= sys.float_info.min and end < math.inf:
+        step = 10 ** math.floor(math.log10(span / _TICKS))
+        for mult in (1, 2, 5, 10):
+            if span / (step * mult) <= _TICKS:
+                step *= mult
+                break
+        # integer multiples of the step, held inside [lo, hi]: on an axis a
+        # few ulps wide they round outside it and onto each other
+        ticks = sorted({min(max(i * step, lo), hi)
+                        for i in range(math.ceil(lo / step), math.floor(end / step) + 1)})
+    return ticks or [lo, hi]
 
 
 def line_plot(path, series, title="", xlabel="", ylabel=""):

@@ -16,8 +16,6 @@ until the discrete residual of the full transformed equation meets
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import (
@@ -37,10 +35,12 @@ class EllipticSolveError(NumericsError):
     variable-coefficient fixed point diverged."""
 
 
-#: Boundary-row tags.
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
-ROBIN = "robin"
+#: Walls as (a, b) of the row  a*u + b*u_y = data, with u_y the
+#: y-derivative's wall stencil ``numerics.WALL_SLOPE`` (mirrored at the top
+#: wall, so the discrete flux of a homogeneous Neumann solve is zero
+#: identically).  A Robin row is (1.0, coef).
+DIRICHLET = (1.0, 0.0)
+NEUMANN = (0.0, 1.0)
 
 #: Unknowns per mode at or below which cyclic reduction stops and the
 #: remaining system is inverted densely.
@@ -49,20 +49,6 @@ _DENSE_BLOCK = 15
 #: the data and 1, and its iteration limit (``solve_transformed_poisson``).
 FIXED_POINT_TOL = 1e-8
 FIXED_POINT_MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class EdgeCondition:
-    """Boundary row specification for the strip solve.
-
-    Dirichlet rows pin the edge value.  A Robin row (lower edge only)
-    imposes  u + coef * u_y = value, a Neumann row (top edge only)  u_y =
-    value, both with the y-derivative's wall stencil ``numerics.WALL_SLOPE``,
-    so the discrete flux of a homogeneous Neumann solve is zero identically.
-    """
-
-    kind: str
-    coef: float = 0.0
 
 
 class StripSolver:
@@ -76,11 +62,13 @@ class StripSolver:
     right side and back-substitutes.
     """
 
-    def __init__(self, grid: Grid, c: float, bottom: EdgeCondition, top: EdgeCondition):
-        if (bottom.kind not in (DIRICHLET, ROBIN)
-                or top.kind not in (DIRICHLET, NEUMANN)):
-            raise ConfigurationError(
-                f"unsupported edge pairing: {bottom.kind} bottom, {top.kind} top")
+    def __init__(self, grid: Grid, c: float, bottom: tuple, top: tuple):
+        # at c = 0 the k = 0 mode is singular exactly when a profile p + s*y
+        # (the stencils are exact on it) meets both walls: slope rows on both,
+        # or u + u_y under a Dirichlet top.  Rounding hides it from the pivots.
+        (ab, bb), (at, bt) = bottom, top
+        if float(c) == 0.0 and ab * (at + bt) == bb * at:
+            raise ConfigurationError(f"walls {bottom} and {top} are singular at c = 0")
         self.grid = grid
         self.c = float(c)
         self.bottom = bottom
@@ -95,10 +83,11 @@ class StripSolver:
         sub, sup = -lo / hy**2, -hi / hy**2
         # wall rows  e0*u_wall + e1*u_next + e2*u_next2 = data, solved for
         # u_wall and substituted into the first and last interior rows
-        self._bottom_row = _wall_row(self.bottom, hy)
-        self._top_row = _wall_row(self.top, hy)
+        self._bottom_row = _wall_row(self.bottom, hy, 1.0)
+        self._top_row = _wall_row(self.top, hy, -1.0)
         b0, b1, b2 = self._bottom_row
         t0, t1, t2 = self._top_row
+        _check_pivots(np.array([b0, t0]))
         self._bottom_gain = sub / b0
         self._top_gain = sup / t0
         # a, b, c[j, m]: coefficients of u[j], u[j+1], u[j+2] in interior row
@@ -193,18 +182,14 @@ class StripSolver:
         return np.fft.irfft(self.solve_to_modes(rhs, bottom, top), n=self.grid.nx, axis=0)
 
 
-def _wall_row(edge: EdgeCondition, hy: float) -> tuple:
-    # (e0, e1, e2) of  e0*u_wall + e1*u_next + e2*u_next2 = data
-    if edge.kind == DIRICHLET:
-        return (1.0, 0.0, 0.0)
-    if edge.kind == ROBIN:
-        # u + coef * wall_slope(u)
-        s = edge.coef / (2.0 * hy)
-        w0, w1, w2 = WALL_SLOPE
-        return (1.0 + w0 * s, w1 * s, w2 * s)
-    # u_y with the wall stencil mirrored: negated weights, rows inward
-    s = 1.0 / (2.0 * hy)
-    return tuple(-w * s for w in WALL_SLOPE)
+def _wall_row(wall: tuple, hy: float, inward: float) -> tuple:
+    # (e0, e1, e2) of  e0*u_wall + e1*u_next + e2*u_next2 = data: the row
+    # a*u + b*u_y, its wall slope taken along the rows inward (+1 at the
+    # bottom wall, -1 at the top)
+    a, b = wall
+    s = inward * b / (2.0 * hy)
+    w0, w1, w2 = WALL_SLOPE
+    return (a + w0 * s, w1 * s, w2 * s)
 
 
 def _check_pivots(pivots: np.ndarray) -> None:
@@ -217,17 +202,17 @@ def solve_transformed_poisson(
     bundle: MetricBundle,
     rhs: np.ndarray,
     bottom_values: np.ndarray,
-    top: EdgeCondition,
+    top: tuple,
     top_values: np.ndarray | None = None,
 ):
     """Solve  TransformedLaplacian(u) = rhs  with a lagged-deviation fixed point.
 
-    The lower edge is Dirichlet with the given trace; the top edge is
-    Dirichlet or homogeneous Neumann.  Returns (u, residual, iterations)
-    where the residual is the sup norm of the discrete transformed
-    equation over the interior rows.
+    The lower edge is Dirichlet with the given trace; the top wall is an
+    (a, b) row, ``DIRICHLET`` or ``NEUMANN``.  Returns (u, residual,
+    iterations) where the residual is the sup norm of the discrete
+    transformed equation over the interior rows.
     """
-    solver = StripSolver(grid, 0.0, EdgeCondition(DIRICHLET), top)
+    solver = StripSolver(grid, 0.0, DIRICHLET, top)
     if top_values is None:
         top_values = np.zeros(grid.nx)
     # the strip solver realizes c*u - Lap(u) = f, so the Poisson right side

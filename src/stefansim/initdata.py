@@ -26,7 +26,7 @@ from .numerics import (
 )
 from .geometry import MetricBundle, mean_curvature, metric_bundle
 from .mollifier import smooth_2d, smooth_double
-from .elliptic import DIRICHLET, NEUMANN, EdgeCondition, solve_transformed_poisson
+from .elliptic import DIRICHLET, NEUMANN, solve_transformed_poisson
 from .operators import deviation_from_derivatives, transformed_laplacian_expanded
 
 
@@ -279,10 +279,10 @@ def build_regularized_datum(
     bottom_r = -(bundle0.line_el**2 / bundle0.jac_edge**2) * q2 * q2
     top_r = lap_q0[:, -1].copy()
     r_mid, resid_mid, iters_mid = solve_transformed_poisson(
-        grid, bundle_k, source, bottom_r, EdgeCondition(DIRICHLET), top_r,
+        grid, bundle_k, source, bottom_r, DIRICHLET, top_r,
     )
     q_reg, resid, iters = solve_transformed_poisson(
-        grid, bundle_k, r_mid, np.zeros(grid.nx), EdgeCondition(NEUMANN),
+        grid, bundle_k, r_mid, np.zeros(grid.nx), NEUMANN,
     )
     solves = [{"iterations": int(n), "residual": float(r)}
               for n, r in ((iters_mid, resid_mid), (iters, resid))]

@@ -71,7 +71,7 @@ from .operators import (
     transformed_laplacian_expanded,
     velocity_from_derivatives,
 )
-from .elliptic import DIRICHLET, NEUMANN, ROBIN, EdgeCondition, StripSolver
+from .elliptic import NEUMANN, StripSolver
 from .initdata import DataSpec, build_regularized_datum, build_sigma_data
 
 CLASSICAL = "classical"
@@ -142,14 +142,13 @@ class SolverConfig:
 
     @cached_property
     def heat_solver(self) -> StripSolver:
-        """The factored implicit heat solve, built once per config."""
-        if self.mode == KAPPA:
-            # penalized interface condition q - kappa^2 q_y = kappa^2 (beta + corr);
-            # the sign is the one the weak form dictates (dissipative penalty)
-            bottom = EdgeCondition(ROBIN, coef=-self.kappa**2)
-        else:
-            bottom = EdgeCondition(DIRICHLET)
-        return StripSolver(self.grid, 1.0 / self.dt, bottom, EdgeCondition(NEUMANN))
+        """The factored implicit heat solve, built once per config.
+
+        The interface row is  q - kappa^2 q_y = data  under every law: the
+        kappa law's penalty (the dissipative sign the weak form dictates),
+        and at kappa = 0 the Dirichlet row.
+        """
+        return StripSolver(self.grid, 1.0 / self.dt, (1.0, -self.kappa**2), NEUMANN)
 
     @property
     def n_steps(self) -> int:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from stefansim import elliptic
 from stefansim.numerics import Grid, tangential_derivative, vertical_derivative
-from stefansim.elliptic import NEUMANN, EdgeCondition, solve_transformed_poisson
+from stefansim.elliptic import NEUMANN, solve_transformed_poisson
 from stefansim.mollifier import smooth_double
 from stefansim.geometry import (
     GRAPH_BOUND,
@@ -156,8 +156,7 @@ def test_poisson_solve_with_cached_drift_matches_recomputed_drift(monkeypatch):
 
     def solve():
         b = metric_bundle(GRID, h)
-        return b, solve_transformed_poisson(GRID, b, rhs, bottom,
-                                            EdgeCondition(NEUMANN))
+        return b, solve_transformed_poisson(GRID, b, rhs, bottom, NEUMANN)
 
     def deviation_by_hand(grid, b, q):
         hy = grid.hy

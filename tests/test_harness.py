@@ -751,6 +751,13 @@ def test_svg_ticks_end_on_an_axis_one_ulp_wide(tmp_path):
         signal.signal(signal.SIGALRM, previous)
     assert 1 <= len(ticks) <= 2 * _svg._TICKS
     assert (tmp_path / "ulp.svg").read_text().endswith("</svg>")
+    # at either end of the float range: an ulp-wide axis, a span whose tick
+    # step underflows (log10 of zero), and a span that overflows
+    for lo, hi in ((1.0, one_up), (0.0, 5e-324), (-5e-324, 0.0),
+                   (-1.7e308, 1.7e308), (0.0, 1.7976931348605183e308), (0.0, 0.3)):
+        ticks = _svg._ticks(lo, hi)
+        assert ticks and all(lo <= t <= hi for t in ticks), (lo, hi, ticks)
+        assert all(a < b for a, b in zip(ticks, ticks[1:])), (lo, hi, ticks)
 
 
 def test_sweep_points_order_independent():

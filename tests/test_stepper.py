@@ -309,7 +309,7 @@ def test_carried_derivatives_match_recomputed_ones():
 def _two_call_step(state, cfg):
     """The classical step as separate transforms: the deviation, the strip
     solve and the velocity each from the temperature in physical space."""
-    from stefansim.elliptic import DIRICHLET, NEUMANN, EdgeCondition, StripSolver
+    from stefansim.elliptic import DIRICHLET, NEUMANN, StripSolver
     from stefansim.operators import gauge_deviation
 
     dt = cfg.dt
@@ -318,8 +318,7 @@ def _two_call_step(state, cfg):
     bundle = metric_bundle(GRID, h)
     w = (phi - state.phi) / dt
     rhs = state.q / dt + gauge_deviation(GRID, bundle, state.q) - state.v[1] * w
-    solver = StripSolver(GRID, 1.0 / dt, EdgeCondition(DIRICHLET),
-                         EdgeCondition(NEUMANN))
+    solver = StripSolver(GRID, 1.0 / dt, DIRICHLET, NEUMANN)
     q = solver.solve(rhs, None, None)
     return {"q": q, "h": h, "v": compute_velocity(GRID, bundle, q), "w": w,
             "phi": phi}

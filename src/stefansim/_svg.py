@@ -11,8 +11,6 @@ _TICKS = 5
 
 
 def _ticks(lo: float, hi: float):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     # a rounding slop past hi keeps a multiple of the step that lands on it
     end = hi + 1e-12 * span
@@ -42,10 +40,11 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
+    # a flat axis widens by 1, or by an ulp where 1 would not change it
     if x1 <= x0:
-        x1 = x0 + 1.0
+        x1 = x0 + max(1.0, math.ulp(x0))
     if y1 <= y0:
-        y1 = y0 + 1.0
+        y1 = y0 + max(1.0, math.ulp(y0))
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 

@@ -41,7 +41,6 @@ left on the snapshots.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -86,8 +85,8 @@ class Trajectory:
 
     A snapshot (``stepper.Snapshot``) stores q and h whole and the edge rows
     ``phi_edge`` and ``w_edge`` of the map and its velocity, which are their
-    harmonic extensions; ``snap["v"]`` derives the velocity from q on the
-    map rebuilt from ``phi_edge``.
+    harmonic extensions; ``snap.velocity()`` derives the velocity from q on
+    the map rebuilt from ``phi_edge``.
     """
 
     config: SolverConfig
@@ -130,17 +129,17 @@ _INITIAL_KEYS = {("q", 1): "q_t", ("q", 2): "q_tt", ("h", 1): "h_t",
                  ("rate", 1): "h_tt"}
 
 
-class _Window(Sequence):
+class _Window:
     """What a table pass reads of a trajectory, within a bounded window.
 
-    As a sequence it is the velocity series.  A snapshot stores no
-    velocity, so each is derived from q on the snapshot's map, rebuilt once
-    from ``phi_edge`` when the velocity is first read.  Of that one bundle
-    the window keeps only what a table row reads (``_RowMap``, from
-    ``row_map``), so the interior map fields are dropped as soon as v and
-    the curl are formed.  The last ``_STENCIL`` entries are kept, the most
-    one time stencil reads, so a pass over the snapshots in order builds
-    each bundle and derives each velocity once.
+    Indexed by an int or a slice, it is the velocity series.  A snapshot
+    stores no velocity, so each is derived from q on the snapshot's map,
+    rebuilt once from ``phi_edge`` when the velocity is first read.  Of
+    that one bundle the window keeps only what a table row reads
+    (``_RowMap``, from ``row_map``), so the interior map fields are dropped
+    as soon as v and the curl are formed.  The last ``_STENCIL`` entries
+    are kept, the most one time stencil reads, so a pass over the
+    snapshots in order builds each bundle and derives each velocity once.
 
     Called with a field name, a snapshot index and a time order, it returns
     that time derivative: equation-substituted at the initial instant,
@@ -199,7 +198,7 @@ class _Window(Sequence):
         series = (self if name == "v" else self._rates if name == "rate"
                   else self._stored.get(name))
         if series is None:
-            series = self._stored[name] = [s[name] for s in self.traj.snaps]
+            series = self._stored[name] = [getattr(s, name) for s in self.traj.snaps]
         if b:
             return time_derivative(self.traj.times, series, b, idx)
         return series[idx]
@@ -265,6 +264,8 @@ class EnergyReport:
     ``natural_energy`` the coercive quadratic form whose flux-weighted edge
     terms require a positive stability margin (NaN otherwise), and
     ``natural_energy_sigma`` its surface-tension extension.
+    ``dissipation_residual`` is NaN on a run that never checks the
+    dissipation law (any law but the unforced classical one).
     """
 
     t: float
@@ -472,7 +473,7 @@ def energy_table(traj: Trajectory) -> list:
     eq4, eq3 = _orders_eq(4), _orders_eq(3)
     leq2, leq1 = _orders_leq(2), _orders_leq(1)
 
-    dis_max = 0.0
+    dis_max = 0.0 if traj.dissipation else float("nan")
     dis_iter = iter(traj.dissipation)
     dis_next = next(dis_iter, None)
 

@@ -384,7 +384,7 @@ def write_interface_csv(outdir: Path, traj: Trajectory) -> list:
         name = f"interface_t{t:.{digits}f}.csv"
         rows = [
             (format(x, ".17g"), format(hval, ".17g"))
-            for x, hval in zip(xs, traj.snaps[idx]["h"])
+            for x, hval in zip(xs, traj.snaps[idx].h)
         ]
         _write_csv(outdir / name, ("x", "h"), rows)
         names.append(name)
@@ -411,7 +411,7 @@ def _emit_plots(outdir: Path, traj: Trajectory, reports) -> list:
     picks = sorted({0, len(traj) // 2, len(traj) - 1})
     _svg.line_plot(
         outdir / "interface.svg",
-        [(f"t={traj.times[i]:.4f}", xs, traj.snaps[i]["h"].tolist())
+        [(f"t={traj.times[i]:.4f}", xs, traj.snaps[i].h.tolist())
          for i in picks],
         title="interface profiles", xlabel="x", ylabel="h",
     )
@@ -547,7 +547,7 @@ def _kappa_point(config: SolverConfig, kappa: float):
     traj = simulate(replace(config, kappa=kappa, sigma=0.0))
     table = energy_table(traj)
     sup_e = max(r.energy_kappa for r in table)
-    robin = max(float(np.max(np.abs(s["q"][:, 0]))) for s in traj.snaps)
+    robin = max(float(np.max(np.abs(s.q[:, 0]))) for s in traj.snaps)
     ratios = [r.norm_energy_ratio for r in table[1:]
               if r.norm_energy_ratio == r.norm_energy_ratio]
     return traj, {
@@ -762,7 +762,7 @@ class ManufacturedCase:
         traj = simulate(cfg, self.temperature(grid, 0.0), self.height(grid, 0.0))
         if traj.status != STATUS_COMPLETED:
             raise NumericsError(f"MMS run {traj.status}: {'; '.join(traj.flags)}")
-        dq = traj.snaps[-1]["q"] - self.temperature(grid, t_end)
+        dq = traj.snaps[-1].q - self.temperature(grid, t_end)
         return float(np.sqrt(integrate_interior(dq * dq, grid)))
 
 

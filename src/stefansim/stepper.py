@@ -39,7 +39,6 @@ drift, the right side, q_yy and the solved modes die with the step.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -197,11 +196,8 @@ class SolverState:
         return Snapshot(self.grid, self.q, self.h, self.height, self.w_edge)
 
 
-_SNAPSHOT_KEYS = ("q", "h", "v", "phi_edge", "w_edge")
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class Snapshot(Mapping):
+class Snapshot:
     """A stored state: q and h whole, the map and the velocity derived.
 
     The map offset phi is the harmonic extension of ``phi_edge``, the
@@ -209,9 +205,8 @@ class Snapshot(Mapping):
     its edge row ``w_edge``: ``metric_bundle(grid, phi_edge)`` rebuilds
     phi bit for bit and ``extend_edge(grid, w_edge)`` gives w up to
     rounding.  The velocity -(q_x + a q_y, c q_y) depends on q and the map
-    alone, so ``snap["v"]`` derives it on every read and nothing is cached:
-    it equals the step's v up to rounding (bit for bit at t = 0).  It reads
-    as a mapping of its five keys.
+    alone, so ``velocity()`` derives it on every call and nothing is
+    cached: it equals the step's v up to rounding (bit for bit at t = 0).
     """
 
     grid: Grid
@@ -227,17 +222,13 @@ class Snapshot(Mapping):
         return compute_velocity(self.grid, bundle, self.q)
 
     def __getitem__(self, key: str) -> np.ndarray:
+        """A field by name, ``"v"`` the velocity: the key reads that
+        ``perfbench/child.py`` ``_final_fields`` still makes."""
         if key == "v":
             return self.velocity()
-        if key not in _SNAPSHOT_KEYS:
+        if key not in ("q", "h", "phi_edge", "w_edge"):
             raise KeyError(key)
         return getattr(self, key)
-
-    def __iter__(self):
-        return iter(_SNAPSHOT_KEYS)
-
-    def __len__(self) -> int:
-        return len(_SNAPSHOT_KEYS)
 
 
 def height_rate(bundle, v: np.ndarray) -> np.ndarray:
@@ -361,7 +352,7 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
         if config.mode == KAPPA:
             q0, solves = build_regularized_datum(grid, q0, h0, config.kappa)
     check_graph_condition(h0)
-    bundle, (_, q_y), v, _, w_edge = _instant(config, q0, h0)
+    bundle, q_y, v, _, w_edge = _instant(config, q0, h0)
     alpha = beta_poly = None
     if config.mode == KAPPA:
         alpha = _alpha_forcing(grid, q0, h0, bundle)
@@ -373,17 +364,17 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
 
 
 def _instant(config: SolverConfig, q: np.ndarray, h: np.ndarray):
-    """Data (q, h) at t = 0: the map of the (smoothed) height, the gradient
-    of q, the velocity, the interface speed h_t and, extending the
-    (smoothed) speed, the map velocity's edge row."""
+    """Data (q, h) at t = 0: the map of the (smoothed) height, q_y, the
+    velocity, the interface speed h_t and, extending the (smoothed) speed,
+    the map velocity's edge row."""
     grid = config.grid
     bundle = metric_bundle(grid, _smoothed(h, config))
-    grad_q = gradient(grid, q)
-    v = velocity_from_derivatives(bundle.a, bundle.c, *grad_q)
+    q_x, q_y = gradient(grid, q)
+    v = velocity_from_derivatives(bundle.a, bundle.c, q_x, q_y)
     h_t = height_rate(bundle, v)
     if config.source_h is not None:
         h_t = h_t + config.source_h(0.0)
-    return bundle, grad_q, v, h_t, _smoothed(h_t, config)
+    return bundle, q_y, v, h_t, _smoothed(h_t, config)
 
 
 def _alpha_forcing(grid, q0, h0, bundle_k):
@@ -419,7 +410,8 @@ def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
 
     def speeds(s):
         # h_t and h_tt alone: q_tt's fields are never formed here
-        return _speed_rates(config, s.q, s.h, alpha)[:2]
+        b, q_y, v, h_t, w_edge = _instant(config, s.q, s.h)
+        return h_t, _speed_rates(config, s.q, b, q_y, v, w_edge, alpha)[0]
 
     state = init_state(micro, q0=q0.copy(), h0=h0.copy())
     samples = [speeds(state)]
@@ -433,13 +425,14 @@ def _bootstrap_beta(config: SolverConfig, q0, h0, alpha):
     return (-samples[0][0], -samples[0][1], -c2)
 
 
-def _speed_rates(config: SolverConfig, q: np.ndarray, h: np.ndarray,
+def _speed_rates(config: SolverConfig, q: np.ndarray, b: MetricBundle,
+                 q_y: np.ndarray, v: np.ndarray, w_edge: np.ndarray,
                  alpha: np.ndarray | None):
-    """``(h_t, h_tt, rest)`` of data (q, h) at t = 0 by equation substitution:
-    the kappa bootstrap reads the speeds alone, and q_tt builds on ``rest``,
-    the fields (bundle, v, w, q_t, q_y, a_t, c_t, v_t)."""
+    """``(h_tt, rest)`` of data at t = 0 by equation substitution, from q and
+    the instant's map ``b``, q_y, v and map velocity edge row: the kappa
+    bootstrap reads h_tt alone, and q_tt builds on ``rest``, the fields
+    (w, q_t, a_t, c_t, v_t)."""
     grid = config.grid
-    b, (_, q_y), v, h_t, w_edge = _instant(config, q, h)
     w = extend_edge(grid, w_edge)
 
     q_t = transformed_laplacian_expanded(grid, b, q) - v[1] * w
@@ -461,23 +454,27 @@ def _speed_rates(config: SolverConfig, q: np.ndarray, h: np.ndarray,
 
     # interface speed rate: differentiate v0 h' - v1 on the edge
     h_tt = height_rate(b, v_t) + v[0, :, 0] * tangential_derivative(w_edge)
-    return h_t, h_tt, (b, v, w, q_t, q_y, a_t, c_t, v_t)
+    return h_tt, (w, q_t, a_t, c_t, v_t)
 
 
 def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     """First and second time derivatives at t = 0 by equation substitution.
 
-    It reads a t = 0 state's q, h and alpha alone: the map, the velocity
-    and the map velocity are those of the data at the initial instant.
-    The heat equation supplies q_t, the height law h_t; differentiating
-    those relations (with the map-inverse evolution rule) supplies the
-    second derivatives and the velocity rate.  ``w_t``, the map
-    acceleration, is returned by its edge row, whose harmonic extension it
-    is.
+    It reads a t = 0 state: its q, v, q_y, map velocity edge row and
+    alpha, and its map, rebuilt bit for bit from ``height``.  The heat
+    equation supplies q_t, the height law h_t; differentiating those
+    relations (with the map-inverse evolution rule) supplies the second
+    derivatives and the velocity rate.  ``w_t``, the map acceleration, is
+    returned by its edge row, whose harmonic extension it is.
     """
-    h_t, h_tt, (b, v, w, q_t, q_y, a_t, c_t, v_t) = _speed_rates(
-        config, state.q, state.h, state.alpha)
-    grid, a, c = config.grid, b.a, b.c
+    grid, v = config.grid, state.v
+    b = metric_bundle(grid, state.height)
+    h_t = height_rate(state, v)
+    if config.source_h is not None:
+        h_t = h_t + config.source_h(0.0)
+    h_tt, (w, q_t, a_t, c_t, v_t) = _speed_rates(
+        config, state.q, b, state.q_y, v, state.w_edge, state.alpha)
+    a, c = b.a, b.c
     w_t_edge = _smoothed(h_tt, config)
 
     # q_tt = d/dt [TransformedLaplacian(q)] - v_t . w - v . w_t

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stefansim import elliptic
 from stefansim.numerics import Grid, tangential_derivative, vertical_derivative
@@ -193,24 +193,29 @@ def test_gauge_bundle_gate_at_the_graph_bound():
 
 
 @st.composite
-def _band_limited_heights(draw):
-    """A grid and a height of at most nx/4 modes inside the graph bound.
+def _band_limited_heights(draw, nxs=(16, 32, 64), nys=(17, 33, 65),
+                          top=None, least_slope=0.0):
+    """A grid and a height of at most ``top`` (nx/4) modes inside the
+    graph bound.
 
     The slope is at most sum k |h_k| <= 0.4, so sup|h'|^2 <= 0.16 stays
     below GRAPH_BOUND, and with |h_0| <= 0.2 the Jacobian stays positive.
+    With ``least_slope`` > 0 that sum is at least ``least_slope``.
     """
-    grid = Grid(draw(st.sampled_from((16, 32, 64))),
-                draw(st.sampled_from((17, 33, 65))))
+    grid = Grid(draw(st.sampled_from(nxs)), draw(st.sampled_from(nys)))
     coef = st.floats(-1.0, 1.0)
-    modes = draw(st.integers(1, grid.nx // 4))
+    modes = range(1, draw(st.integers(1, top or grid.nx // 4)) + 1)
+    pairs = [(draw(coef), draw(coef)) for _ in modes]
+    slope = sum(k * (abs(a) + abs(b)) for k, (a, b) in zip(modes, pairs))
+    assume(slope > 0.0 or least_slope == 0.0)
     h = np.zeros(grid.nx)
-    slope = 0.0
-    for k in range(1, modes + 1):
-        a, b = draw(coef), draw(coef)
-        h += a * np.cos(k * grid.xs) + b * np.sin(k * grid.xs)
-        slope += k * (abs(a) + abs(b))
     if slope > 0.0:
-        h *= draw(st.floats(0.0, 0.4)) / slope
+        # each coefficient over the slope first: a subnormal slope would
+        # overflow the scale factor
+        scale = draw(st.floats(least_slope, 0.4))
+        for k, (a, b) in zip(modes, pairs):
+            h += scale * (a / slope * np.cos(k * grid.xs)
+                          + b / slope * np.sin(k * grid.xs))
     return grid, h + draw(st.floats(-0.2, 0.2))
 
 
@@ -232,3 +237,22 @@ def test_edge_rows_rebuild_the_map_bit_for_bit(case, kappa):
     rebuilt = metric_bundle(grid, bundle.height)
     assert np.array_equal(rebuilt.phi, bundle.phi)
     assert np.array_equal(rebuilt.ac, bundle.ac)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_band_limited_heights(nxs=(32,), nys=(33,), top=6, least_slope=0.01))
+def test_extension_is_harmonic_to_the_stencil_order(case):
+    # the extension is exactly harmonic mode by mode, so the discrete
+    # Laplacian (spectral in x, second-order in y) leaves only the y
+    # stencil's error, which falls like hy^2; at ny 33 the first interior
+    # row sits where mode k has decayed by exp(-k hy), so the first ratio
+    # is about 4 exp(-k / 64): 3.65 at k = 6
+    _, h = case
+    residuals = []
+    for ny in (33, 65, 129, 257):
+        grid = Grid(32, ny)
+        phi = extend_edge(grid, h)
+        lap = tangential_derivative(phi, 2) + vertical_derivative(phi, grid.hy, 2)
+        residuals.append(np.max(np.abs(lap[:, 1:-1])))
+    ratios = [a / b for a, b in zip(residuals, residuals[1:])]
+    assert min(ratios) >= 3.5, ratios

@@ -19,7 +19,7 @@ from stefansim.numerics import (
     integrate_interior,
 )
 from stefansim.elliptic import EllipticSolveError
-from stefansim.analysis import UsageError
+from stefansim.analysis import UsageError, energy_table
 from stefansim.initdata import DataSpec
 from stefansim import _svg, elliptic, harness, initdata, stepper
 from stefansim.stepper import SolverConfig
@@ -329,6 +329,27 @@ def test_simulate_records_one_dissipation_entry_per_step(mode, extra, expected):
         t += config.dt
         assert stamp == t and np.isfinite(defect)
     assert traj.dissipation[-1][0] == traj.times[-1]
+
+
+@pytest.mark.parametrize("extra, checked", [
+    ({}, True), ({"sigma": 0.01}, False), ({"kappa": 0.05}, False)])
+def test_dissipation_residual_is_blank_where_the_law_is_not_checked(
+        tmp_path, extra, checked):
+    # only an unforced classical run checks the dissipation law; a 0 in the
+    # rows of any other run would read as the law holding exactly
+    config = build_config(_fast_settings(
+        **{"grid.nx": 16, "grid.ny": 33, "data.h0_amplitude": 0.05}, **extra))
+    traj = simulate(config)
+    assert traj.status == "completed" and len(traj) == 5
+    harness.write_energy_csv(tmp_path, energy_table(traj))
+    header, *rows = (tmp_path / "energies.csv").read_text().splitlines()
+    col = header.split(",").index("dissipation_residual")
+    cells = [row.split(",")[col] for row in rows]
+    if checked:
+        # no step is checked at t = 0
+        assert cells[0] == "0" and all(cells[1:]), cells
+    else:
+        assert cells == [""] * len(traj)
 
 
 def test_cli_sigma_alone_selects_surface_tension(tmp_path):
@@ -760,6 +781,18 @@ def test_svg_ticks_end_on_an_axis_one_ulp_wide(tmp_path):
         assert all(a < b for a, b in zip(ticks, ticks[1:])), (lo, hi, ticks)
 
 
+@pytest.mark.parametrize("value", [2.0**53, 1e17, -1e17])
+def test_svg_plots_a_flat_axis_at_or_beyond_two_to_the_53(tmp_path, value):
+    # 1 is below half an ulp there, so widening a flat axis by 1 left it zero
+    # wide and every point a division by zero
+    path = tmp_path / "flat.svg"
+    for series in (("y", [value, value], [0.0, 1.0]),
+                   ("y", [0.0, 1.0], [value, value])):
+        _svg.line_plot(path, [series])
+        text = path.read_text()
+        assert text.endswith("</svg>") and "nan" not in text
+
+
 def test_sweep_points_order_independent():
     config = build_config(_fast_settings())
     a = sweep_sigma(config, ladder=[0.05, 0.01, 0.0])
@@ -788,8 +821,8 @@ def test_zero_data_runs_to_completion():
     traj = simulate(config, q0=np.zeros((grid.nx, grid.ny)),
                     h0=np.zeros(grid.nx))
     assert traj.status == "completed"
-    assert np.max(np.abs(traj.snaps[-1]["q"])) == 0.0
-    assert np.max(np.abs(traj.snaps[-1]["h"])) == 0.0
+    assert np.max(np.abs(traj.snaps[-1].q)) == 0.0
+    assert np.max(np.abs(traj.snaps[-1].h)) == 0.0
 
 
 def test_sweeps_run_each_point_once_in_the_calling_process(monkeypatch):

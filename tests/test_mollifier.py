@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stefansim.numerics import ConfigurationError, Grid, tangential_derivative
 from stefansim.mollifier import (
@@ -109,6 +110,42 @@ def test_double_smoothing_is_self_convolution():
                                   - 0.4 * np.sin(x0 - offsets)) * weights))
     got = smooth_double(f, width)[11]
     assert abs(got - oracle) <= 1e-9
+
+
+@st.composite
+def _trig_polynomials(draw):
+    """A periodic edge row: up to six modes below nx/2 - 1, where the
+    spectral derivative is exact, over a constant."""
+    nx = draw(st.sampled_from((16, 24, 32, 64, 128)))
+    xs = 2.0 * np.pi * np.arange(nx) / nx
+    coef = st.floats(-1.0, 1.0, allow_subnormal=False)
+    f = np.full(nx, draw(coef))
+    for k, a, b in draw(st.lists(
+            st.tuples(st.integers(1, nx // 2 - 2), coef, coef), max_size=6)):
+        f += a * np.cos(k * xs) + b * np.sin(k * xs)
+    return f
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_trig_polynomials(), st.floats(0.01, 3.0))
+def test_layer_smoothing_keeps_constants_commutes_and_contracts(f, width):
+    # the layer symbol is 1 at k = 0 and |c| <= 1 elsewhere: constants pass
+    # (exactly where nx is a power of two; the mixed-radix transform of
+    # nx = 24 leaves an ulp), the spectral derivative commutes with the
+    # multiplier and the discrete L^2 norm cannot grow
+    eps = np.finfo(float).eps
+    nx = f.size
+    df = tangential_derivative(f)
+    scale = np.max(np.abs(f)) + np.max(np.abs(df))
+    for smooth in (smooth_horizontal, smooth_double):
+        const = np.full(nx, f[0])
+        if nx & (nx - 1) == 0:
+            assert np.array_equal(smooth(const, width), const)
+        else:
+            assert np.max(np.abs(smooth(const, width) - const)) <= 2 * eps * abs(f[0])
+        commutator = smooth(df, width) - tangential_derivative(smooth(f, width))
+        assert np.max(np.abs(commutator)) <= 1e-13 * scale
+        assert np.linalg.norm(smooth(f, width)) <= np.linalg.norm(f) * (1 + 2 * eps)
 
 
 def test_smooth_2d_constant_and_convergence():

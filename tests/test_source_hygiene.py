@@ -9,8 +9,9 @@ exports it and the README's "Python API" section documents it, or the
 benchmark's span tracer wraps it (``perfbench/spans.py``, read as text),
 so that no entry point exists only for the tests; every exported name is
 documented there; no setting takes its default from a literal at the use
-site; and runs step in one loop: ``harness.simulate`` is the one function
-that names ``advance``, the stepper's kappa bootstrap aside.
+site; runs step in one loop: ``harness.simulate`` is the one function
+that names ``advance``, the stepper's kappa bootstrap aside; and a
+snapshot is read by attribute, never by a key naming its field or ``"v"``.
 """
 
 from __future__ import annotations
@@ -193,3 +194,26 @@ def test_simulate_is_the_one_run_loop():
     # kappa datum's bootstrap, whose micro-steps fit the Robin data
     assert _naming_functions("advance") == {"harness.py:simulate",
                                             "stepper.py:_bootstrap_beta"}
+
+
+def _record_fields(module: str, cls: str) -> set:
+    """The annotated field names of class ``cls`` in ``module``."""
+    for node in _tree(SRC / module).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return {stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)}
+    raise AssertionError(f"no class {cls} in {module}")
+
+
+def test_snapshots_are_read_by_attribute():
+    # a stored run reads as data: its fields by attribute, its velocity by
+    # a visible velocity() call, never through a subscript that hides one
+    names = _record_fields("stepper.py", "Snapshot") | {"v"}
+    sites = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.slice, ast.Constant)
+                    and node.slice.value in names):
+                sites.append(f"{path.name}:{node.lineno} [{node.slice.value!r}]")
+    assert not sites, "snapshot fields read by key: " + ", ".join(sites)

@@ -3,9 +3,10 @@
 Subcommands: ``run`` (one simulation with full reporting), ``sweep-sigma``
 and ``sweep-kappa`` (parameter ladders), ``check-data`` (compatibility
 report for the configured initial data), ``mms`` (manufactured-solution
-convergence study).  Exit codes (``harness.EXIT_CODES``): 0 completed, 2
-stability-margin flag or failed data check, 3 aborted (an unexpected
-exception too, with its traceback on stderr), 4 configuration error.
+convergence study).  Each subcommand takes only the options it reads.
+Exit codes (``harness.EXIT_CODES``): 0 completed, 2 stability-margin flag
+or failed data check, 3 aborted (an unexpected exception too, with its
+traceback on stderr), 4 configuration error, a usage error included.
 """
 
 from __future__ import annotations
@@ -35,13 +36,21 @@ from .harness import (
     _completed,
 )
 
-def _add_common(parser):
-    parser.add_argument("--config", type=Path, default=None,
-                        help="key = value configuration file")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output directory for artifacts")
-    parser.add_argument("--override", action="append", default=[],
-                        metavar="KEY=VALUE", help="override a config entry")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2, the flagged-run code: a usage error exits 4
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(message)
+
+
+_OPTIONS = {
+    "config": dict(type=Path, help="key = value configuration file"),
+    "out": dict(type=Path, help="output directory for artifacts"),
+    "override": dict(action="append", default=[], metavar="KEY=VALUE",
+                     help="override a config entry"),
+}
+#: the subcommands that read fewer options than all of ``_OPTIONS``
+_READS = {"check-data": ("config", "override"), "mms": ("out",)}
 
 
 def _settings(args) -> dict:
@@ -85,18 +94,16 @@ def _cmd_check_data(args) -> int:
 
 def _cmd_mms(args) -> int:
     table = mms_convergence()
-    print(json.dumps(table, indent=2, sort_keys=True))
+    text = json.dumps(table, indent=2, sort_keys=True)
+    print(text)
     if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "mms.json").write_text(
-            json.dumps(table, indent=2, sort_keys=True) + "\n"
-        )
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "mms.json").write_text(text + "\n")
     return EXIT_OK if table["spatial_pass"] and table["temporal_pass"] else EXIT_FLAGGED
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stefansim",
         description="Stefan problem simulator in a fixed-domain harmonic gauge",
     )
@@ -111,10 +118,11 @@ def main(argv=None) -> int:
         ("mms", _cmd_mms),
     ):
         p = sub.add_parser(name)
-        _add_common(p)
+        for option in _READS.get(name, _OPTIONS):
+            p.add_argument(f"--{option}", **_OPTIONS[option])
         p.set_defaults(func=fn)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

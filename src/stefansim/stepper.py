@@ -1,10 +1,10 @@
 """Time advancement of the coupled temperature/interface system.
 
 One step is an operator split: explicit interface update from the height
-law, rebuild of the harmonic gauge map, backward-difference map velocity,
-then a first-order IMEX heat update in which the flat Laplacian is
-implicit per Fourier mode and the gauge-deviation part, the transport
-term, and any forcing are explicit.  sigma and kappa select the
+law, rebuild of the harmonic gauge map and of its velocity, the extension
+of the interface speed, then a first-order IMEX heat update in which the
+flat Laplacian is implicit per Fourier mode and the gauge-deviation part,
+the transport term, and any forcing are explicit.  sigma and kappa select the
 interface law (``SolverConfig.mode``): melting temperature pinned to zero
 (classical, sigma = kappa = 0), pinned to sigma times the interface
 curvature (surface tension, sigma > 0), or a penalized width^2-weighted
@@ -17,9 +17,10 @@ Data flow of one step, with the transforms it makes (x is spectral, y is
 finite-difference, and the two commute up to rounding):
 
 1. h_new from the old interface speed.  ``metric_bundle`` forms the
-   extension's modes and inverts [phi_hat, ik phi_hat] in one transform:
-   phi, phi_x, and in row 0 the edge slope h' for the graph gate and the
-   edge fields.  One y-derivative gives J; the drift a_x + a a_y + c c_y
+   extension's modes of h_new and of the speed and inverts them in one
+   transform: phi_x (in row 0 the edge slope h' for the graph gate and
+   the edge fields), J - 1 from the modes' y-derivative table, and the map
+   velocity w; phi itself is never formed.  The drift a_x + a a_y + c c_y
    takes a forward/inverse pair for a_x and one y-derivative of (a, c).
 2. The explicit right side: the old q over dt, the gauge deviation of the
    new map applied to the old q, the transport term and any forcing.  The
@@ -31,10 +32,10 @@ finite-difference, and the two commute up to rounding):
    [q_y, q_xy]; q_x and q_y make the velocity, and q_y, q_xy go into the
    new state for the next step.
 
-That is five two-dimensional FFT calls and four y-derivative calls per
-step, in every mode.  The new state keeps q, v, q_y, q_xy, the map's phi
-and J and three edge rows (``SolverState``); the new map's a, c and
-drift, the right side, q_yy and the solved modes die with the step.
+That is five two-dimensional FFT calls and three y-derivative calls per
+step, in every mode.  The new state keeps q, v, q_y, q_xy, the map's J and
+three edge rows (``SolverState``); the new map's a, c, drift and w, the
+right side, q_yy and the solved modes die with the step.
 """
 
 from __future__ import annotations
@@ -162,17 +163,15 @@ class SolverState:
     """Immutable-by-convention state of the coupled system.
 
     A state keeps what its readers read: ``q_y`` and ``q_xy``, which the
-    next step's gauge deviation reads; of the map, the offset ``phi`` (the
-    next step's map velocity differences it), the Jacobian ``jac`` (the
+    next step's gauge deviation reads; of the map, the Jacobian ``jac`` (the
     heat content) and the edge rows ``height``, the (smoothed) height the
     step extended, and ``dheight``, h' (the height law); of the map
-    velocity, its edge row ``w_edge``.  a, c and the drift live only inside
-    the step that builds them: ``metric_bundle(grid, height)`` rebuilds the
-    step's bundle bit for bit, and ``extend_edge(grid, w_edge)`` the map
-    velocity (exactly at t = 0, the step's difference quotient up to
-    rounding later).  A kappa run built from its config's data keeps the
-    iterations and residual of each solve of its regularized datum in
-    ``datum_solves``.
+    velocity, its edge row ``w_edge``, the (smoothed) interface speed.  a,
+    c, the drift and w live only inside the step that builds them:
+    ``metric_bundle(grid, height)`` rebuilds the step's J and (a, c) and
+    ``extend_edge(grid, w_edge)`` its w, each bit for bit.  A kappa run
+    built from its config's data keeps the iterations and residual of each
+    solve of its regularized datum in ``datum_solves``.
     """
 
     t: float
@@ -182,7 +181,6 @@ class SolverState:
     v: np.ndarray
     q_y: np.ndarray
     q_xy: np.ndarray
-    phi: np.ndarray
     jac: np.ndarray
     height: np.ndarray
     dheight: np.ndarray
@@ -203,8 +201,8 @@ class Snapshot:
     The map offset phi is the harmonic extension of ``phi_edge``, the
     (smoothed) height the step extended, and the map velocity w that of
     its edge row ``w_edge``: ``metric_bundle(grid, phi_edge)`` rebuilds
-    phi bit for bit and ``extend_edge(grid, w_edge)`` gives w up to
-    rounding.  The velocity -(q_x + a q_y, c q_y) depends on q and the map
+    the step's J and (a, c) and ``extend_edge(grid, w_edge)`` its w, each
+    bit for bit.  The velocity -(q_x + a q_y, c q_y) depends on q and the map
     alone, so ``velocity()`` derives it on every call and nothing is
     cached: it equals the step's v up to rounding (bit for bit at t = 0).
     """
@@ -240,6 +238,15 @@ def height_rate(bundle, v: np.ndarray) -> np.ndarray:
     return v[0, :, 0] * bundle.dheight - v[1, :, 0]
 
 
+def _interface_speed(config: SolverConfig, bundle, v: np.ndarray,
+                     t: float) -> np.ndarray:
+    """h_t at time t: ``height_rate`` plus any manufactured height source."""
+    rate = height_rate(bundle, v)
+    if config.source_h is not None:
+        rate = rate + config.source_h(t)
+    return rate
+
+
 def beta_value(beta_poly, t: float) -> np.ndarray:
     c0, c1, c2 = beta_poly
     return c0 + c1 * t + 0.5 * c2 * t * t
@@ -266,12 +273,6 @@ def _bottom_condition(config: SolverConfig, state: SolverState,
     return config.kappa**2 * (beta_value(state.beta_poly, t_new) + corr)
 
 
-def _kept_of(bundle: MetricBundle) -> dict:
-    """The fields of a map's bundle that a ``SolverState`` keeps."""
-    return {"phi": bundle.phi, "jac": bundle.jac, "height": bundle.height,
-            "dheight": bundle.dheight}
-
-
 def advance(state: SolverState, config: SolverConfig) -> SolverState:
     """One operator-split step; returns the new state.
 
@@ -279,25 +280,23 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
     StepDivergedError if the heat update produces non-finite values.  The
     new map's bundle, its drift and the right side are local, and the new
     state keeps only the fields ``SolverState`` lists.  q_yy and the drift
-    are dropped once the deviation is formed, the interior map velocity
-    once its edge row is taken.  The right side and the solved modes live to
-    the end: freed earlier, they let the allocator trim and regrow the heap
-    top within the step, which raised the page faults per step.
+    are dropped once the deviation is formed.  The right side and the
+    solved modes live to the end: freed earlier, they let the allocator
+    trim and regrow the heap top within the step, which raised the page
+    faults per step.
     """
     grid = config.grid
     dt = config.dt
     t_new = state.t + dt
 
-    rate = height_rate(state, state.v)
-    if config.source_h is not None:
-        rate = rate + config.source_h(state.t)
+    rate = _interface_speed(config, state, state.v, state.t)
     h_new = state.h + dt * rate
     if config.mode == KAPPA:
         check_graph_condition(h_new)
 
-    bundle_new = metric_bundle(grid, _smoothed(h_new, config))
-    w_new = bundle_new.phi - state.phi
-    w_new /= dt
+    # the map velocity extends the (smoothed) speed, as at t = 0
+    w_edge = _smoothed(rate, config)
+    bundle_new = metric_bundle(grid, _smoothed(h_new, config), w_edge)
 
     rhs = state.q / dt
     if not bundle_new.is_flat:
@@ -307,10 +306,7 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         rhs += deviation_from_derivatives(
             bundle_new.a, bundle_new.c, drift, state.q_y, q_yy, state.q_xy)
         del q_yy, drift
-    rhs -= state.v[1] * w_new
-    # the map velocity's edge row is all a state keeps of it
-    w_edge = w_new[:, 0].copy()
-    del w_new
+    rhs -= state.v[1] * bundle_new.w
     if state.alpha is not None:
         rhs += state.alpha
     if config.source_q is not None:
@@ -334,8 +330,10 @@ def advance(state: SolverState, config: SolverConfig) -> SolverState:
         v=v_new,
         q_y=q_y,
         q_xy=q_xy,
+        jac=bundle_new.jac,
+        height=bundle_new.height,
+        dheight=bundle_new.dheight,
         w_edge=w_edge,
-        **_kept_of(bundle_new),
         alpha=state.alpha,
         beta_poly=state.beta_poly,
         datum_solves=state.datum_solves,
@@ -358,9 +356,10 @@ def init_state(config: SolverConfig, q0: np.ndarray | None = None,
         alpha = _alpha_forcing(grid, q0, h0, bundle)
         beta_poly = _bootstrap_beta(config, q0, h0, alpha)
     return SolverState(t=0.0, grid=grid, q=q0, h=h0, v=v, q_y=q_y,
-                       q_xy=tangential_derivative(q_y),
+                       q_xy=tangential_derivative(q_y), jac=bundle.jac,
+                       height=bundle.height, dheight=bundle.dheight,
                        w_edge=w_edge, alpha=alpha, beta_poly=beta_poly,
-                       datum_solves=tuple(solves), **_kept_of(bundle))
+                       datum_solves=tuple(solves))
 
 
 def _instant(config: SolverConfig, q: np.ndarray, h: np.ndarray):
@@ -371,9 +370,7 @@ def _instant(config: SolverConfig, q: np.ndarray, h: np.ndarray):
     bundle = metric_bundle(grid, _smoothed(h, config))
     q_x, q_y = gradient(grid, q)
     v = velocity_from_derivatives(bundle.a, bundle.c, q_x, q_y)
-    h_t = height_rate(bundle, v)
-    if config.source_h is not None:
-        h_t = h_t + config.source_h(0.0)
+    h_t = _interface_speed(config, bundle, v, 0.0)
     return bundle, q_y, v, h_t, _smoothed(h_t, config)
 
 
@@ -469,9 +466,7 @@ def initial_time_derivatives(state: SolverState, config: SolverConfig) -> dict:
     """
     grid, v = config.grid, state.v
     b = metric_bundle(grid, state.height)
-    h_t = height_rate(state, v)
-    if config.source_h is not None:
-        h_t = h_t + config.source_h(0.0)
+    h_t = _interface_speed(config, state, v, 0.0)
     h_tt, (w, q_t, a_t, c_t, v_t) = _speed_rates(
         config, state.q, b, state.q_y, v, state.w_edge, state.alpha)
     a, c = b.a, b.c

@@ -146,7 +146,7 @@ def test_static_trajectory_natural_energy_oracle():
 
     combo = integrate_interior(
         (tangential_derivative(q, 4)
-         + v[1] * tangential_derivative(bundle.phi, 4)) ** 2, GRID)
+         + v[1] * tangential_derivative(extend_edge(GRID, h), 4)) ** 2, GRID)
     # q_y on the edge is 1 + 0.1 sin x
     flux_w = (1.0 + 0.1 * np.sin(GRID.xs)) / bundle.jac_edge
     edge = integrate_boundary(flux_w * tangential_derivative(h, 4) ** 2,

@@ -93,10 +93,11 @@ def test_bundle_invariants_curved():
     assert b.line_el[0] == pytest.approx(1.0, abs=1e-12)
     idx = GRID.nx // 4
     assert b.line_el[idx] == pytest.approx(np.sqrt(1.0 + 0.01), abs=1e-10)
-    # a and c are views of one stack; phi owns its buffer, so a kept bundle
+    # a and c are views of one stack; J owns its buffer, so a kept bundle
     # keeps no phi_x alive
     assert b.a.base is b.c.base is b.ac
-    assert b.phi.flags.owndata
+    assert b.jac.flags.owndata
+    assert b.w is None
 
 
 def test_jacobian_positive_in_safety_region():
@@ -225,7 +226,8 @@ def test_edge_rows_rebuild_the_map_bit_for_bit(case, kappa):
     # a snapshot keeps the map by the edge row the step extended (the
     # layer-smoothed height in kappa mode) and its velocity by w's edge row:
     # an extension must reproduce its edge rows exactly, and a bundle rebuilt
-    # from its own edge height must be the same map bit for bit
+    # from its own edge height must be the same map bit for bit; a bundle
+    # given a rate is the same map, and its w is the rate's extension
     grid, h = case
     edge = smooth_double(h, kappa) if kappa > 0 else h
     for data in (edge, 10.0 * edge):
@@ -234,9 +236,28 @@ def test_edge_rows_rebuild_the_map_bit_for_bit(case, kappa):
         assert not np.any(ext[:, -1])
     bundle = metric_bundle(grid, edge)
     assert np.array_equal(bundle.height, edge)
-    rebuilt = metric_bundle(grid, bundle.height)
-    assert np.array_equal(rebuilt.phi, bundle.phi)
-    assert np.array_equal(rebuilt.ac, bundle.ac)
+    rate = 10.0 * edge
+    for rebuilt in (metric_bundle(grid, bundle.height),
+                    metric_bundle(grid, bundle.height, rate)):
+        assert np.array_equal(rebuilt.jac, bundle.jac)
+        assert np.array_equal(rebuilt.ac, bundle.ac)
+    assert np.array_equal(rebuilt.w, extend_edge(grid, rate))
+    assert rebuilt.w.flags.owndata
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_band_limited_heights())
+def test_jacobian_from_the_modes_is_the_y_derivative_of_the_map(case):
+    # J takes the y-stencil on the extension's modes, not on phi: the two
+    # commute, so they differ by rounding, which the stencil divides by hy.
+    # The wall stencil's weights sum to 4 / hy = 4 (ny - 1), so a bound of
+    # 4 (ny - 1) eps max|J| allows about one ulp of phi per node (1.08 of
+    # (ny - 1) eps max|J| measured over random heights up to 128 x 257)
+    grid, h = case
+    jac = metric_bundle(grid, h).jac
+    direct = 1.0 + vertical_derivative(extend_edge(grid, h), grid.hy, 1)
+    bound = 4.0 * (grid.ny - 1) * np.finfo(float).eps * np.max(np.abs(jac))
+    assert np.max(np.abs(jac - direct)) <= bound
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

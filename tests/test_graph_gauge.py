@@ -6,9 +6,11 @@ below keeps the general formulas for an arbitrary map gradient: the
 literal matrix inverse, the pulled-back gradient, the expanded Laplacian
 with its metric W and drift, and the gauge curl.  On graph-gauge maps the
 two must agree, bitwise wherever the package evaluates the same
-floating-point expression.  The package takes phi_x from the extension's
-modes and the oracle from a transform of phi, so a, and everything built
-from a, agree to rounding only.
+floating-point expression.  The package takes phi_x and J from the
+extension's modes and the oracle from transforms of phi, so they agree to
+rounding only; once J is checked against phi's y-derivative, the oracle
+takes the package's J, so c = 1 / J agrees bitwise and a, and everything
+built from a, to rounding.
 """
 
 from __future__ import annotations
@@ -150,9 +152,12 @@ def test_graph_gauge_matches_general_formulas(case):
     phi = harmonic_extend(grid, h)
     b = metric_bundle(grid, h)
     grad = oracle_map_gradient(grid, phi)
-    jac, ainv = oracle_inverse(grad)
 
-    assert np.array_equal(b.phi, phi)
+    assert np.array_equal(b.height, phi[:, 0])
+    # the y-stencil divides rounding by hy (see test_geometry)
+    _assert_close(b.jac, grad[1, 1], 4.0 * (grid.ny - 1) * np.finfo(float).eps)
+    grad[1, 1] = b.jac
+    jac, ainv = oracle_inverse(grad)
     assert np.array_equal(b.jac, jac)
     assert np.array_equal(b.c, ainv[1, 1])
     _assert_close(b.a, ainv[1, 0], 1e-13)

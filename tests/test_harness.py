@@ -257,6 +257,21 @@ def test_cli_run_and_exit_codes(tmp_path):
                      "--override", "sweep.sigma_ladder=0.1,abc"]) == 4
 
 
+def test_cli_usage_errors_exit_as_configuration_errors(tmp_path, capsys):
+    # argparse's own exit 2 is the flagged-run code: a bad command line is a
+    # configuration error, and a subcommand takes only the options it reads
+    # (mms reads no settings, check-data writes nothing)
+    for argv in (["run", "--bogus"], ["bogus"], [],
+                 ["mms", "--override", "dt=1"], ["mms", "--config", "run.cfg"],
+                 ["check-data", "--out", str(tmp_path / "d")]):
+        assert cli_main(argv) == 4, argv
+        assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+    with pytest.raises(SystemExit) as info:
+        cli_main(["run", "--help"])
+    assert info.value.code == 0
+
+
 def test_cli_rejects_non_finite_step_and_horizon(capsys):
     # a NaN step passes any sign test and an infinite horizon has no step
     # count: both are configuration errors, not tracebacks from n_steps
